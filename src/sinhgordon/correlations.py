@@ -23,10 +23,17 @@ from .errors import (
     WindowOutsideCylinder,
 )
 from .gff import TimeGrid, fluctuation_grid, sample_path_batch, truncated_slice_cov
-from .gmc import GmcSpec, fourier_spec, harmonic_number, theta_nodes
+from .gmc import (
+    GmcSpec,
+    fourier_spec,
+    harmonic_number,
+    mass_pair_slices,
+    region_time_weights,
+    theta_nodes,
+)
 from .params import ModelParams, reduce_to_unit_radius, validate_params
 from .parallel import map_chunks, seed_chunks, stateless_children
-from .propagator import CQuadrature, default_c_quadrature, fk_weights, mass_pair_slices, _seed_int
+from .propagator import CQuadrature, default_c_quadrature, fk_weights, _seed_int
 from .results import EstimatorResult, jackknife_func, jackknife_ratio, params_fingerprint
 from .smc import ShiftTask, SmcSettings, combine_ratio, smc_flow
 
@@ -218,8 +225,7 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
     cs, cw = quad.nodes()
     if mirror:
         cs = -cs
-    trap = np.full(grid.n_steps + 1, dt)
-    trap[0] = trap[-1] = dt / 2.0
+    trap = region_time_weights(grid, 0.0, grid.span)
     renorm_mass = harmonic_number(n_modes)
 
     prepared = []
@@ -447,58 +453,49 @@ def two_point_covariance(ins1, ins2, separations, t_half: float, params: ModelPa
     jackknife over replicas (runs for the particle backend, paths for the
     plain one).
     """
-    pu = reduce_to_unit_radius(params)
+    separations = _checked_separations(separations, t_half)
+    if backend == "smc":
+        return two_point_panel([(ins1, ins2)], separations, t_half, params, dt=dt,
+                               n_modes=n_modes, theta_cells=theta_cells,
+                               n_samples=n_samples, seed=seed, smc_runs=smc_runs,
+                               workers=workers)[0]
+    if backend != "plain":
+        raise ValueError(f"unknown backend {backend!r}")
     if quad is None:
-        quad = default_c_quadrature(pu.gamma)
+        quad = default_c_quadrature(reduce_to_unit_radius(params).gamma)
+    reg = fourier_spec(+1, n_modes)
+    tasks = [{"kind": "vertex", "entries": entries, "reg": reg,
+              "total_alpha": sum(a for a, _, _ in entries)}
+             for s in separations for entries in _pair_groups(ins1, ins2, s, t_half, dt)]
+    res = _cylinder_engine(params, t_half, dt, n_modes, theta_cells, quad,
+                           n_samples, seed, tasks, batch=batch, workers=workers)
+    den = res["den"]
+    rows = []
+    for j, s in enumerate(separations):
+        u, v1, v2 = res["num"][3 * j], res["num"][3 * j + 1], res["num"][3 * j + 2]
+        cov, cov_se = jackknife_func(
+            [u, v1, v2, den], lambda su, s1, s2, sd: su / sd - (s1 / sd) * (s2 / sd))
+        prod, _ = jackknife_func([u, den], lambda su, sd: su / sd)
+        rows.append({"separation": s, "covariance": cov, "std_error": cov_se,
+                     "product_moment": prod})
+    return rows
+
+
+def _checked_separations(separations, t_half: float) -> list[float]:
     separations = [float(s) for s in separations]
     for s in separations:
         if s <= 0 or s >= 2.0 * t_half:
             raise WindowOutsideCylinder(f"separation {s} does not fit in the window")
-    a1, th1 = ins1
-    a2, th2 = ins2
+    return separations
 
-    def groups_for(s):
-        pair = _entries_to_process(((a1, -s / 2.0, th1), (a2, +s / 2.0, th2)), t_half, dt)
-        one = _entries_to_process(((a1, -s / 2.0, th1),), t_half, dt)
-        two = _entries_to_process(((a2, +s / 2.0, th2),), t_half, dt)
-        return pair, one, two
 
-    rows = []
-    if backend == "smc":
-        groups = []
-        for s in separations:
-            groups.extend(groups_for(s))
-        flow = smc_flow(params, [t_half], dt, n_modes, theta_cells,
-                        _smc_settings(n_samples, smc_runs), seed,
-                        register_groups=groups, workers=workers)
-        for j, s in enumerate(separations):
-            sub = flow["group_means"][:, 3 * j:3 * j + 3]
-            cov, cov_se = combine_ratio(
-                flow["log_z"], sub,
-                lambda su, s1, s2, sd: su / sd - (s1 / sd) * (s2 / sd))
-            prod, _ = combine_ratio(flow["log_z"], sub[:, :1], lambda su, sd: su / sd)
-            rows.append({"separation": s, "covariance": cov, "std_error": cov_se,
-                         "product_moment": prod})
-    elif backend == "plain":
-        reg = fourier_spec(+1, n_modes)
-        tasks = []
-        for s in separations:
-            for entries in groups_for(s):
-                tasks.append({"kind": "vertex", "entries": entries, "reg": reg,
-                              "total_alpha": sum(a for a, _, _ in entries)})
-        res = _cylinder_engine(params, t_half, dt, n_modes, theta_cells, quad,
-                               n_samples, seed, tasks, batch=batch, workers=workers)
-        den = res["den"]
-        for j, s in enumerate(separations):
-            u, v1, v2 = res["num"][3 * j], res["num"][3 * j + 1], res["num"][3 * j + 2]
-            cov, cov_se = jackknife_func(
-                [u, v1, v2, den], lambda su, s1, s2, sd: su / sd - (s1 / sd) * (s2 / sd))
-            prod, _ = jackknife_func([u, den], lambda su, sd: su / sd)
-            rows.append({"separation": s, "covariance": cov, "std_error": cov_se,
-                         "product_moment": prod})
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    return rows
+def _pair_groups(ins1, ins2, s: float, t_half: float, dt: float):
+    """Register groups (pair, first, second) for two insertions at window times -s/2, +s/2."""
+    (a1, th1), (a2, th2) = ins1, ins2
+    pair = _entries_to_process(((a1, -s / 2.0, th1), (a2, +s / 2.0, th2)), t_half, dt)
+    one = _entries_to_process(((a1, -s / 2.0, th1),), t_half, dt)
+    two = _entries_to_process(((a2, +s / 2.0, th2),), t_half, dt)
+    return pair, one, two
 
 
 def refinement_report(resolutions, estimates) -> dict:
@@ -537,18 +534,9 @@ def two_point_panel(pairs, separations, t_half: float, params: ModelParams, *,
     Returns {pair_index: [rows...]} with the same row format as
     :func:`two_point_covariance`.
     """
-    separations = [float(s) for s in separations]
-    for s in separations:
-        if s <= 0 or s >= 2.0 * t_half:
-            raise WindowOutsideCylinder(f"separation {s} does not fit in the window")
-    groups = []
-    for (a1, th1), (a2, th2) in pairs:
-        for s in separations:
-            pair = _entries_to_process(((a1, -s / 2.0, th1), (a2, +s / 2.0, th2)),
-                                       t_half, dt)
-            one = _entries_to_process(((a1, -s / 2.0, th1),), t_half, dt)
-            two = _entries_to_process(((a2, +s / 2.0, th2),), t_half, dt)
-            groups.extend((pair, one, two))
+    separations = _checked_separations(separations, t_half)
+    groups = [g for ins1, ins2 in pairs for s in separations
+              for g in _pair_groups(ins1, ins2, s, t_half, dt)]
     flow = smc_flow(params, [t_half], dt, n_modes, theta_cells,
                     _smc_settings(n_samples, smc_runs), seed,
                     register_groups=groups, workers=workers)
@@ -561,7 +549,9 @@ def two_point_panel(pairs, separations, t_half: float, params: ModelParams, *,
             cov, cov_se = combine_ratio(
                 flow["log_z"], sub,
                 lambda su, s1, s2, sd: su / sd - (s1 / sd) * (s2 / sd))
-            rows.append({"separation": s, "covariance": cov, "std_error": cov_se})
+            prod, _ = combine_ratio(flow["log_z"], sub[:, :1], lambda su, sd: su / sd)
+            rows.append({"separation": s, "covariance": cov, "std_error": cov_se,
+                         "product_moment": prod})
         out[pi] = rows
     return out
 

@@ -125,12 +125,24 @@ def sample_circle_field(n_modes: int, mode="stationary", seed=None) -> CircleFie
     raise ValueError(f"unknown sampling mode: {mode!r}")
 
 
+def ou_step(rng: np.random.Generator, b: np.ndarray, x: np.ndarray, y: np.ndarray,
+            decay: np.ndarray, std: np.ndarray, sqrt_dt: float):
+    """One exact step of a batch: b (R,) Brownian, x and y (R, N) modes.
+
+    ``decay, std`` come from :func:`ou_step_coeffs`.  The draw order is fixed
+    (Brownian increment, then x noise, then y noise), so every caller that
+    steps from the same generator state reproduces the same paths bit for bit.
+    """
+    b = b + sqrt_dt * rng.standard_normal(b.shape)
+    x = x * decay + std * rng.standard_normal(x.shape)
+    y = y * decay + std * rng.standard_normal(y.shape)
+    return b, x, y
+
+
 def _evolve_arrays(rng: np.random.Generator, x0: np.ndarray, y0: np.ndarray, grid: TimeGrid):
     """Evolve a batch of initial modes; returns (B, X, Y).
 
     Shapes: x0, y0 are (R, N); output B is (R, K+1), X and Y are (R, K+1, N).
-    Draw order per step is fixed (Brownian increment, then x noise, then y
-    noise) so results are bit-reproducible for a given generator state.
     """
     n_paths, n_modes = x0.shape
     k_steps = grid.n_steps
@@ -144,9 +156,8 @@ def _evolve_arrays(rng: np.random.Generator, x0: np.ndarray, y0: np.ndarray, gri
     xs[:, 0, :] = x0
     ys[:, 0, :] = y0
     for k in range(k_steps):
-        brownian[:, k + 1] = brownian[:, k] + sqrt_dt * rng.standard_normal(n_paths)
-        xs[:, k + 1, :] = xs[:, k, :] * decay + std * rng.standard_normal((n_paths, n_modes))
-        ys[:, k + 1, :] = ys[:, k, :] * decay + std * rng.standard_normal((n_paths, n_modes))
+        brownian[:, k + 1], xs[:, k + 1], ys[:, k + 1] = ou_step(
+            rng, brownian[:, k], xs[:, k], ys[:, k], decay, std, sqrt_dt)
     return brownian, xs, ys
 
 

@@ -22,12 +22,14 @@ from .gff import (
     CircleField,
     PathSample,
     TimeGrid,
-    _evolve_arrays,
     averaged_mode_arrays,
     fluctuation_grid,
+    sample_path_batch,
 )
 from .params import ModelParams, reduce_to_unit_radius
 from .results import EstimatorResult, mean_and_se, params_fingerprint
+
+_CIRCLE_PATH_MODES = 64  # modes sampled for a circle-averaged density
 
 
 def harmonic_number(n: int) -> float:
@@ -97,6 +99,11 @@ class GmcSpec:
             return harmonic_number(self.n_modes)
         return float(np.log(1.0 / self.epsilon))
 
+    @property
+    def path_modes(self) -> int:
+        """Modes a sampled path needs for this density."""
+        return self.n_modes if self.kind == "fourier" else _CIRCLE_PATH_MODES
+
 
 def fourier_spec(sigma: int, n_modes: int) -> GmcSpec:
     return GmcSpec(sigma=sigma, kind="fourier", n_modes=n_modes)
@@ -145,23 +152,31 @@ def region_time_weights(grid: TimeGrid, t_min: float, t_max: float) -> np.ndarra
     return w
 
 
-def slice_theta_sums(fields: np.ndarray, gamma: float, sigma: int, renorm: float,
-                     dtheta: float, shift: np.ndarray | None = None) -> np.ndarray:
-    """Per-slice integral over theta of the renormalized exponential.
+# ---------------------------------------------------------------------------
+# Slice-mass kernel: every chaos mass and slice potential goes through here
+# ---------------------------------------------------------------------------
 
-    ``fields`` is the mode field on the grid, shape (..., K+1, T); the
-    optional ``shift`` (K+1, T) is added to the field (insertion weighting).
-    Returns (..., K+1).
+def chaos_exponent(fields, sigma: int, gamma: float, renorm: float):
+    """Renormalized exponent sigma*gamma*field - (gamma^2/2)*renorm of the density."""
+    return sigma * gamma * fields - 0.5 * gamma * gamma * renorm
+
+
+def slice_masses(brownian, fields: np.ndarray, sigma: int, gamma: float, renorm: float,
+                 dtheta: float):
+    """Theta integral of the chaos density on each slice, times the zero-mode factor.
+
+    S[k] = e^{sigma*gamma*B_k} * sum_theta e^{chaos_exponent(field)} * dtheta.
+    ``fields`` is (..., T) and the result has its leading shape; ``brownian``
+    broadcasts against it (0 gives the bare slice potential).
     """
-    expo = sigma * gamma * (fields if shift is None else fields + shift)
-    expo = expo - 0.5 * gamma * gamma * renorm
-    return np.exp(expo).sum(axis=-1) * dtheta
+    sums = np.exp(chaos_exponent(fields, sigma, gamma, renorm)).sum(axis=-1) * dtheta
+    return np.exp(sigma * gamma * brownian) * sums
 
 
-def region_masses(brownian: np.ndarray, slice_sums: np.ndarray, weights: np.ndarray,
-                  sigma_gamma: float) -> np.ndarray:
-    """Combine slice sums with the zero mode: sum_k w_k e^{sg B_k} S_k."""
-    return (np.exp(sigma_gamma * brownian) * slice_sums * weights).sum(axis=-1)
+def mass_pair_slices(brownian, fields, gamma, renorm, dtheta):
+    """Slice masses for both signs: (S+, S-), each (R, K+1) for (R, K+1, T) fields."""
+    return tuple(slice_masses(brownian, fields, sigma, gamma, renorm, dtheta)
+                 for sigma in (+1, -1))
 
 
 def log_region_mass(brownian: np.ndarray, log_cells: np.ndarray, weights: np.ndarray,
@@ -186,67 +201,43 @@ def _effective_mode_arrays(mode_x, mode_y, grid: TimeGrid, spec: GmcSpec):
 
 
 def gmc_mass(path: PathSample, region: Region, spec: GmcSpec, params: ModelParams,
-             theta_cells: int = 128,
-             shift_field=None) -> float:
-    """Renormalized chaos mass of a region for one path.
-
-    ``shift_field(t_grid, theta_grid) -> (K+1, T)`` optionally adds a
-    deterministic shift to the field before exponentiation (used by the
-    insertion-weighted mass).  Accumulation is log-sum-exp.
-    """
-    g = params.gamma
-    weights = region_time_weights(path.grid, region.t_min, region.t_max)
-    if not np.any(weights > 0):
-        return 0.0
-    nodes, dtheta = theta_nodes(theta_cells, region.arc)
-    mx, my = _effective_mode_arrays(path.mode_x, path.mode_y, path.grid, spec)
-    rows = weights > 0
-    if spec.kind == "circle" and np.any(np.isnan(mx[rows])):
-        raise RegionOutsideGrid("averaging circle leaves the sampled span inside the region")
-    fields = fluctuation_grid(mx, my, nodes)
-    if shift_field is not None:
-        fields = fields + shift_field(path.grid.times(), nodes)
-    log_cells = spec.sigma * g * fields - 0.5 * g * g * spec.renorm_constant
-    return float(np.exp(log_region_mass(path.brownian, log_cells, weights, spec.sigma * g, dtheta)))
+             theta_cells: int = 128) -> float:
+    """Renormalized chaos mass of a region for one path (log-sum-exp accumulation)."""
+    return gmc_mass_weighted(path, region, spec, params, (), theta_cells)
 
 
 def gmc_mass_weighted(path: PathSample, region: Region, spec: GmcSpec,
                       params: ModelParams, insertions, theta_cells: int = 128) -> float:
     """Chaos mass weighted by prod_i |e^{-s+i theta} - e^{-t_i+i theta_i}|^{-gamma sigma alpha_i}.
 
-    ``insertions`` is an iterable of (alpha, t_i, theta_i).  If an insertion
-    falls on a cell midpoint the theta grid is shifted by half a cell to keep
-    the singular weight off its pole.
+    ``insertions`` is an iterable of (alpha, t_i, theta_i); empty gives the
+    plain mass.  If an insertion falls on a cell midpoint the theta grid is
+    shifted by half a cell to keep the singular weight off its pole.
+    Accumulation is log-sum-exp.
     """
     ins = list(insertions)
-    if not ins:
-        return gmc_mass(path, region, spec, params, theta_cells)
-    nodes, dtheta = theta_nodes(theta_cells, region.arc)
-    jitter = 0.0
-    for _, t_i, th_i in ins:
-        on_grid_t = min(abs(path.grid.times() - t_i)) < 1e-12
-        if on_grid_t and np.any(np.abs(((nodes - th_i + np.pi) % (2 * np.pi)) - np.pi) < 1e-12):
-            jitter = dtheta / 2.0
-            break
-
-    def shift(ts, ths):
-        ths = ths + jitter
-        total = np.zeros((ts.size, ths.size))
-        for alpha, t_i, th_i in ins:
-            sep = np.abs(np.exp(-ts[:, None] + 1j * ths[None, :]) - np.exp(-t_i + 1j * th_i))
-            total += alpha * (-np.log(sep))
-        return total
-
-    g = params.gamma
     weights = region_time_weights(path.grid, region.t_min, region.t_max)
     if not np.any(weights > 0):
         return 0.0
-    nodes_j = nodes + jitter
+    nodes, dtheta = theta_nodes(theta_cells, region.arc)
+    times = path.grid.times()
+    for _, t_i, th_i in ins:
+        on_grid_t = min(abs(times - t_i)) < 1e-12
+        if on_grid_t and np.any(np.abs(((nodes - th_i + np.pi) % (2 * np.pi)) - np.pi) < 1e-12):
+            nodes = nodes + dtheta / 2.0
+            break
     mx, my = _effective_mode_arrays(path.mode_x, path.mode_y, path.grid, spec)
-    fields = fluctuation_grid(mx, my, nodes_j)
-    fields = fields + shift(path.grid.times(), nodes)
-    log_cells = spec.sigma * g * fields - 0.5 * g * g * spec.renorm_constant
-    return float(np.exp(log_region_mass(path.brownian, log_cells, weights, spec.sigma * g, dtheta)))
+    if spec.kind == "circle" and np.any(np.isnan(mx[weights > 0])):
+        raise RegionOutsideGrid("averaging circle leaves the sampled span inside the region")
+    fields = fluctuation_grid(mx, my, nodes)
+    if ins:
+        fields = fields + sum(
+            alpha * (-np.log(np.abs(np.exp(-times[:, None] + 1j * nodes[None, :])
+                                    - np.exp(-t_i + 1j * th_i))))
+            for alpha, t_i, th_i in ins)
+    log_cells = chaos_exponent(fields, spec.sigma, params.gamma, spec.renorm_constant)
+    return float(np.exp(log_region_mass(path.brownian, log_cells, weights,
+                                        spec.sigma * params.gamma, dtheta)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +261,7 @@ def circle_potential(field: CircleField, sign: int, k_trunc: int, params: ModelP
         raise ValueError(f"k_trunc={k_trunc} exceeds field modes {field.n_modes}")
     nodes, dtheta = theta_nodes(theta_cells)
     vals = fluctuation_grid(field.xs[:k_trunc], field.ys[:k_trunc], nodes)
-    g = params.gamma
-    return float(np.exp(sign * g * vals - 0.5 * g * g * harmonic_number(k_trunc)).sum() * dtheta)
-
-
-def circle_potential_grid(fields: np.ndarray, sign: int, gamma: float, k_trunc: int,
-                          dtheta: float) -> np.ndarray:
-    """Vectorized potential for precomputed k-truncated field grids (..., K+1, T)."""
-    return np.exp(sign * gamma * fields - 0.5 * gamma * gamma * harmonic_number(k_trunc)
-                  ).sum(axis=-1) * dtheta
+    return float(slice_masses(0.0, vals, sign, params.gamma, harmonic_number(k_trunc), dtheta))
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +277,6 @@ def sample_region_masses(region: Region, spec: GmcSpec, params: ModelParams,
     Returns the (n_samples,) array of masses.  ``margin`` extends the sampled
     span beyond the region (needed by the circle regularization).
     """
-    g = params.gamma
     if margin is None:
         margin = spec.epsilon if spec.kind == "circle" else 0.0
     t_lo = region.t_min - margin
@@ -309,23 +291,19 @@ def sample_region_masses(region: Region, spec: GmcSpec, params: ModelParams,
     if not np.any(weights > 0):
         return np.zeros(n_samples)
     nodes, dtheta = theta_nodes(theta_cells, region.arc)
-    n_modes = spec.n_modes if spec.kind == "fourier" else 64
-    renorm = spec.renorm_constant
+    rows = weights > 0
 
     rng = np.random.default_rng(seed)
     out = np.empty(n_samples)
     done = 0
     while done < n_samples:
         r = min(batch, n_samples - done)
-        x0 = rng.standard_normal((r, n_modes))
-        y0 = rng.standard_normal((r, n_modes))
-        brown, xs, ys = _evolve_arrays(rng, x0, y0, grid)
+        brown, xs, ys = sample_path_batch(rng, r, spec.path_modes, grid)
         mx, my = _effective_mode_arrays(xs, ys, grid, spec)
-        rows = weights > 0
         fields = fluctuation_grid(mx[:, rows, :], my[:, rows, :], nodes)
-        sums = np.exp(spec.sigma * g * fields - 0.5 * g * g * renorm).sum(axis=-1) * dtheta
-        out[done:done + r] = (np.exp(spec.sigma * g * brown[:, rows]) * sums
-                              * weights[rows]).sum(axis=-1)
+        masses = slice_masses(brown[:, rows], fields, spec.sigma, params.gamma,
+                              spec.renorm_constant, dtheta)
+        out[done:done + r] = (masses * weights[rows]).sum(axis=-1)
         done += r
     return out
 

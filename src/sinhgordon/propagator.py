@@ -11,18 +11,32 @@ from __future__ import annotations
 
 import math
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import GridSpanMismatch, NonPositiveTime, TailTolNotMet
 from .gff import CircleField, TimeGrid, fluctuation_grid, sample_path_batch
-from .gmc import GmcSpec, circle_potential_grid, region_time_weights, theta_nodes
+from .gmc import (
+    GmcSpec,
+    _effective_mode_arrays,
+    harmonic_number,
+    mass_pair_slices,
+    region_time_weights,
+    slice_masses,
+    theta_nodes,
+)
 from .params import ModelParams
 from .parallel import map_chunks, seed_chunks
 from .results import EstimatorResult, jackknife_func, mean_and_se, params_fingerprint
 
 _EXP_CAP = 700.0  # exp argument cap; beyond this the FK weight underflows to 0
+
+
+def capped_exp(x):
+    """exp with its argument capped at _EXP_CAP, so damping weights never overflow."""
+    return np.exp(np.minimum(x, _EXP_CAP))
 
 
 # ---------------------------------------------------------------------------
@@ -156,31 +170,22 @@ def default_c_quadrature(gamma: float, half_width: float = 8.0, n_nodes: int = 6
 # Shared path machinery
 # ---------------------------------------------------------------------------
 
-def mass_pair_slices(brownian, fields, gamma, renorm, dtheta):
-    """Per-slice theta sums for both signs: returns (S+, S-), each (R, K+1).
-
-    S_sigma[k] = e^{sigma*gamma*B_k} * sum_theta e^{sigma*gamma*field - (gamma^2/2) renorm} * dtheta
-    """
-    out = []
-    for sigma in (+1, -1):
-        expo = sigma * gamma * fields - 0.5 * gamma * gamma * renorm
-        sums = np.exp(expo).sum(axis=-1) * dtheta
-        out.append(np.exp(sigma * gamma * brownian) * sums)
-    return out[0], out[1]
-
-
-def fk_weights(mass_plus, mass_minus, cs, mu, gamma):
-    """FK damping e^{-mu(e^{gc} M+ + e^{-gc} M-)} for paths x c nodes.
+def fk_damping(mass_plus, mass_minus, c, mu, gamma):
+    """FK damping e^{-mu(e^{gc} M+ + e^{-gc} M-)}; masses broadcast against c.
 
     Computed through logs with a cap so extreme masses underflow to weight 0
     instead of producing NaN.
     """
-    cs = np.atleast_1d(cs)
     with np.errstate(divide="ignore"):
-        log_p = np.log(mass_plus)[:, None] + gamma * cs[None, :]
-        log_m = np.log(mass_minus)[:, None] - gamma * cs[None, :]
-    total = np.exp(np.minimum(log_p, _EXP_CAP)) + np.exp(np.minimum(log_m, _EXP_CAP))
-    return np.exp(-mu * total)
+        log_p = np.log(mass_plus) + gamma * c
+        log_m = np.log(mass_minus) - gamma * c
+    return np.exp(-mu * (capped_exp(log_p) + capped_exp(log_m)))
+
+
+def fk_weights(mass_plus, mass_minus, cs, mu, gamma):
+    """FK damping for paths x c nodes: masses (R,), nodes (C,) -> (R, C)."""
+    return fk_damping(mass_plus[:, None], mass_minus[:, None], np.atleast_1d(cs)[None, :],
+                      mu, gamma)
 
 
 def _require_span(grid: TimeGrid, t: float) -> None:
@@ -215,7 +220,6 @@ def feynman_kac(observable, t: float, start, params: ModelParams, grid: TimeGrid
         sub_seed, size = chunk
         rng = np.random.default_rng(sub_seed)
         b, xs, ys = sample_path_batch(rng, size, init.n_modes, grid, initial=init)
-        from .gmc import _effective_mode_arrays
         mx, my = _effective_mode_arrays(xs, ys, grid, spec)
         fields = fluctuation_grid(mx, my, nodes)
         sp, sm = mass_pair_slices(b, fields, gamma, spec.renorm_constant, dtheta)
@@ -245,7 +249,6 @@ def feynman_kac_circle_potential(observable, t: float, start, params: ModelParam
                                  workers: int = 1) -> EstimatorResult:
     """Same semigroup, with the damping written as a time integral of slice
     potentials instead of a two-dimensional mass."""
-    import warnings
     if params.gamma >= math.sqrt(2.0):
         warnings.warn("circle-potential weights with gamma >= sqrt(2): the "
                       "untruncated potential does not exist in this regime",
@@ -257,6 +260,7 @@ def feynman_kac_circle_potential(observable, t: float, start, params: ModelParam
     gamma, mu = params.gamma, params.mu_scaled
     weights_t = region_time_weights(grid, 0.0, t)
     nodes, dtheta = theta_nodes(n_theta)
+    renorm = harmonic_number(k_trunc)
     k_end = grid.index_of(t)
     t0 = time.perf_counter()
 
@@ -265,10 +269,10 @@ def feynman_kac_circle_potential(observable, t: float, start, params: ModelParam
         rng = np.random.default_rng(sub_seed)
         b, xs, ys = sample_path_batch(rng, size, init.n_modes, grid, initial=init)
         fields = fluctuation_grid(xs[..., :k_trunc], ys[..., :k_trunc], nodes)
-        v_plus = circle_potential_grid(fields, +1, gamma, k_trunc, dtheta)
-        v_minus = circle_potential_grid(fields, -1, gamma, k_trunc, dtheta)
-        integ = (np.exp(np.minimum(gamma * (c0 + b), _EXP_CAP)) * v_plus
-                 + np.exp(np.minimum(-gamma * (c0 + b), _EXP_CAP)) * v_minus)
+        v_plus = slice_masses(0.0, fields, +1, gamma, renorm, dtheta)
+        v_minus = slice_masses(0.0, fields, -1, gamma, renorm, dtheta)
+        integ = (capped_exp(gamma * (c0 + b)) * v_plus
+                 + capped_exp(-gamma * (c0 + b)) * v_minus)
         w = np.exp(-mu * (integ * weights_t).sum(axis=-1))
         if observable is None:
             obs = np.ones(size)
@@ -326,16 +330,12 @@ def partition_curve(t_half_values, params: ModelParams, quad: CQuadrature,
     gamma, mu = params.gamma, params.mu_scaled
     nodes, dtheta = theta_nodes(theta_cells)
     cs, cw = quad.nodes()
-    n_modes = spec.n_modes if spec.kind == "fourier" else 64
     ends = [grid.index_of(2.0 * th) for th in t_half_values]
-    trap = np.full(grid.n_steps + 1, dt)
-    trap[0] = trap[-1] = dt / 2.0
 
     def run(chunk):
         sub_seed, size = chunk
         rng = np.random.default_rng(sub_seed)
-        b, xs, ys = sample_path_batch(rng, size, n_modes, grid)
-        from .gmc import _effective_mode_arrays
+        b, xs, ys = sample_path_batch(rng, size, spec.path_modes, grid)
         mx, my = _effective_mode_arrays(xs, ys, grid, spec)
         fields = fluctuation_grid(mx, my, nodes)
         sp, sm = mass_pair_slices(b, fields, gamma, spec.renorm_constant, dtheta)
@@ -375,7 +375,6 @@ def partition_function(t_half: float, params: ModelParams, quad: CQuadrature,
                        grid: TimeGrid, spec: GmcSpec, n_samples: int, seed,
                        theta_cells: int = 128, workers: int = 1) -> EstimatorResult:
     """Partition function of the finite cylinder of half-height T."""
-    import warnings
     _require_span(grid, 2.0 * t_half)
     t0 = time.perf_counter()
     pt = partition_curve([t_half], params, quad, grid.dt, spec, n_samples, seed,

@@ -23,8 +23,8 @@ from . import lz as lz_mod
 from . import spectral as spec_mod
 from .config import EXPERIMENTS, RunConfig, load_config, with_overrides
 from .errors import ConfigError, SinhGordonError
-from .gff import TimeGrid, evolve_path, dump_path, sample_path_batch, \
-    fluctuation_grid, truncated_slice_cov
+from .gff import TimeGrid, evolve_path, dump_path, fluctuation_grid, ou_step, \
+    ou_step_coeffs, truncated_slice_cov
 from .gmc import Region, circle_spec, fourier_spec
 from .parallel import resolve_workers
 from .params import reduce_to_unit_radius
@@ -81,20 +81,36 @@ def _quad(cfg: RunConfig) -> CQuadrature:
 # ---------------------------------------------------------------------------
 
 def _exp_validate(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
-    """Covariance panel: sampled field against the mode-truncated kernels."""
+    """Covariance panel: sampled field against the mode-truncated kernels.
+
+    The paths are stepped one slice at a time with the draws of
+    ``sample_path_batch``; only the field values at the probe points are
+    kept, so memory does not grow with the number of time steps.
+    """
     n = cfg.estimator.n_samples
     n_modes = cfg.sampler.n_modes
     grid = TimeGrid(cfg.sampler.dt, int(round(1.0 / cfg.sampler.dt)))
-    rng = np.random.default_rng(cfg.estimator.seed)
-    b, xs, ys = sample_path_batch(rng, n, n_modes, grid)
     probes = [((0.0, 0.0), (0.0, np.pi)), ((0.0, 0.0), (0.5, 0.0)),
               ((0.25, np.pi / 2), (0.75, np.pi / 2)), ((0.0, 0.0), (1.0, np.pi / 2)),
               ((0.5, 0.0), (0.5, np.pi))]
+    points = {(grid.index_of(t), th) for pair in probes for t, th in pair}
+    decay, std = ou_step_coeffs(np.arange(1, n_modes + 1), grid.dt)
+    sqrt_dt = np.sqrt(grid.dt)
+    rng = np.random.default_rng(cfg.estimator.seed)
+    b = np.zeros(n)
+    x = rng.standard_normal((n, n_modes))
+    y = rng.standard_normal((n, n_modes))
+    field_at = {}
+    for k in range(grid.n_steps + 1):
+        if k > 0:
+            b, x, y = ou_step(rng, b, x, y, decay, std, sqrt_dt)
+        for kk, th in points:
+            if kk == k:
+                field_at[kk, th] = fluctuation_grid(x, y, np.array([th]))[:, 0]
     worst = 0.0
     for (t1, th1), (t2, th2) in probes:
-        k1, k2 = grid.index_of(t1), grid.index_of(t2)
-        f1 = fluctuation_grid(xs[:, k1, :], ys[:, k1, :], np.array([th1]))[:, 0]
-        f2 = fluctuation_grid(xs[:, k2, :], ys[:, k2, :], np.array([th2]))[:, 0]
+        f1 = field_at[grid.index_of(t1), th1]
+        f2 = field_at[grid.index_of(t2), th2]
         emp = float(np.mean(f1 * f2) - np.mean(f1) * np.mean(f2))
         se = float(np.std(f1 * f2) / np.sqrt(n))
         target = float(truncated_slice_cov(n_modes, t1 - t2, th1 - th2))

@@ -28,13 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gff import TimeGrid, ou_step_coeffs, theta_basis
-from .gmc import harmonic_number, theta_nodes
+from .gff import TimeGrid, ou_step, ou_step_coeffs, theta_basis
+from .gmc import harmonic_number, mass_pair_slices, theta_nodes
 from .params import ModelParams, reduce_to_unit_radius
 from .parallel import map_chunks, stateless_children
+from .propagator import capped_exp
 from .results import jackknife_func
-
-_CAP = 700.0
 
 
 @dataclass(frozen=True)
@@ -116,27 +115,22 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
         regs = [np.zeros(n) for _ in groups]
         if shift is not None:
             log_w = log_w + shift.scalar_log + shift.total_alpha * c
-        exp_cp = np.exp(np.minimum(gamma * c, _CAP))
-        exp_cm = np.exp(np.minimum(-gamma * c, _CAP))
+        exp_cp = capped_exp(gamma * c)
+        exp_cm = capped_exp(-gamma * c)
 
-        def theta_mass(row):
+        def slice_pair(row):
+            # the basis is precomputed once: fluctuation_grid would rebuild it every step
             f = x @ cb + y @ sb
             if shift is not None:
                 f = f + shift.shift_grid[row][None, :]
-            out = []
-            for sigma in (+1, -1):
-                ex = sigma * gamma * f - 0.5 * gamma * gamma * renorm
-                out.append(np.exp(sigma * gamma * b) * np.exp(ex).sum(axis=-1) * dtheta)
-            return out
+            return mass_pair_slices(b, f, gamma, renorm, dtheta)
 
-        s_prev = theta_mass(0)
+        s_prev = slice_pair(0)
         log_z_rows = np.full(len(t_half_values), np.nan)
         means = np.full(len(groups), np.nan)
         for k in range(1, k_total + 1):
-            b = b + sqrt_dt * rng.standard_normal(n)
-            x = x * decay + od_std * rng.standard_normal((n, n_modes))
-            y = y * decay + od_std * rng.standard_normal((n, n_modes))
-            s_cur = theta_mass(k)
+            b, x, y = ou_step(rng, b, x, y, decay, od_std, sqrt_dt)
+            s_cur = slice_pair(k)
             log_w = log_w - mu * (exp_cp * 0.5 * dt * (s_prev[0] + s_cur[0])
                                   + exp_cm * 0.5 * dt * (s_prev[1] + s_cur[1]))
             s_prev = s_cur

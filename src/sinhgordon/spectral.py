@@ -16,10 +16,10 @@ import numpy as np
 
 from .errors import DegenerateFit, SignalLost
 from .gff import TimeGrid, sample_path_batch, fluctuation_grid
-from .gmc import harmonic_number, theta_nodes
+from .gmc import harmonic_number, mass_pair_slices, region_time_weights, theta_nodes
 from .params import ModelParams, reduce_to_unit_radius
 from .parallel import map_chunks, seed_chunks
-from .propagator import CQuadrature, mass_pair_slices
+from .propagator import CQuadrature, default_c_quadrature, fk_damping
 from .results import mean_and_se
 
 
@@ -162,15 +162,13 @@ def ground_state_profile(t: float, params: ModelParams, *, dt: float = 1.0 / 32.
     pu = reduce_to_unit_radius(params)
     gamma, mu = pu.gamma, pu.mu
     if quad is None:
-        from .propagator import default_c_quadrature
         quad = default_c_quadrature(gamma)
     n_steps = int(round(t / dt))
     if abs(n_steps * dt - t) > 1e-9:
         raise ValueError(f"t={t} is not a multiple of dt={dt}")
     grid = TimeGrid(dt, n_steps)
     nodes, dtheta = theta_nodes(theta_cells)
-    trap = np.full(grid.n_steps + 1, dt)
-    trap[0] = trap[-1] = dt / 2.0
+    trap = region_time_weights(grid, 0.0, grid.span)
     renorm = harmonic_number(n_modes)
     nc, nx = bins
     c_edges = np.linspace(quad.c_min, quad.c_max, nc + 1)
@@ -185,10 +183,7 @@ def ground_state_profile(t: float, params: ModelParams, *, dt: float = 1.0 / 32.
         sp, sm = mass_pair_slices(b, fields, gamma, renorm, dtheta)
         m_plus = (sp * trap).sum(axis=-1)
         m_minus = (sm * trap).sum(axis=-1)
-        with np.errstate(divide="ignore"):
-            lp = np.log(m_plus) + gamma * cs
-            lm = np.log(m_minus) - gamma * cs
-        w = np.exp(-mu * (np.exp(np.minimum(lp, 700.0)) + np.exp(np.minimum(lm, 700.0))))
+        w = fk_damping(m_plus, m_minus, cs, mu, gamma)
         return {"c": cs, "x1": xs[:, 0, 0], "w": w}
 
     chunks = seed_chunks(seed, n_samples, batch)

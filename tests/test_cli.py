@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sinhgordon.config import parse_config, with_overrides
@@ -231,3 +232,66 @@ def test_vertex_refinement_sequence(tmp_path):
     assert rec["method"] == "refinement"
     assert len(rec["sequence"]) == 3
     assert "richardson_extrapolation" in rec and "converged_flag" in rec
+
+
+# ---------------------------------------------------------------------------
+# Records pinned across refactors
+# ---------------------------------------------------------------------------
+
+# Records (without wall_ms) written before the sampler, slice-mass and damping
+# kernels were consolidated, for these configs at --fast and seed 5.  A change
+# that keeps the draw order must reproduce them: the plain engine bit for bit,
+# the particle backend (lambda0) up to re-associated products.
+PINNED = json.loads((Path(__file__).parent / "pinned_records.json").read_text())
+PINNED_CONFIGS = {
+    "vertex": ({"alpha": 0.5, "method": "both"}, 400),
+    "partition": ({"T_list": [0.5, 0.75]}, 600),
+    "gmc-mass": ({"t_min": 0.0, "t_max": 0.5}, 700),
+    "lambda0": ({"T_list": [0.5, 0.75, 1.0]}, 1200),
+    "validate": ({}, 3000),
+}
+
+
+def _assert_same_record(got, want, where):
+    if isinstance(want, dict):
+        assert set(got) == set(want), where
+        for key in want:
+            _assert_same_record(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_same_record(g, w, f"{where}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), where
+    else:
+        assert got == want, where
+
+
+@pytest.mark.parametrize("experiment", sorted(PINNED_CONFIGS))
+def test_records_match_pinned(tmp_path, experiment):
+    options, n_samples = PINNED_CONFIGS[experiment]
+    path = write_config(tmp_path, base_config(experiment, options, n_samples=n_samples))
+    assert run(path, out_dir=str(tmp_path / "out"), fast=True) == 0
+    got = [{k: v for k, v in rec.items() if k != "wall_ms"}
+           for rec in read_records(tmp_path / "out", experiment)]
+    _assert_same_record(got, PINNED[experiment], experiment)
+
+
+def test_validate_streams_the_sampled_paths(tmp_path):
+    # the panel steps one slice at a time; its covariances must equal the ones
+    # read from the stored paths of sample_path_batch at the same seed
+    from sinhgordon.gff import TimeGrid, fluctuation_grid, sample_path_batch
+
+    n, seed = 500, 11
+    path = write_config(tmp_path, base_config("validate", n_samples=n, seed=seed))
+    assert run(path, out_dir=str(tmp_path / "out")) == 0
+    recs = [r for r in read_records(tmp_path / "out", "validate") if "probe" in r]
+    grid = TimeGrid(1 / 8, 8)
+    _, xs, ys = sample_path_batch(np.random.default_rng(seed), n, 12, grid)
+    assert len(recs) == 5
+    for rec in recs:
+        (t1, th1), (t2, th2) = rec["probe"]
+        k1, k2 = grid.index_of(t1), grid.index_of(t2)
+        f1 = fluctuation_grid(xs[:, k1, :], ys[:, k1, :], np.array([th1]))[:, 0]
+        f2 = fluctuation_grid(xs[:, k2, :], ys[:, k2, :], np.array([th2]))[:, 0]
+        assert rec["empirical"] == float(np.mean(f1 * f2) - np.mean(f1) * np.mean(f2))

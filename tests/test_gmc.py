@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sinhgordon as sg
-from sinhgordon.errors import EmptyRegion
+from sinhgordon.errors import EmptyRegion, RegionOutsideGrid
 from sinhgordon.gff import TimeGrid
 from sinhgordon.gmc import (
     Region,
@@ -150,6 +150,17 @@ def test_weighted_mass_pole_jitter(unit_params):
     m = sg.gmc_mass_weighted(path, region, fourier_spec(+1, 16), unit_params,
                              [(0.5, 0.5, nodes_theta)], 64)
     assert math.isfinite(m) and m > 0
+
+
+def test_weighted_mass_circle_outside_span_raises(unit_params):
+    # the averaging circle leaves [0, 1] near both ends of the region: the
+    # weighted mass must refuse like the plain one instead of returning NaN
+    path = _unit_path(dt=1 / 16, k=16, seed=0)
+    spec = circle_spec(+1, 1 / 8)
+    with pytest.raises(RegionOutsideGrid):
+        sg.gmc_mass(path, Region(0.0, 1.0), spec, unit_params, 64)
+    with pytest.raises(RegionOutsideGrid):
+        sg.gmc_mass_weighted(path, Region(0.0, 1.0), spec, unit_params, [(0.5, 0.5, 0.3)], 64)
 
 
 # ---------------------------------------------------------------------------
