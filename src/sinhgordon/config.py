@@ -7,6 +7,7 @@ to a default.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
@@ -69,6 +70,8 @@ class RunConfig:
 
 def _take(block: dict, context: str, allowed: dict):
     """Pop known keys with defaults; reject anything unknown."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{context} must be an object")
     block = dict(block)
     out = {}
     for key, default in allowed.items():
@@ -76,6 +79,16 @@ def _take(block: dict, context: str, allowed: dict):
     if block:
         raise ConfigError(f"unknown keys in {context}: {sorted(block)}")
     return out
+
+
+def _number(value, name: str, kind=float):
+    """``value`` as a finite ``kind``: strings, booleans and fractional ints are rejected."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if kind is int and value != int(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return kind(value)
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -98,31 +111,41 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"invalid params: {exc}") from exc
 
     s = _take(top["sampler"], "sampler", {"n_modes": 64, "dt": 1.0 / 32.0, "window": 1.5})
-    if s["n_modes"] < 1 or s["dt"] <= 0 or s["window"] <= 0:
+    sampler = SamplerCfg(_number(s["n_modes"], "sampler.n_modes", int),
+                         _number(s["dt"], "sampler.dt"), _number(s["window"], "sampler.window"))
+    if sampler.n_modes < 1 or sampler.dt <= 0 or sampler.window <= 0:
         raise ConfigError("sampler block values out of range")
-    sampler = SamplerCfg(int(s["n_modes"]), float(s["dt"]), float(s["window"]))
 
     g = _take(top["gmc"], "gmc", {"regularization": {"kind": "fourier", "n": 64},
                                   "theta_cells": 128})
+    if not isinstance(g["regularization"], dict):
+        raise ConfigError("gmc.regularization must be an object")
     reg = dict(g["regularization"])
     kind = reg.pop("kind", "fourier")
+    theta_cells = _number(g["theta_cells"], "gmc.theta_cells", int)
     if kind == "fourier":
         reg = _take({"kind": kind, **reg}, "gmc.regularization", {"kind": None, "n": 64})
-        gmc = GmcCfg(kind="fourier", n=int(reg["n"]), theta_cells=int(g["theta_cells"]))
+        gmc = GmcCfg(kind="fourier", n=_number(reg["n"], "gmc.regularization.n", int),
+                     theta_cells=theta_cells)
     elif kind == "circle":
         reg = _take({"kind": kind, **reg}, "gmc.regularization",
                     {"kind": None, "epsilon": 1.0 / 16.0})
-        gmc = GmcCfg(kind="circle", epsilon=float(reg["epsilon"]),
-                     theta_cells=int(g["theta_cells"]))
+        gmc = GmcCfg(kind="circle",
+                     epsilon=_number(reg["epsilon"], "gmc.regularization.epsilon"),
+                     theta_cells=theta_cells)
     else:
         raise ConfigError(f"unknown regularization kind {kind!r}")
+    if gmc.n < 1 or gmc.epsilon <= 0 or gmc.theta_cells < 4:
+        raise ConfigError("gmc block values out of range")
 
     e = _take(top["estimator"], "estimator",
               {"n_samples": 8192, "seed": 1, "c_window": 8.0, "c_nodes": 65})
-    if e["n_samples"] < 2 or e["c_nodes"] < 8 or e["c_window"] <= 0:
+    est = EstimatorCfg(_number(e["n_samples"], "estimator.n_samples", int),
+                       _number(e["seed"], "estimator.seed", int),
+                       _number(e["c_window"], "estimator.c_window"),
+                       _number(e["c_nodes"], "estimator.c_nodes", int))
+    if est.n_samples < 2 or est.seed < 0 or est.c_nodes < 8 or est.c_window <= 0:
         raise ConfigError("estimator block values out of range")
-    est = EstimatorCfg(int(e["n_samples"]), int(e["seed"]), float(e["c_window"]),
-                       int(e["c_nodes"]))
 
     exp = _take(top["experiment"], "experiment", {"name": None, "options": {}})
     if exp["name"] not in EXPERIMENTS:
@@ -149,6 +172,8 @@ def with_overrides(cfg: RunConfig, seed: int | None = None, fast: bool = False) 
     est = cfg.estimator
     sampler = cfg.sampler
     if seed is not None:
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
         est = EstimatorCfg(est.n_samples, int(seed), est.c_window, est.c_nodes)
     if fast:
         est = EstimatorCfg(min(est.n_samples, 1000), est.seed, est.c_window, est.c_nodes)

@@ -4,11 +4,18 @@ Replicas are split into fixed-size chunks; chunk i always receives the i-th
 spawned child of the master seed, and results are reduced in chunk order, so
 the output is identical for any worker count.  Workers are threads: the heavy
 kernels (matmul, exp) release the GIL.
+
+While a pool runs, numpy's bundled OpenBLAS is held at one thread, so N
+workers keep N cores busy instead of N times the BLAS thread count.  OpenBLAS
+splits a matmul's output across its threads, never a dot product, so the
+pinning leaves every result bit-identical.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -54,10 +61,74 @@ def seed_chunks(seed, total: int, chunk_size: int):
     return list(zip(stateless_children(seed, len(sizes)), sizes))
 
 
+class _OpenBlas:
+    """Process-wide thread count of numpy's bundled OpenBLAS.
+
+    The library is looked up on first use, not at import.  ``pin`` holds the
+    count at 1 and the matching ``unpin`` restores it once the last
+    overlapping holder leaves, so concurrent or nested pools cannot restore
+    each other's value.  Without the library both do nothing.
+    """
+
+    _NAMES = ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_")
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._funcs = None          # (get, set), () if absent, None before lookup
+        self._holders = 0
+        self._saved = None
+
+    def _lookup(self):
+        if self._funcs is None:
+            try:
+                lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+                get, set_ = (getattr(lib, name) for name in self._NAMES)
+            except (AttributeError, OSError):
+                self._funcs = ()
+            else:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                self._funcs = (get, set_)
+        return self._funcs
+
+    def threads(self) -> int | None:
+        """Current thread count, or None without a bundled OpenBLAS."""
+        with self._lock:
+            funcs = self._lookup()
+            return funcs[0]() if funcs else None
+
+    def pin(self) -> None:
+        with self._lock:
+            funcs = self._lookup()
+            if funcs and self._holders == 0:
+                self._saved = funcs[0]()
+                funcs[1](1)
+            self._holders += 1
+
+    def unpin(self) -> None:
+        with self._lock:
+            self._holders -= 1
+            if self._funcs and self._holders == 0:
+                self._funcs[1](self._saved)
+
+
+_BLAS = _OpenBlas()
+
+
+def blas_threads(workers: int) -> int | None:
+    """OpenBLAS thread count ``map_chunks`` runs at with ``workers`` resolved workers."""
+    threads = _BLAS.threads()
+    return 1 if threads is not None and workers > 1 else threads
+
+
 def map_chunks(fn, chunks, workers: int = 1):
     """Apply ``fn`` to every chunk, preserving chunk order in the result."""
     workers = resolve_workers(workers)
     if workers <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, chunks))
+    _BLAS.pin()
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, chunks))
+    finally:
+        _BLAS.unpin()

@@ -26,7 +26,7 @@ from .errors import ConfigError, SinhGordonError
 from .gff import TimeGrid, evolve_path, dump_path, fluctuation_grid, ou_step, \
     ou_step_coeffs, truncated_slice_cov
 from .gmc import Region, circle_spec, fourier_spec
-from .parallel import resolve_workers
+from .parallel import blas_threads, resolve_workers
 from .params import reduce_to_unit_radius
 from .propagator import CQuadrature, partition_curve
 from .results import _jsonable, params_fingerprint
@@ -50,7 +50,7 @@ class OutputWriter:
             w.writerows(rows)
         return path
 
-    def flush(self, cfg: RunConfig, wall_s: float) -> None:
+    def flush(self, cfg: RunConfig, wall_s: float, workers: int) -> None:
         with open(self.dir / "records.jsonl", "w") as fh:
             for rec in self._records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
@@ -59,6 +59,8 @@ class OutputWriter:
             "fingerprint": params_fingerprint(cfg.raw()),
             "wall_seconds": round(wall_s, 3),
             "n_records": len(self._records),
+            "workers": workers,
+            "blas_threads": blas_threads(workers),
         }
         with open(self.dir / "manifest.json", "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -405,18 +407,19 @@ def run(config_path: str, seed: int | None = None, workers: int | None = None,
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out = OutputWriter(Path(out_dir) / cfg.experiment)
+    workers = resolve_workers(workers)
     t0 = time.perf_counter()
     try:
-        _DISPATCH[cfg.experiment](cfg, out, resolve_workers(workers))
+        _DISPATCH[cfg.experiment](cfg, out, workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SinhGordonError as exc:
         print(f"runtime failure: {exc}", file=sys.stderr)
         out.record({"experiment": cfg.experiment, "status": "failed", "error": str(exc)})
-        out.flush(cfg, time.perf_counter() - t0)
+        out.flush(cfg, time.perf_counter() - t0, workers)
         return 1
-    out.flush(cfg, time.perf_counter() - t0)
+    out.flush(cfg, time.perf_counter() - t0, workers)
     print(f"{cfg.experiment}: ok ({len(out._records)} records in {out.dir})")
     return 0
 

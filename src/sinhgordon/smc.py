@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import GridSpanMismatch, WindowOutsideCylinder
 from .gff import TimeGrid, ou_step, ou_step_coeffs, theta_basis
 from .gmc import harmonic_number, mass_pair_slices, theta_nodes
 from .params import ModelParams, reduce_to_unit_radius
@@ -82,7 +83,7 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
     span = 2.0 * max(t_half_values)
     k_total = int(round(span / dt))
     if abs(k_total * dt - span) > 1e-9:
-        raise ValueError(f"2*T={span} is not a multiple of dt={dt}")
+        raise GridSpanMismatch(f"2*T={span} is not a multiple of dt={dt}")
     grid = TimeGrid(dt, k_total)
     marks = {grid.index_of(2.0 * th): j for j, th in enumerate(t_half_values)}
     nodes, dtheta = theta_nodes(theta_cells)
@@ -101,7 +102,7 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
         for a, s_i, th_i in group:
             k_i = grid.index_of(s_i)
             if not (0 < k_i <= k_total):
-                raise ValueError(f"insertion time {s_i} outside the open cylinder")
+                raise WindowOutsideCylinder(f"insertion time {s_i} outside the open cylinder")
             ins_by_step.setdefault(k_i, []).append((gi, float(a), float(th_i)))
 
     def one_run(run_seed):

@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -79,6 +82,36 @@ def test_config_exit_code_two(tmp_path):
     cfg = base_config("lz")
     cfg["params"]["gamma"] = 5.0
     assert run(write_config(tmp_path, cfg), out_dir=str(tmp_path / "o2")) == 2
+
+
+@pytest.mark.parametrize("block, key, value", [
+    ("sampler", "n_modes", "16"),
+    ("sampler", "dt", True),
+    ("sampler", "n_modes", 12.5),
+    ("gmc", "theta_cells", "abc"),
+    ("gmc", "theta_cells", 2),
+    ("estimator", "n_samples", "100"),
+    ("estimator", "c_window", float("nan")),
+    ("estimator", "seed", -1),
+])
+def test_wrong_typed_numbers_exit_two(tmp_path, capsys, block, key, value):
+    cfg = base_config("lz")
+    cfg[block][key] = value
+    assert run(write_config(tmp_path, cfg), out_dir=str(tmp_path / "o")) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
+def test_non_object_blocks_exit_two(tmp_path, capsys):
+    for tweak in ({"sampler": 5}, {"gmc": {"regularization": "fourier"}}):
+        cfg = {**base_config("lz"), **tweak}
+        assert run(write_config(tmp_path, cfg), out_dir=str(tmp_path / "o")) == 2
+        assert "must be an object" in capsys.readouterr().err
+
+
+def test_negative_seed_override_exits_two(tmp_path, capsys):
+    path = write_config(tmp_path, base_config("lz"))
+    assert run(path, seed=-1, out_dir=str(tmp_path / "o")) == 2
+    assert "config error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +237,50 @@ def test_determinism_identical_records(tmp_path):
     assert r1 == r2
 
 
+def _records_at_one_and_two_workers(tmp_path, experiment, options, n_samples):
+    p = write_config(tmp_path, base_config(experiment, options, n_samples=n_samples))
+    records = []
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert run(p, out_dir=str(out), workers=workers) == 0
+        records.append([{k: v for k, v in rec.items() if k != "wall_ms"}
+                        for rec in read_records(out, experiment)])
+        manifest = json.loads((out / experiment / "manifest.json").read_text())
+        assert manifest["workers"] == workers
+        blas = manifest["blas_threads"]
+        assert blas is None or (blas == 1 if workers > 1 else blas >= 1)
+    return records
+
+
 def test_workers_do_not_change_results(tmp_path):
-    cfg = base_config("lambda0", {"T_list": [0.5, 0.75, 1.0]}, n_samples=1200)
-    p = write_config(tmp_path, cfg)
-    assert run(p, out_dir=str(tmp_path / "w1"), workers=1) == 0
-    assert run(p, out_dir=str(tmp_path / "w2"), workers=2) == 0
-    r1 = read_records(tmp_path / "w1", "lambda0")[0]
-    r2 = read_records(tmp_path / "w2", "lambda0")[0]
-    assert r1["estimate"] == r2["estimate"]
-    assert r1["curve"] == r2["curve"]
+    r1, r2 = _records_at_one_and_two_workers(
+        tmp_path, "lambda0", {"T_list": [0.5, 0.75, 1.0]}, 1200)
+    assert r1 == r2
+
+
+def test_workers_do_not_change_plain_engine_records(tmp_path):
+    # three chunks of the plain engine: its matmuls run at 1 BLAS thread in
+    # the pool and at the default count on the serial path
+    r1, r2 = _records_at_one_and_two_workers(
+        tmp_path, "vertex", {"alpha": 0.5, "method": "both"}, 600)
+    assert [r["method"] for r in r1] == ["direct", "girsanov"]
+    assert r1 == r2
+
+
+def test_smc_off_grid_span_is_a_clean_failure(tmp_path):
+    cfg = base_config("lambda0", {"T_list": [0.5, 0.53]}, sampler={
+        "n_modes": 12, "dt": 1 / 16, "window": 0.75})
+    path = write_config(tmp_path, cfg)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "sinhgordon", "--config", path,
+                           "--out-dir", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "runtime failure" in proc.stderr
+    rec = read_records(tmp_path / "out", "lambda0")[-1]
+    assert rec["status"] == "failed" and "not a multiple of dt" in rec["error"]
+    assert (tmp_path / "out" / "lambda0" / "manifest.json").exists()
 
 
 def test_worker_env_override(monkeypatch):

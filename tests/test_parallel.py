@@ -1,0 +1,77 @@
+"""OpenBLAS thread pinning around the worker pool of ``map_chunks``."""
+
+import sys
+import threading
+
+import pytest
+
+from sinhgordon.parallel import _BLAS, blas_threads, map_chunks
+
+pytestmark = pytest.mark.skipif(_BLAS.threads() is None,
+                                reason="numpy has no bundled OpenBLAS to pin")
+
+
+@pytest.fixture
+def two_blas_threads():
+    # the count before each test is 2 whatever the core count, so that a
+    # pool that failed to pin or to restore is seen
+    saved = _BLAS.threads()
+    _BLAS._funcs[1](2)
+    yield 2
+    _BLAS._funcs[1](saved)
+
+
+def test_pool_runs_at_one_blas_thread_and_restores(two_blas_threads):
+    seen = map_chunks(lambda c: _BLAS.threads(), range(4), workers=2)
+    assert seen == [1, 1, 1, 1]
+    assert _BLAS.threads() == two_blas_threads
+
+
+def test_restored_when_a_chunk_raises(two_blas_threads):
+    def fn(c):
+        if c == 2:
+            raise RuntimeError("chunk failed")
+        return c
+
+    with pytest.raises(RuntimeError, match="chunk failed"):
+        map_chunks(fn, list(range(4)), workers=2)
+    assert _BLAS.threads() == two_blas_threads
+
+
+@pytest.mark.parametrize("workers, chunks", [(1, 4), (2, 1)])
+def test_serial_path_leaves_the_count(two_blas_threads, workers, chunks):
+    seen = map_chunks(lambda c: _BLAS.threads(), list(range(chunks)), workers=workers)
+    assert seen == [two_blas_threads] * chunks
+    assert _BLAS.threads() == two_blas_threads
+
+
+def test_blas_threads_reports_the_pool_count(two_blas_threads):
+    assert blas_threads(1) == two_blas_threads
+    assert blas_threads(2) == 1
+
+
+def test_overlapping_pools_restore_the_count_once(two_blas_threads):
+    # more pools than cores, switching often: a pool that restored the count
+    # while another still ran would show a chunk at 2 threads or leave 1 behind
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    seen, errors = [], []
+
+    def pool():
+        try:
+            seen.extend(map_chunks(lambda c: _BLAS.threads(), range(6), workers=3))
+        except Exception as exc:  # noqa: BLE001 - reported by the assertion below
+            errors.append(exc)
+
+    try:
+        threads = [threading.Thread(target=pool) for _ in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(switch)
+    assert errors == []
+    assert seen == [1] * 36
+    assert _BLAS.threads() == two_blas_threads
