@@ -46,6 +46,7 @@ from .correlations import (
     two_point_covariance,
     vertex_direct,
     vertex_girsanov,
+    vertex_plain,
 )
 from .spectral import (
     GroundStateProfile,

@@ -169,8 +169,15 @@ def load_config(path: str) -> RunConfig:
 
 
 def with_overrides(cfg: RunConfig, seed: int | None = None, fast: bool = False) -> RunConfig:
+    """Apply a seed override and the ``--fast`` profile.
+
+    ``--fast`` caps the replicas at 1000 and every sampled mode count at 16:
+    the sampler's and the Fourier regularization's.  The circle kind's fixed
+    path modes are not capped.
+    """
     est = cfg.estimator
     sampler = cfg.sampler
+    gmc = cfg.gmc
     if seed is not None:
         if seed < 0:
             raise ConfigError(f"seed must be >= 0, got {seed}")
@@ -178,5 +185,7 @@ def with_overrides(cfg: RunConfig, seed: int | None = None, fast: bool = False) 
     if fast:
         est = EstimatorCfg(min(est.n_samples, 1000), est.seed, est.c_window, est.c_nodes)
         sampler = SamplerCfg(min(sampler.n_modes, 16), sampler.dt, sampler.window)
-    return RunConfig(params=cfg.params, sampler=sampler, gmc=cfg.gmc, estimator=est,
+        if gmc.kind == "fourier":
+            gmc = GmcCfg(gmc.kind, min(gmc.n, 16), gmc.epsilon, gmc.theta_cells)
+    return RunConfig(params=cfg.params, sampler=sampler, gmc=gmc, estimator=est,
                      experiment=cfg.experiment, options=cfg.options)

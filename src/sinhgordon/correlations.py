@@ -337,6 +337,69 @@ def _smc_settings(n_samples: int, n_runs: int) -> SmcSettings:
     return SmcSettings(n_particles=max(256, n_samples // n_runs), n_runs=n_runs)
 
 
+def _check_admissible(insertions: InsertionSet) -> None:
+    if not insertions.admissible:
+        raise InadmissibleInsertions(
+            f"weights must satisfy |alpha| < {insertions.q_bound}")
+
+
+def _vertex_result(op: str, insertions: InsertionSet, t_half: float, params: ModelParams,
+                   est: float, se: float, n_samples: int, seed, wall_ms: float,
+                   diagnostics: dict) -> EstimatorResult:
+    out = EstimatorResult(
+        mean=est, std_error=se, n_samples=n_samples, seed=_seed_int(seed),
+        fingerprint=_fingerprint(params, {"op": op, "t_half": t_half,
+                                          "entries": list(insertions.entries)}),
+        wall_ms=wall_ms)
+    out.diagnostics = diagnostics
+    return out
+
+
+def vertex_plain(insertions: InsertionSet, estimators, t_half: float, params: ModelParams,
+                 *, dt: float = 1.0 / 32.0, n_modes: int = 64, theta_cells: int = 128,
+                 quad: CQuadrature | None = None, n_samples: int = 8192, seed=0,
+                 batch: int = 256, workers: int = 1,
+                 mirror: bool = False) -> list[EstimatorResult]:
+    """Several plain-backend estimators of one vertex correlation from one path pass.
+
+    ``estimators`` is a sequence of ``("direct", GmcSpec | None)`` and
+    ``("girsanov", None)`` entries; a direct entry without a spec uses the
+    sampler's Fourier truncation.  Every entry reads the same sampled paths,
+    zero-mode nodes and Feynman-Kac denominator, so each result equals the one
+    a separate :func:`vertex_direct` or :func:`vertex_girsanov` call returns at
+    the same seed; ``wall_ms`` of every result is the time of the shared pass.
+    """
+    if quad is None:
+        quad = default_c_quadrature(reduce_to_unit_radius(params).gamma)
+    entries = _entries_to_process(insertions.entries, t_half, dt)
+    total_alpha = sum(a for a, _, _ in entries)
+    tasks, diagnostics = [], []
+    for kind, reg in estimators:
+        if kind == "direct":
+            tasks.append({"kind": "vertex", "entries": entries, "total_alpha": total_alpha,
+                          "reg": fourier_spec(+1, n_modes) if reg is None else reg})
+            diagnostics.append({"admissible": insertions.admissible, "backend": "plain"})
+        elif kind == "girsanov":
+            if reg is not None:
+                raise ValueError("a girsanov entry takes no regularization")
+            if mirror:
+                raise ValueError("the girsanov shift is not defined for mirrored paths")
+            _check_admissible(insertions)
+            shift = ShiftData(entries, kernel=n_modes)
+            tasks.append({"kind": "girsanov", "shift": shift})
+            diagnostics.append({"scalar_log": shift.scalar_log(), "backend": "plain"})
+        else:
+            raise ValueError(f"unknown vertex estimator {kind!r}")
+    t0 = time.perf_counter()
+    res = _cylinder_engine(params, t_half, dt, n_modes, theta_cells, quad, n_samples, seed,
+                           tasks, batch=batch, workers=workers, mirror=mirror)
+    stats = [jackknife_ratio(num, res["den"]) for num in res["num"]]
+    wall_ms = 1e3 * (time.perf_counter() - t0)
+    return [_vertex_result(f"vertex_{kind}", insertions, t_half, params, est, se,
+                           n_samples, seed, wall_ms, diag)
+            for (kind, _), (est, se), diag in zip(estimators, stats, diagnostics)]
+
+
 def vertex_direct(insertions: InsertionSet, regularization: GmcSpec | None,
                   t_half: float, params: ModelParams, *, dt: float = 1.0 / 32.0,
                   n_modes: int = 64, theta_cells: int = 128,
@@ -347,41 +410,30 @@ def vertex_direct(insertions: InsertionSet, regularization: GmcSpec | None,
 
     Works for any insertion set; non-admissible weights give estimates that
     sink toward zero as the regularization is refined.  ``backend="plain"``
-    is the free-path reweighting ratio estimator (fine for short cylinders);
-    ``backend="smc"`` evaluates the same insertions as genealogy registers of
-    a particle flow, which stays accurate on long cylinders.
+    is the free-path reweighting ratio estimator (fine for short cylinders),
+    a one-entry :func:`vertex_plain`; ``backend="smc"`` evaluates the same
+    insertions as genealogy registers of a particle flow, which stays
+    accurate on long cylinders.
     """
-    pu = reduce_to_unit_radius(params)
-    if regularization is None:
-        regularization = fourier_spec(+1, n_modes)
-    if quad is None:
-        quad = default_c_quadrature(pu.gamma)
+    if backend == "plain":
+        return vertex_plain(insertions, [("direct", regularization)], t_half, params,
+                            dt=dt, n_modes=n_modes, theta_cells=theta_cells, quad=quad,
+                            n_samples=n_samples, seed=seed, batch=batch, workers=workers,
+                            mirror=mirror)[0]
+    if backend != "smc":
+        raise ValueError(f"unknown backend {backend!r}")
+    if regularization is not None and (regularization.kind != "fourier"
+                                       or regularization.n_modes != n_modes):
+        raise ValueError("smc backend uses the sampler's mode truncation")
     entries = _entries_to_process(insertions.entries, t_half, dt)
     t0 = time.perf_counter()
-    if backend == "smc":
-        if regularization.kind != "fourier" or regularization.n_modes != n_modes:
-            raise ValueError("smc backend uses the sampler's mode truncation")
-        flow = smc_flow(params, [t_half], dt, n_modes, theta_cells,
-                        _smc_settings(n_samples, smc_runs), seed,
-                        register_groups=[entries], workers=workers)
-        est, se = combine_ratio(flow["log_z"], flow["group_means"],
-                                lambda u, w: u / w)
-    elif backend == "plain":
-        task = {"kind": "vertex", "entries": entries, "reg": regularization,
-                "total_alpha": sum(a for a, _, _ in entries)}
-        res = _cylinder_engine(params, t_half, dt, n_modes, theta_cells, quad,
-                               n_samples, seed, [task], batch=batch, workers=workers,
-                               mirror=mirror)
-        est, se = jackknife_ratio(res["num"][0], res["den"])
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    out = EstimatorResult(
-        mean=est, std_error=se, n_samples=n_samples, seed=_seed_int(seed),
-        fingerprint=_fingerprint(params, {"op": "vertex_direct", "t_half": t_half,
-                                          "entries": list(insertions.entries)}),
-        wall_ms=1e3 * (time.perf_counter() - t0))
-    out.diagnostics = {"admissible": insertions.admissible, "backend": backend}
-    return out
+    flow = smc_flow(params, [t_half], dt, n_modes, theta_cells,
+                    _smc_settings(n_samples, smc_runs), seed,
+                    register_groups=[entries], workers=workers)
+    est, se = combine_ratio(flow["log_z"], flow["group_means"], lambda u, w: u / w)
+    return _vertex_result("vertex_direct", insertions, t_half, params, est, se, n_samples,
+                          seed, 1e3 * (time.perf_counter() - t0),
+                          {"admissible": insertions.admissible, "backend": backend})
 
 
 def vertex_girsanov(insertions: InsertionSet, t_half: float, params: ModelParams, *,
@@ -395,48 +447,39 @@ def vertex_girsanov(insertions: InsertionSet, t_half: float, params: ModelParams
     deterministic shift of :class:`ShiftData` (with the mode-truncated kernel
     of the simulated process, so the identity is exact in law at any
     truncation), the chaos masses become insertion-weighted, and a scalar
-    factor carries the variance terms.
+    factor carries the variance terms.  ``backend="plain"`` is a one-entry
+    :func:`vertex_plain`.
     """
-    if not insertions.admissible:
-        raise InadmissibleInsertions(
-            f"weights must satisfy |alpha| < {insertions.q_bound}")
-    pu = reduce_to_unit_radius(params)
-    if quad is None:
-        quad = default_c_quadrature(pu.gamma)
+    _check_admissible(insertions)
+    if backend == "plain":
+        return vertex_plain(insertions, [("girsanov", None)], t_half, params, dt=dt,
+                            n_modes=n_modes, theta_cells=theta_cells, quad=quad,
+                            n_samples=n_samples, seed=seed, batch=batch,
+                            workers=workers)[0]
+    if backend != "smc":
+        raise ValueError(f"unknown backend {backend!r}")
     entries = _entries_to_process(insertions.entries, t_half, dt)
     shift = ShiftData(entries, kernel=n_modes)
     t0 = time.perf_counter()
-    if backend == "smc":
-        settings = _smc_settings(n_samples, smc_runs)
-        grid = TimeGrid(dt, int(round(2.0 * t_half / dt)))
-        nodes, _ = theta_nodes(theta_cells)
-        s_grid = shift.total_grid(grid.times(), nodes)
-        task = ShiftTask(shift_grid=s_grid, scalar_log=shift.scalar_log(),
-                         total_alpha=sum(a for a, _, _ in entries))
-        # numerator and denominator flows share run substreams (partial CRN)
-        child = stateless_children(seed, 1)[0]
-        num = smc_flow(params, [t_half], dt, n_modes, theta_cells, settings, child,
-                       shift=task, workers=workers)
-        den = smc_flow(params, [t_half], dt, n_modes, theta_cells, settings, child,
-                       workers=workers)
-        ref = max(num["log_z"][:, 0].max(), den["log_z"][:, 0].max())
-        est, se = jackknife_func([np.exp(num["log_z"][:, 0] - ref),
-                                  np.exp(den["log_z"][:, 0] - ref)],
-                                 lambda u, w: u / w)
-    elif backend == "plain":
-        task = {"kind": "girsanov", "shift": shift}
-        res = _cylinder_engine(params, t_half, dt, n_modes, theta_cells, quad,
-                               n_samples, seed, [task], batch=batch, workers=workers)
-        est, se = jackknife_ratio(res["num"][0], res["den"])
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
-    out = EstimatorResult(
-        mean=est, std_error=se, n_samples=n_samples, seed=_seed_int(seed),
-        fingerprint=_fingerprint(params, {"op": "vertex_girsanov", "t_half": t_half,
-                                          "entries": list(insertions.entries)}),
-        wall_ms=1e3 * (time.perf_counter() - t0))
-    out.diagnostics = {"scalar_log": shift.scalar_log(), "backend": backend}
-    return out
+    settings = _smc_settings(n_samples, smc_runs)
+    grid = TimeGrid(dt, int(round(2.0 * t_half / dt)))
+    nodes, _ = theta_nodes(theta_cells)
+    s_grid = shift.total_grid(grid.times(), nodes)
+    task = ShiftTask(shift_grid=s_grid, scalar_log=shift.scalar_log(),
+                     total_alpha=sum(a for a, _, _ in entries))
+    # numerator and denominator flows share run substreams (partial CRN)
+    child = stateless_children(seed, 1)[0]
+    num = smc_flow(params, [t_half], dt, n_modes, theta_cells, settings, child,
+                   shift=task, workers=workers)
+    den = smc_flow(params, [t_half], dt, n_modes, theta_cells, settings, child,
+                   workers=workers)
+    ref = max(num["log_z"][:, 0].max(), den["log_z"][:, 0].max())
+    est, se = jackknife_func([np.exp(num["log_z"][:, 0] - ref),
+                              np.exp(den["log_z"][:, 0] - ref)],
+                             lambda u, w: u / w)
+    return _vertex_result("vertex_girsanov", insertions, t_half, params, est, se,
+                          n_samples, seed, 1e3 * (time.perf_counter() - t0),
+                          {"scalar_log": shift.scalar_log(), "backend": backend})
 
 
 def two_point_covariance(ins1, ins2, separations, t_half: float, params: ModelParams, *,
@@ -565,7 +608,7 @@ def scaling_one_point(alpha: float, radius: float, params: ModelParams, *,
     The left side is computed through the time/angle substitution; the
     reduction converts the short-distance normalization, so the substituted
     estimate carries the factor R^{alpha^2/2}.  At R = 1 both sides are the
-    same computation (shared seed substream) and the ratio is exactly 1.
+    same computation, run once, and the ratio is exactly 1.
     """
     base = validate_params(params.gamma, params.mu, radius)
     if abs(alpha) >= base.q_const:
@@ -574,16 +617,13 @@ def scaling_one_point(alpha: float, radius: float, params: ModelParams, *,
     t_half_reduced = t_half / radius
     ss = np.random.SeedSequence(seed)
     child_a, child_b = ss.spawn(2)
-    if radius == 1.0:
-        child_b = child_a
     ins = make_insertions([(alpha, 0.0, 0.0)], unit)
     factor = radius ** (alpha * alpha / 2.0)
-    lhs_raw = vertex_direct(ins, None, t_half_reduced, unit, dt=dt, n_modes=n_modes,
-                            theta_cells=theta_cells, n_samples=n_samples, seed=child_a,
-                            workers=workers, backend=backend)
-    rhs = vertex_direct(ins, None, t_half_reduced, unit, dt=dt, n_modes=n_modes,
-                        theta_cells=theta_cells, n_samples=n_samples, seed=child_b,
-                        workers=workers, backend=backend)
+    common = dict(dt=dt, n_modes=n_modes, theta_cells=theta_cells, n_samples=n_samples,
+                  workers=workers, backend=backend)
+    lhs_raw = vertex_direct(ins, None, t_half_reduced, unit, seed=child_a, **common)
+    rhs = lhs_raw if radius == 1.0 else vertex_direct(ins, None, t_half_reduced, unit,
+                                                      seed=child_b, **common)
     lhs_mean = factor * lhs_raw.mean
     lhs_se = factor * lhs_raw.std_error
     ratio = lhs_mean / rhs.mean

@@ -126,17 +126,28 @@ def sample_circle_field(n_modes: int, mode="stationary", seed=None) -> CircleFie
 
 
 def ou_step(rng: np.random.Generator, b: np.ndarray, x: np.ndarray, y: np.ndarray,
-            decay: np.ndarray, std: np.ndarray, sqrt_dt: float):
+            decay: np.ndarray, std: np.ndarray, sqrt_dt: float, noise: np.ndarray,
+            out=None) -> None:
     """One exact step of a batch: b (R,) Brownian, x and y (R, N) modes.
 
-    ``decay, std`` come from :func:`ou_step_coeffs`.  The draw order is fixed
-    (Brownian increment, then x noise, then y noise), so every caller that
-    steps from the same generator state reproduces the same paths bit for bit.
+    ``decay, std`` come from :func:`ou_step_coeffs`.  ``noise`` is a
+    caller-owned C-contiguous (R, N) scratch buffer the normals are drawn
+    into.  The step is written to ``out = (b1, x1, y1)``, or in place when
+    ``out`` is None; nothing is allocated.  The draw order is fixed (Brownian
+    increment, then x noise, then y noise), so every caller that steps from
+    the same generator state reproduces the same paths bit for bit, equal to
+    ``x * decay + std * z``.
     """
-    b = b + sqrt_dt * rng.standard_normal(b.shape)
-    x = x * decay + std * rng.standard_normal(x.shape)
-    y = y * decay + std * rng.standard_normal(y.shape)
-    return b, x, y
+    b1, x1, y1 = (b, x, y) if out is None else out
+    nb = noise.reshape(-1)[:b.size]
+    rng.standard_normal(out=nb)
+    nb *= sqrt_dt
+    np.add(b, nb, out=b1)
+    for src, dst in ((x, x1), (y, y1)):
+        rng.standard_normal(out=noise)
+        noise *= std
+        np.multiply(src, decay, out=dst)
+        dst += noise
 
 
 def _evolve_arrays(rng: np.random.Generator, x0: np.ndarray, y0: np.ndarray, grid: TimeGrid):
@@ -152,12 +163,13 @@ def _evolve_arrays(rng: np.random.Generator, x0: np.ndarray, y0: np.ndarray, gri
     brownian = np.empty((n_paths, k_steps + 1))
     xs = np.empty((n_paths, k_steps + 1, n_modes))
     ys = np.empty((n_paths, k_steps + 1, n_modes))
+    noise = np.empty((n_paths, n_modes))
     brownian[:, 0] = 0.0
     xs[:, 0, :] = x0
     ys[:, 0, :] = y0
     for k in range(k_steps):
-        brownian[:, k + 1], xs[:, k + 1], ys[:, k + 1] = ou_step(
-            rng, brownian[:, k], xs[:, k], ys[:, k], decay, std, sqrt_dt)
+        ou_step(rng, brownian[:, k], xs[:, k], ys[:, k], decay, std, sqrt_dt, noise,
+                out=(brownian[:, k + 1], xs[:, k + 1], ys[:, k + 1]))
     return brownian, xs, ys
 
 

@@ -102,10 +102,11 @@ def _exp_validate(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     b = np.zeros(n)
     x = rng.standard_normal((n, n_modes))
     y = rng.standard_normal((n, n_modes))
+    noise = np.empty((n, n_modes))
     field_at = {}
     for k in range(grid.n_steps + 1):
         if k > 0:
-            b, x, y = ou_step(rng, b, x, y, decay, std, sqrt_dt)
+            ou_step(rng, b, x, y, decay, std, sqrt_dt, noise)
         for kk, th in points:
             if kk == k:
                 field_at[kk, th] = fluctuation_grid(x, y, np.array([th]))[:, 0]
@@ -275,27 +276,26 @@ def _exp_vertex(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
                   n_samples=cfg.estimator.n_samples, seed=cfg.estimator.seed,
                   workers=workers)
     if n_list:
-        # refinement sequence: one estimate per vertex truncation, reported
-        # with a Richardson flag instead of a single number for the limit
-        from .gmc import fourier_spec as _fs
-        ests = []
-        for nv in n_list:
-            res = corr.vertex_direct(ins, _fs(+1, int(nv)), cfg.sampler.window,
-                                     cfg.params, **common)
-            ests.append((res.mean, res.std_error))
+        # refinement sequence: one estimate per vertex truncation, all read from
+        # one path set and reported with a Richardson flag instead of a single
+        # number for the limit
+        res = corr.vertex_plain(ins, [("direct", fourier_spec(+1, int(nv))) for nv in n_list],
+                                cfg.sampler.window, cfg.params, **common)
         out.record({"experiment": "vertex", "alpha": alpha, "method": "refinement",
-                    **corr.refinement_report(n_list, ests),
+                    **corr.refinement_report(n_list, [(r.mean, r.std_error) for r in res]),
                     "n_samples": cfg.estimator.n_samples, "seed": cfg.estimator.seed})
         return
-    if method in ("direct", "both"):
-        res = corr.vertex_direct(ins, _gmc_spec(cfg) if cfg.gmc.kind == "circle" else None,
-                                 cfg.sampler.window, cfg.params, **common)
-        out.record({**res.to_record("vertex"), "method": "direct", "alpha": alpha})
-    if method in ("girsanov", "both"):
-        res = corr.vertex_girsanov(ins, cfg.sampler.window, cfg.params, **common)
-        out.record({**res.to_record("vertex"), "method": "girsanov", "alpha": alpha})
     if method not in ("direct", "girsanov", "both"):
         raise ConfigError(f"unknown vertex method {method!r}")
+    estimators = []
+    if method in ("direct", "both"):
+        estimators.append(("direct", _gmc_spec(cfg) if cfg.gmc.kind == "circle" else None))
+    if method in ("girsanov", "both"):
+        estimators.append(("girsanov", None))
+    # one path pass serves every estimator (common random numbers)
+    results = corr.vertex_plain(ins, estimators, cfg.sampler.window, cfg.params, **common)
+    for (kind, _), res in zip(estimators, results):
+        out.record({**res.to_record("vertex"), "method": kind, "alpha": alpha})
 
 
 def _exp_two_point(cfg: RunConfig, out: OutputWriter, workers: int) -> None:

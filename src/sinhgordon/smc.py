@@ -111,6 +111,7 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
         x = rng.standard_normal((n, n_modes))
         y = rng.standard_normal((n, n_modes))
         b = np.zeros(n)
+        noise = np.empty((n, n_modes))
         log_z = log_width
         log_w = np.zeros(n)
         regs = [np.zeros(n) for _ in groups]
@@ -130,7 +131,7 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
         log_z_rows = np.full(len(t_half_values), np.nan)
         means = np.full(len(groups), np.nan)
         for k in range(1, k_total + 1):
-            b, x, y = ou_step(rng, b, x, y, decay, od_std, sqrt_dt)
+            ou_step(rng, b, x, y, decay, od_std, sqrt_dt, noise)
             s_cur = slice_pair(k)
             log_w = log_w - mu * (exp_cp * 0.5 * dt * (s_prev[0] + s_cur[0])
                                   + exp_cm * 0.5 * dt * (s_prev[1] + s_cur[1]))
@@ -158,7 +159,7 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
                     log_z += hi + math.log(w.mean())
                     idx = _systematic_resample(w / w.sum(), rng.uniform())
                     c, b = c[idx], b[idx]
-                    x, y = x[idx].copy(), y[idx].copy()
+                    x, y = x[idx], y[idx]
                     exp_cp, exp_cm = exp_cp[idx], exp_cm[idx]
                     s_prev = [s_prev[0][idx], s_prev[1][idx]]
                     regs = [r[idx] for r in regs]

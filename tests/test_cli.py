@@ -72,7 +72,18 @@ def test_fast_profile_caps():
     fast = with_overrides(cfg, fast=True)
     assert fast.estimator.n_samples == 1000
     assert fast.sampler.n_modes == 12  # already below the cap
+    assert fast.gmc.n == 12
     assert with_overrides(cfg, seed=99).estimator.seed == 99
+    wide = parse_config(base_config(
+        "gmc-mass", sampler={"n_modes": 64, "dt": 1 / 8, "window": 0.75},
+        gmc={"regularization": {"kind": "fourier", "n": 64}, "theta_cells": 32}))
+    fast = with_overrides(wide, fast=True)
+    assert (fast.sampler.n_modes, fast.gmc.n) == (16, 16)
+    assert fast.raw()["gmc"]["regularization"]["n"] == 16
+    circle = parse_config(base_config(
+        "gmc-mass", gmc={"regularization": {"kind": "circle", "epsilon": 0.125},
+                         "theta_cells": 32}))
+    assert with_overrides(circle, fast=True).gmc == circle.gmc
 
 
 def test_config_exit_code_two(tmp_path):
@@ -300,6 +311,44 @@ def test_vertex_refinement_sequence(tmp_path):
     assert rec["method"] == "refinement"
     assert len(rec["sequence"]) == 3
     assert "richardson_extrapolation" in rec and "converged_flag" in rec
+
+
+def test_vertex_refinement_equals_per_truncation_estimates(tmp_path):
+    # the truncations share one path pass; each equals its own vertex_direct
+    import sinhgordon as sg
+    from sinhgordon.gmc import fourier_spec
+    from sinhgordon.runner import _quad
+
+    raw = base_config("vertex", {"alpha": 0.5, "n_list": [4, 8, 12]}, n_samples=600)
+    assert run(write_config(tmp_path, raw), out_dir=str(tmp_path / "out"), workers=2) == 0
+    rec = read_records(tmp_path / "out", "vertex")[0]
+    cfg = parse_config(raw)
+    ins = sg.make_insertions([(0.5, 0.0, 0.0)], cfg.params)
+    for row, nv in zip(rec["sequence"], [4, 8, 12]):
+        res = sg.vertex_direct(ins, fourier_spec(+1, nv), cfg.sampler.window, cfg.params,
+                               dt=cfg.sampler.dt, n_modes=cfg.sampler.n_modes,
+                               theta_cells=cfg.gmc.theta_cells, quad=_quad(cfg),
+                               n_samples=600, seed=5)
+        assert (row["estimate"], row["std_error"]) == (res.mean, res.std_error)
+
+
+def test_vertex_both_samples_each_chunk_once(tmp_path, monkeypatch):
+    import sinhgordon.correlations as corr
+    calls = []
+    real = corr.sample_path_batch
+
+    def counted(rng, n_paths, *args, **kwargs):
+        calls.append(n_paths)
+        return real(rng, n_paths, *args, **kwargs)
+
+    monkeypatch.setattr(corr, "sample_path_batch", counted)
+    path = write_config(tmp_path, base_config("vertex", {"alpha": 0.5, "method": "both"},
+                                              n_samples=600))
+    assert run(path, out_dir=str(tmp_path / "out"), workers=2) == 0
+    assert sorted(calls) == [88, 256, 256]
+    recs = read_records(tmp_path / "out", "vertex")
+    assert [r["method"] for r in recs] == ["direct", "girsanov"]
+    assert recs[0]["wall_ms"] == recs[1]["wall_ms"]
 
 
 # ---------------------------------------------------------------------------

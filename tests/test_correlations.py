@@ -14,7 +14,7 @@ from sinhgordon.errors import (
     InadmissibleInsertions,
     WindowOutsideCylinder,
 )
-from sinhgordon.gmc import fourier_spec
+from sinhgordon.gmc import circle_spec, fourier_spec
 from sinhgordon.propagator import default_c_quadrature
 from sinhgordon.results import jackknife_func
 
@@ -230,6 +230,50 @@ def test_girsanov_multi_insertion_pair_factor(unit_params):
 
 
 # ---------------------------------------------------------------------------
+# One path pass for several vertex estimators
+# ---------------------------------------------------------------------------
+
+# three chunks, the last one short
+SHARED = dict(dt=1 / 8, n_modes=12, theta_cells=32, n_samples=600, seed=31, batch=256)
+
+
+def _same_result(shared, single):
+    assert (shared.mean, shared.std_error) == (single.mean, single.std_error)
+    assert shared.fingerprint == single.fingerprint
+    assert shared.diagnostics == single.diagnostics
+
+
+def test_vertex_plain_equals_separate_estimators(unit_params):
+    ins = sg.make_insertions([(0.6, 0.25, 1.0)], unit_params)
+    d, g = sg.vertex_plain(ins, [("direct", None), ("girsanov", None)], 0.75,
+                           unit_params, workers=2, **SHARED)
+    _same_result(d, sg.vertex_direct(ins, None, 0.75, unit_params, **SHARED))
+    _same_result(g, sg.vertex_girsanov(ins, 0.75, unit_params, **SHARED))
+    assert d.wall_ms == g.wall_ms  # both report the shared pass
+
+
+def test_vertex_plain_circle_direct_entry(unit_params):
+    ins = sg.make_insertions([(0.5, 0.0, 0.0)], unit_params)
+    circle = circle_spec(+1, 0.125)
+    c, g, f = sg.vertex_plain(ins, [("direct", circle), ("girsanov", None),
+                                    ("direct", fourier_spec(+1, 8))],
+                              0.75, unit_params, **SHARED)
+    _same_result(c, sg.vertex_direct(ins, circle, 0.75, unit_params, **SHARED))
+    _same_result(g, sg.vertex_girsanov(ins, 0.75, unit_params, **SHARED))
+    _same_result(f, sg.vertex_direct(ins, fourier_spec(+1, 8), 0.75, unit_params, **SHARED))
+
+
+def test_vertex_plain_rejects_mirrored_girsanov(unit_params):
+    ins = sg.make_insertions([(0.5, 0.0, 0.0)], unit_params)
+    with pytest.raises(ValueError, match="mirror"):
+        sg.vertex_plain(ins, [("direct", None), ("girsanov", None)], 0.75, unit_params,
+                        mirror=True, **SHARED)
+    with pytest.raises(InadmissibleInsertions):
+        sg.vertex_plain(sg.make_insertions([(3.0, 0.0, 0.0)], unit_params),
+                        [("girsanov", None)], 0.75, unit_params, **SHARED)
+
+
+# ---------------------------------------------------------------------------
 # Two-point covariance
 # ---------------------------------------------------------------------------
 
@@ -269,6 +313,24 @@ def test_scaling_one_point_r1_exact(unit_params):
     assert rep["ratio"] == 1.0
     assert rep["target_ratio"] == 1.0
     assert rep["pass"]
+
+
+@pytest.mark.parametrize("radius, calls", [(1.0, 1), (2.0, 2)])
+def test_scaling_one_point_runs_r1_once(unit_params, monkeypatch, radius, calls):
+    import sinhgordon.correlations as corr
+    seen = []
+    real = corr.vertex_direct
+
+    def counted(*args, **kwargs):
+        seen.append(kwargs["seed"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(corr, "vertex_direct", counted)
+    rep = sg.scaling_one_point(0.5, radius, unit_params, t_half=1.0, dt=1 / 8, n_modes=8,
+                               theta_cells=16, n_samples=300, seed=22, backend="plain")
+    assert len(seen) == calls
+    if radius == 1.0:
+        assert rep["ratio"] == 1.0
 
 
 def test_scaling_one_point_alpha_zero(unit_params):

@@ -17,6 +17,7 @@ from sinhgordon.gff import (
     dump_path,
     fluctuation_grid,
     load_path,
+    ou_step,
     ou_step_coeffs,
     sample_path_batch,
     truncated_slice_cov,
@@ -41,6 +42,27 @@ def test_ou_half_step_composition(n, dt):
 def test_ou_stationary_variance_preserved(rng):
     dec, std = ou_step_coeffs(np.arange(1, 8), 0.37)
     assert np.allclose(dec ** 2 + std ** 2, 1.0, atol=1e-14)
+
+
+def test_ou_step_is_the_exact_update_bit_for_bit(rng):
+    # in place and into out=, the step equals x * decay + std * z drawn from
+    # the same generator state in the order B, x, y
+    dec, std = ou_step_coeffs(np.arange(1, 6), 0.1)
+    sqrt_dt = math.sqrt(0.1)
+    b0, x0, y0 = rng.standard_normal(7), rng.standard_normal((7, 5)), rng.standard_normal((7, 5))
+    ref = np.random.default_rng(44)
+    want = (b0 + sqrt_dt * ref.standard_normal(7),
+            x0 * dec + std * ref.standard_normal((7, 5)),
+            y0 * dec + std * ref.standard_normal((7, 5)))
+    noise = np.empty((7, 5))
+    b, x, y = b0.copy(), x0.copy(), y0.copy()
+    ou_step(np.random.default_rng(44), b, x, y, dec, std, sqrt_dt, noise)
+    out = (np.empty(7), np.empty((7, 5)), np.empty((7, 5)))
+    ou_step(np.random.default_rng(44), b0, x0, y0, dec, std, sqrt_dt, noise, out=out)
+    for got in ((b, x, y), out):
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    assert np.array_equal(out[0], b)  # out= left its inputs alone
 
 
 # ---------------------------------------------------------------------------
