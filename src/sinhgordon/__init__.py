@@ -35,7 +35,6 @@ from .propagator import (
     free_kernel,
     mehler_factor,
     partition_curve,
-    partition_function,
 )
 from .correlations import (
     InsertionSet,

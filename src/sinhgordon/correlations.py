@@ -20,17 +20,12 @@ import numpy as np
 from .errors import (
     InadmissibleAlpha,
     InadmissibleInsertions,
+    IndexOutOfRange,
     WindowOutsideCylinder,
 )
-from .gff import TimeGrid, fluctuation_grid, sample_path_batch, truncated_slice_cov
-from .gmc import (
-    GmcSpec,
-    fourier_spec,
-    harmonic_number,
-    mass_pair_slices,
-    region_time_weights,
-    theta_nodes,
-)
+from .gff import CircleAverage, TimeGrid, fluctuation_grid, stream_paths, truncated_slice_cov
+from .gmc import GmcSpec, SliceMass, fourier_spec, harmonic_number, region_time_weights, \
+    theta_nodes
 from .params import ModelParams, reduce_to_unit_radius, validate_params
 from .parallel import map_chunks, seed_chunks, stateless_children
 from .propagator import CQuadrature, default_c_quadrature, fk_weights, _seed_int
@@ -178,28 +173,39 @@ class WindowPaths:
 # Shared finite-cylinder engine
 # ---------------------------------------------------------------------------
 
-def _insertion_field_values(b, xs, ys, grid, entries_proc, reg: GmcSpec):
-    """log prod_i e^{alpha_i (B_{s_i} + phi_reg(s_i, theta_i)) - (alpha_i^2/2) renorm}."""
-    log_v = np.zeros(b.shape[0])
-    renorm = reg.renorm_constant
+def _tap_rows(entries, reg: GmcSpec, grid: TimeGrid, n_modes: int) -> set[int]:
+    """Rows whose slices a vertex task reads: the insertion rows and their averaging circles."""
+    circle = None
+    if reg.kind == "circle":
+        circle = CircleAverage(reg.epsilon, grid.dt, reg.quadrature_points)
+    elif reg.n_modes > n_modes:
+        raise IndexOutOfRange(f"requested {reg.n_modes} modes, path has {n_modes}")
+    rows = set()
+    for _, s_i, _ in entries:
+        k = grid.index_of(s_i)
+        rows.add(k)
+        if circle is not None:
+            if not circle.covers(k, grid.n_steps):
+                raise WindowOutsideCylinder("averaging circle leaves the window")
+            rows.update(int(k + off) for off in circle.offsets)
+    return rows
+
+
+def _insertion_field_values(taps, grid, entries_proc, reg: GmcSpec):
+    """log prod_i e^{alpha_i (B_{s_i} + phi_reg(s_i, theta_i)) - (alpha_i^2/2) renorm}.
+
+    ``taps`` maps the rows of :func:`_tap_rows` to their slices (b, x, y).
+    """
+    log_v = 0.0
     for a, s_i, th_i in entries_proc:
         k = grid.index_of(s_i)
-        if reg.kind == "fourier":
-            val = fluctuation_grid(xs[:, k, :], ys[:, k, :], np.array([th_i]),
-                                   reg.n_modes)[:, 0]
-        else:
-            qp = reg.quadrature_points
-            v = 2.0 * np.pi * (np.arange(qp) + 0.5) / qp
-            offs = np.rint(reg.epsilon * np.cos(v) / grid.dt).astype(int)
-            acc = np.zeros(b.shape[0])
-            for off, ang in zip(offs, reg.epsilon * np.sin(v)):
-                kk = k + off
-                if kk < 0 or kk > grid.n_steps:
-                    raise WindowOutsideCylinder("averaging circle leaves the window")
-                acc += fluctuation_grid(xs[:, kk, :], ys[:, kk, :],
-                                        np.array([th_i + ang]))[:, 0]
-            val = acc / qp
-        log_v += a * (b[:, k] + val) - 0.5 * a * a * renorm
+        b, x, y = taps[k]
+        if reg.kind == "circle":
+            circle = CircleAverage(reg.epsilon, grid.dt, reg.quadrature_points)
+            x, y = circle.modes(lambda r: taps[r][1:], k)
+        n_used = reg.n_modes if reg.kind == "fourier" else None
+        val = fluctuation_grid(x, y, np.array([th_i]), n_used)[:, 0]
+        log_v = log_v + a * (b + val) - 0.5 * a * a * reg.renorm_constant
     return log_v
 
 
@@ -213,6 +219,11 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
     Returns {"den": (R,), "num": list of (R,)}.  ``mirror=True`` negates the
     field and the zero-mode axis (used by symmetry tests; it leaves the
     denominator invariant and maps vertex weights alpha -> -alpha).
+
+    A chunk streams its paths through the slice-mass kernel, keeps running
+    trapezoid sums and copies only the slices its vertex tasks read, so its
+    memory is O(R (N + T)) whatever the number of steps.  The slices are
+    stored only when an observable task needs the whole :class:`WindowPaths`.
     """
     pu = reduce_to_unit_radius(params)
     gamma, mu = pu.gamma, pu.mu
@@ -226,54 +237,69 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
     if mirror:
         cs = -cs
     trap = region_time_weights(grid, 0.0, grid.span)
-    renorm_mass = harmonic_number(n_modes)
 
-    prepared = []
+    prepared, tap_rows = [], set()
     for task in tasks:
         kind = task["kind"]
         if kind == "girsanov":
+            if mirror:
+                raise ValueError("the girsanov shift is not defined for mirrored paths")
             sh: ShiftData = task["shift"]
             s_grid = sh.total_grid(grid.times(), nodes)
-            prepared.append({**task, "s_grid": s_grid, "scalar": sh.scalar_log(),
+            prepared.append({**task, "cells": (np.exp(gamma * s_grid), np.exp(-gamma * s_grid)),
+                             "scalar": sh.scalar_log(),
                              "total_alpha": sum(a for a, _, _ in sh.insertions)})
-        else:
+        elif kind == "vertex":
+            tap_rows |= _tap_rows(task["entries"], task["reg"], grid, n_modes)
             prepared.append(task)
+        elif kind == "observable":
+            prepared.append(task)
+        else:
+            raise ValueError(f"unknown task kind {kind!r}")
+    store = any(task["kind"] == "observable" for task in tasks)
 
     def run(chunk):
         sub_seed, size = chunk
         rng = np.random.default_rng(sub_seed)
-        b, xs, ys = sample_path_batch(rng, size, n_modes, grid)
-        if mirror:
-            b, xs, ys = -b, -xs, -ys
-        fields = fluctuation_grid(xs, ys, nodes)
-        sp, sm = mass_pair_slices(b, fields, gamma, renorm_mass, dtheta)
-        m_plus = (sp * trap).sum(axis=-1)
-        m_minus = (sm * trap).sum(axis=-1)
+        kernel = SliceMass(gamma, harmonic_number(n_modes), dtheta, nodes, n_modes)
+        m_plus, m_minus = np.zeros(size), np.zeros(size)
+        shifted = {i: np.zeros((2, size)) for i, task in enumerate(prepared)
+                   if task["kind"] == "girsanov"}
+        taps, stored = {}, []
+        for k, b, x, y in stream_paths(rng, size, n_modes, grid):
+            sp, sm = kernel(x, y, b)
+            for i, acc in shifted.items():
+                esp, esm = prepared[i]["cells"]
+                gp, gm = kernel.pair(b, (esp[k], esm[k]))
+                acc[0] += trap[k] * gp
+                acc[1] += trap[k] * gm
+            if mirror:  # the negated field swaps the two masses exactly
+                b, x, y, sp, sm = -b, -x, -y, sm, sp
+            m_plus += trap[k] * sp
+            m_minus += trap[k] * sm
+            if k in tap_rows:
+                taps[k] = (b.copy(), x.copy(), y.copy())
+            if store:
+                stored.append((b.copy(), x.copy(), y.copy()))
         w = fk_weights(m_plus, m_minus, cs, mu, gamma)
         out = {"den": w @ cw, "num": []}
-        win = WindowPaths(grid, t_half, b, xs, ys)
-        for task in prepared:
+        for i, task in enumerate(prepared):
             kind = task["kind"]
             if kind == "vertex":
-                log_v = _insertion_field_values(b, xs, ys, grid, task["entries"], task["reg"])
+                log_v = _insertion_field_values(taps, grid, task["entries"], task["reg"])
                 cfac = cw * np.exp(task["total_alpha"] * cs)
                 out["num"].append(np.exp(log_v) * (w @ cfac))
             elif kind == "girsanov":
-                shifted = fields + task["s_grid"][None, :, :]
-                sp_s, sm_s = mass_pair_slices(b, shifted, gamma, renorm_mass, dtheta)
-                mp_s = (sp_s * trap).sum(axis=-1)
-                mm_s = (sm_s * trap).sum(axis=-1)
-                wg = fk_weights(mp_s, mm_s, cs, mu, gamma)
+                wg = fk_weights(shifted[i][0], shifted[i][1], cs, mu, gamma)
                 cfac = cw * np.exp(task["total_alpha"] * cs)
                 out["num"].append(math.exp(task["scalar"]) * (wg @ cfac))
-            elif kind == "observable":
-                f = task["f"]
-                acc = np.zeros(size)
-                for i, c in enumerate(cs):
-                    acc += cw[i] * w[:, i] * np.asarray(f(c, win), dtype=float)
-                out["num"].append(acc)
             else:
-                raise ValueError(f"unknown task kind {kind!r}")
+                f = task["f"]
+                win = WindowPaths(grid, t_half, *(np.stack(arrs, axis=1) for arrs in zip(*stored)))
+                acc = np.zeros(size)
+                for j, c in enumerate(cs):
+                    acc += cw[j] * w[:, j] * np.asarray(f(c, win), dtype=float)
+                out["num"].append(acc)
         return out
 
     chunks = seed_chunks(seed, n_samples, batch)
@@ -382,8 +408,6 @@ def vertex_plain(insertions: InsertionSet, estimators, t_half: float, params: Mo
         elif kind == "girsanov":
             if reg is not None:
                 raise ValueError("a girsanov entry takes no regularization")
-            if mirror:
-                raise ValueError("the girsanov shift is not defined for mirrored paths")
             _check_admissible(insertions)
             shift = ShiftData(entries, kernel=n_modes)
             tasks.append({"kind": "girsanov", "shift": shift})

@@ -150,42 +150,67 @@ def ou_step(rng: np.random.Generator, b: np.ndarray, x: np.ndarray, y: np.ndarra
         dst += noise
 
 
-def _evolve_arrays(rng: np.random.Generator, x0: np.ndarray, y0: np.ndarray, grid: TimeGrid):
-    """Evolve a batch of initial modes; returns (B, X, Y).
+def _stream(rng: np.random.Generator, x: np.ndarray, y: np.ndarray, grid: TimeGrid):
+    """Step the caller-owned (R, N) modes ``x, y`` in place from a zero Brownian part.
 
-    Shapes: x0, y0 are (R, N); output B is (R, K+1), X and Y are (R, K+1, N).
+    Yields ``(k, b, x, y)`` for k = 0..K; the arrays are reused, so a consumer
+    that keeps a slice copies it.
     """
-    n_paths, n_modes = x0.shape
-    k_steps = grid.n_steps
-    decay, std = ou_step_coeffs(np.arange(1, n_modes + 1), grid.dt)
+    decay, std = ou_step_coeffs(np.arange(1, x.shape[1] + 1), grid.dt)
     sqrt_dt = np.sqrt(grid.dt)
+    b = np.zeros(x.shape[0])
+    noise = np.empty(x.shape)
+    yield 0, b, x, y
+    for k in range(1, grid.n_steps + 1):
+        ou_step(rng, b, x, y, decay, std, sqrt_dt, noise)
+        yield k, b, x, y
 
-    brownian = np.empty((n_paths, k_steps + 1))
-    xs = np.empty((n_paths, k_steps + 1, n_modes))
-    ys = np.empty((n_paths, k_steps + 1, n_modes))
-    noise = np.empty((n_paths, n_modes))
-    brownian[:, 0] = 0.0
-    xs[:, 0, :] = x0
-    ys[:, 0, :] = y0
-    for k in range(k_steps):
-        ou_step(rng, brownian[:, k], xs[:, k], ys[:, k], decay, std, sqrt_dt, noise,
-                out=(brownian[:, k + 1], xs[:, k + 1], ys[:, k + 1]))
+
+def stream_paths(rng: np.random.Generator, n_paths: int, n_modes: int, grid: TimeGrid,
+                 initial: CircleField | None = None):
+    """The one path stepper: a batch of paths, one time slice at a time.
+
+    Draws the start (stationary x0 then y0, or the fixed slice ``initial``),
+    then B, x and y at every step, and yields ``(k, b, x, y)`` with b (R,) and
+    x, y (R, N) for k = 0..K.  The buffers are reused from slice to slice, so
+    memory does not grow with K.
+    """
+    if initial is None:
+        x = rng.standard_normal((n_paths, n_modes))
+        y = rng.standard_normal((n_paths, n_modes))
+    else:
+        x = np.broadcast_to(initial.xs, (n_paths, initial.n_modes)).copy()
+        y = np.broadcast_to(initial.ys, (n_paths, initial.n_modes)).copy()
+    yield from _stream(rng, x, y, grid)
+
+
+def _collect(stream, n_paths: int, n_modes: int, grid: TimeGrid):
+    """Store a path stream as (B, X, Y) with shapes (R, K+1), (R, K+1, N), (R, K+1, N)."""
+    brownian = np.empty((n_paths, grid.n_steps + 1))
+    xs = np.empty((n_paths, grid.n_steps + 1, n_modes))
+    ys = np.empty((n_paths, grid.n_steps + 1, n_modes))
+    for k, b, x, y in stream:
+        brownian[:, k] = b
+        xs[:, k] = x
+        ys[:, k] = y
     return brownian, xs, ys
+
+
+def _evolve_arrays(rng: np.random.Generator, x0: np.ndarray, y0: np.ndarray, grid: TimeGrid):
+    """Evolve a batch of initial (R, N) modes; returns the stored (B, X, Y)."""
+    return _collect(_stream(rng, np.array(x0, dtype=float), np.array(y0, dtype=float), grid),
+                    *x0.shape, grid)
 
 
 def sample_path_batch(rng: np.random.Generator, n_paths: int, n_modes: int,
                       grid: TimeGrid, initial: CircleField | None = None):
-    """Batch of paths from a stationary draw (default) or a fixed slice.
+    """Stored batch of paths from a stationary draw (default) or a fixed slice.
 
-    Returns (B, X, Y) with shapes (R, K+1), (R, K+1, N), (R, K+1, N).
+    The collection of :func:`stream_paths`; returns (B, X, Y) with shapes
+    (R, K+1), (R, K+1, N), (R, K+1, N).
     """
-    if initial is None:
-        x0 = rng.standard_normal((n_paths, n_modes))
-        y0 = rng.standard_normal((n_paths, n_modes))
-    else:
-        x0 = np.broadcast_to(initial.xs, (n_paths, initial.n_modes)).copy()
-        y0 = np.broadcast_to(initial.ys, (n_paths, initial.n_modes)).copy()
-    return _evolve_arrays(rng, x0, y0, grid)
+    n_modes = n_modes if initial is None else initial.n_modes
+    return _collect(stream_paths(rng, n_paths, n_modes, grid, initial), n_paths, n_modes, grid)
 
 
 def evolve_path(initial: CircleField, c: float, grid: TimeGrid, seed=None) -> PathSample:
@@ -290,16 +315,53 @@ def truncated_slice_cov(n_modes: int, dt_abs, dtheta):
     Broadcasts over array arguments; this is the exact covariance of the
     sampled N-mode field and the kernel used by shift-based estimators.
     """
-    dt_abs = np.abs(np.asarray(dt_abs, dtype=float))[..., None]
-    dtheta = np.asarray(dtheta, dtype=float)[..., None]
-    n = np.arange(1, n_modes + 1, dtype=float)
-    terms = np.exp(-n * dt_abs) * np.cos(n * dtheta) / n
-    return terms.sum(axis=-1)
+    dt_abs = np.abs(np.asarray(dt_abs, dtype=float))
+    dtheta = np.asarray(dtheta, dtype=float)
+    total = np.zeros(np.broadcast(dt_abs, dtheta).shape)
+    for n in range(1, n_modes + 1):  # one mode at a time: no (..., N) temporaries
+        total += np.exp(-n * dt_abs) * np.cos(n * dtheta) / n
+    return total[()]
 
 
 # ---------------------------------------------------------------------------
 # Circle average
 # ---------------------------------------------------------------------------
+
+class CircleAverage:
+    """The one circle average: the mode field averaged over a radius-epsilon circle in (t, theta).
+
+    Averaging over the circle is a time shift plus a rotation of each mode
+    pair (x_n, y_n) by n * epsilon * sin(v) at every quadrature angle v, so
+    the average at row k needs only rows k - reach .. k + reach, a window of
+    at most 2 epsilon/dt + 1 slices.
+    """
+
+    def __init__(self, epsilon: float, dt: float, quadrature_points: int = 16):
+        ratio = epsilon / dt
+        if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
+            raise EpsilonGridMismatch(f"epsilon={epsilon} is not a positive multiple of dt={dt}")
+        if quadrature_points < 8:
+            raise ValueError("quadrature_points must be >= 8")
+        v = 2.0 * np.pi * (np.arange(quadrature_points) + 0.5) / quadrature_points
+        self.offsets = np.rint(epsilon * np.cos(v) / dt).astype(int)
+        self.angles = epsilon * np.sin(v)
+        self.reach = int(np.abs(self.offsets).max())
+
+    def covers(self, k: int, n_steps: int) -> bool:
+        """Whether the circle around row k stays inside rows 0..n_steps."""
+        return self.reach <= k <= n_steps - self.reach
+
+    def modes(self, slice_at, k: int):
+        """Averaged mode coefficients (x, y) at row k; ``slice_at(row)`` gives (x, y) there."""
+        acc_x = acc_y = 0.0
+        for off, ang in zip(self.offsets, self.angles):
+            x, y = slice_at(k + off)
+            n = np.arange(1, x.shape[-1] + 1, dtype=float)
+            cos_r, sin_r = np.cos(n * ang), np.sin(n * ang)
+            acc_x = acc_x + (x * cos_r + y * sin_r)
+            acc_y = acc_y + (-x * sin_r + y * cos_r)
+        return acc_x / self.offsets.size, acc_y / self.offsets.size
+
 
 def circle_average(path: PathSample, epsilon: float, k: int, theta: float,
                    quadrature_points: int = 16) -> float:
@@ -310,60 +372,14 @@ def circle_average(path: PathSample, epsilon: float, k: int, theta: float,
     so epsilon must be an integer multiple of dt and the circle must fit in
     the sampled span.
     """
-    grid = path.grid
-    ratio = epsilon / grid.dt
-    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-        raise EpsilonGridMismatch(f"epsilon={epsilon} is not a positive multiple of dt={grid.dt}")
-    if quadrature_points < 8:
-        raise ValueError("quadrature_points must be >= 8")
-    if not (0 <= k <= grid.n_steps):
+    circle = CircleAverage(epsilon, path.grid.dt, quadrature_points)
+    if not (0 <= k <= path.grid.n_steps):
         raise IndexOutOfRange(f"time index {k} outside grid")
-    v = 2.0 * np.pi * (np.arange(quadrature_points) + 0.5) / quadrature_points
-    k_off = np.rint(epsilon * np.cos(v) / grid.dt).astype(int)
-    ks = k + k_off
-    if ks.min() < 0 or ks.max() > grid.n_steps:
+    if not circle.covers(k, path.grid.n_steps):
         raise IndexOutOfRange("averaging circle leaves the sampled span")
-    th = theta + epsilon * np.sin(v)
-    vals = [fluctuation_grid(path.mode_x[kk], path.mode_y[kk], np.array([tt]))[0]
-            for kk, tt in zip(ks, th)]
-    return float(path.initial.zero_mode + path.brownian[k] + np.mean(vals))
-
-
-def averaged_mode_arrays(mode_x: np.ndarray, mode_y: np.ndarray, grid: TimeGrid,
-                         epsilon: float, quadrature_points: int = 16):
-    """Circle-averaged effective mode coefficients on the full grid.
-
-    Averaging the field over a (t, theta)-circle is a time shift plus a
-    rotation of each (x_n, y_n) pair by n * epsilon * sin(v); returns arrays
-    shaped like the inputs, valid on grid rows where the circle fits
-    (rows within epsilon of either end are left as NaN).
-    """
-    ratio = epsilon / grid.dt
-    if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
-        raise EpsilonGridMismatch(f"epsilon={epsilon} is not a positive multiple of dt={grid.dt}")
-    n_modes = mode_x.shape[-1]
-    k_tot = grid.n_steps
-    v = 2.0 * np.pi * (np.arange(quadrature_points) + 0.5) / quadrature_points
-    k_off = np.rint(epsilon * np.cos(v) / grid.dt).astype(int)
-    margin = int(round(ratio))
-    n = np.arange(1, n_modes + 1, dtype=float)
-    out_x = np.full_like(mode_x, np.nan)
-    out_y = np.full_like(mode_y, np.nan)
-    rows = np.arange(margin, k_tot + 1 - margin)
-    if rows.size == 0:
-        return out_x, out_y
-    acc_x = np.zeros_like(mode_x[..., rows, :])
-    acc_y = np.zeros_like(mode_y[..., rows, :])
-    for off, ang in zip(k_off, epsilon * np.sin(v)):
-        cos_r = np.cos(n * ang)
-        sin_r = np.sin(n * ang)
-        xr = mode_x[..., rows + off, :]
-        yr = mode_y[..., rows + off, :]
-        acc_x += xr * cos_r + yr * sin_r
-        acc_y += -xr * sin_r + yr * cos_r
-    out_x[..., rows, :] = acc_x / quadrature_points
-    out_y[..., rows, :] = acc_y / quadrature_points
-    return out_x, out_y
+    ax, ay = circle.modes(lambda r: (path.mode_x[r], path.mode_y[r]), k)
+    return float(path.initial.zero_mode + path.brownian[k]
+                 + fluctuation_grid(ax, ay, np.array([theta]))[0])
 
 
 # ---------------------------------------------------------------------------

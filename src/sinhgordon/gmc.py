@@ -15,16 +15,16 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import EmptyRegion, IncompatibleGrids, RegionOutsideGrid
 from .gff import (
     CircleField,
+    CircleAverage,
     PathSample,
     TimeGrid,
-    averaged_mode_arrays,
     fluctuation_grid,
-    sample_path_batch,
+    stream_paths,
+    theta_basis,
 )
 from .params import ModelParams, reduce_to_unit_radius
 from .results import EstimatorResult, mean_and_se, params_fingerprint
@@ -161,22 +161,72 @@ def chaos_exponent(fields, sigma: int, gamma: float, renorm: float):
     return sigma * gamma * fields - 0.5 * gamma * gamma * renorm
 
 
-def slice_masses(brownian, fields: np.ndarray, sigma: int, gamma: float, renorm: float,
-                 dtheta: float):
-    """Theta integral of the chaos density on each slice, times the zero-mode factor.
+class SliceMass:
+    """The one slice-mass kernel: the theta integral of the chaos density, both signs.
 
-    S[k] = e^{sigma*gamma*B_k} * sum_theta e^{chaos_exponent(field)} * dtheta.
-    ``fields`` is (..., T) and the result has its leading shape; ``brownian``
-    broadcasts against it (0 gives the bare slice potential).
+    S+-[k] = e^{-gamma^2 renorm/2} * dtheta * e^{+-gamma B_k} * sum_theta e^{+-gamma phi_k}.
+    The field goes into a reused buffer and is exponentiated in place once;
+    the minus sign takes the reciprocal.  A shifted field phi + s weights the
+    cells with precomputed ``(e^{gamma s}, e^{-gamma s})``, with no further exp.
     """
-    sums = np.exp(chaos_exponent(fields, sigma, gamma, renorm)).sum(axis=-1) * dtheta
-    return np.exp(sigma * gamma * brownian) * sums
+
+    def __init__(self, gamma: float, renorm: float, dtheta: float, thetas=None,
+                 n_modes: int | None = None):
+        self.gamma = gamma
+        self.scale = math.exp(-0.5 * gamma * gamma * renorm) * dtheta
+        self.n_modes = n_modes
+        self.basis = None if thetas is None else theta_basis(n_modes, thetas)
+        self.e = self.inv = self._tmp = None
+
+    def load(self, x: np.ndarray, y: np.ndarray) -> "SliceMass":
+        """Load a slice from (R, N) mode coefficients; the first ``n_modes`` are used."""
+        n = self.n_modes
+        cb, sb = self.basis
+        shape = (*x.shape[:-1], cb.shape[1])
+        if self._tmp is None or self._tmp.shape != shape:
+            self.e, self.inv, self._tmp = (np.empty(shape) for _ in range(3))
+        np.matmul(x[..., :n], cb, out=self.e)
+        np.matmul(y[..., :n], sb, out=self._tmp)
+        self.e += self._tmp
+        return self._exponentiate()
+
+    def load_field(self, fields: np.ndarray) -> "SliceMass":
+        """Load field values (..., T) given directly on the theta nodes."""
+        self.e = np.array(fields, dtype=float)
+        self.inv = np.empty_like(self.e)
+        return self._exponentiate()
+
+    def _exponentiate(self) -> "SliceMass":
+        self.e *= self.gamma
+        np.exp(self.e, out=self.e)
+        np.reciprocal(self.e, out=self.inv)
+        return self
+
+    def pair(self, brownian=0.0, shift=None):
+        """(S+, S-) of the loaded slice; of the field phi + s for ``shift`` = (e^{gs}, e^{-gs})."""
+        if shift is None:
+            plus, minus = self.e.sum(axis=-1), self.inv.sum(axis=-1)
+        else:
+            plus, minus = self.e @ shift[0], self.inv @ shift[1]
+        zero = np.exp(self.gamma * brownian)
+        return self.scale * zero * plus, self.scale / zero * minus
+
+    def __call__(self, x: np.ndarray, y: np.ndarray, brownian=0.0):
+        return self.load(x, y).pair(brownian)
 
 
 def mass_pair_slices(brownian, fields, gamma, renorm, dtheta):
-    """Slice masses for both signs: (S+, S-), each (R, K+1) for (R, K+1, T) fields."""
-    return tuple(slice_masses(brownian, fields, sigma, gamma, renorm, dtheta)
-                 for sigma in (+1, -1))
+    """Slice masses for both signs, (S+, S-), of stored (..., T) fields: :class:`SliceMass`."""
+    return SliceMass(gamma, renorm, dtheta).load_field(fields).pair(brownian)
+
+
+def _circle_average(spec: GmcSpec, grid: TimeGrid, weights: np.ndarray) -> CircleAverage:
+    """The circle average of ``spec``, checked to fit around every row ``weights`` uses."""
+    circle = CircleAverage(spec.epsilon, grid.dt, spec.quadrature_points)
+    rows = np.flatnonzero(weights)
+    if not (circle.covers(rows[0], grid.n_steps) and circle.covers(rows[-1], grid.n_steps)):
+        raise RegionOutsideGrid("averaging circle leaves the sampled span inside the region")
+    return circle
 
 
 def log_region_mass(brownian: np.ndarray, log_cells: np.ndarray, weights: np.ndarray,
@@ -187,17 +237,8 @@ def log_region_mass(brownian: np.ndarray, log_cells: np.ndarray, weights: np.nda
         return -np.inf
     lw = np.log(weights[pos] * dtheta)
     terms = log_cells[pos] + sigma_gamma * brownian[pos, None] + lw[:, None]
-    return float(logsumexp(terms))
-
-
-def _effective_mode_arrays(mode_x, mode_y, grid: TimeGrid, spec: GmcSpec):
-    """Mode arrays seen by the density: truncated or circle-averaged."""
-    if spec.kind == "fourier":
-        n = spec.n_modes
-        if n > mode_x.shape[-1]:
-            raise ValueError(f"spec asks for {n} modes, path has {mode_x.shape[-1]}")
-        return mode_x[..., :n], mode_y[..., :n]
-    return averaged_mode_arrays(mode_x, mode_y, grid, spec.epsilon, spec.quadrature_points)
+    hi = terms.max()
+    return float(hi + np.log(np.exp(terms - hi).sum()))
 
 
 def gmc_mass(path: PathSample, region: Region, spec: GmcSpec, params: ModelParams,
@@ -226,10 +267,14 @@ def gmc_mass_weighted(path: PathSample, region: Region, spec: GmcSpec,
         if on_grid_t and np.any(np.abs(((nodes - th_i + np.pi) % (2 * np.pi)) - np.pi) < 1e-12):
             nodes = nodes + dtheta / 2.0
             break
-    mx, my = _effective_mode_arrays(path.mode_x, path.mode_y, path.grid, spec)
-    if spec.kind == "circle" and np.any(np.isnan(mx[weights > 0])):
-        raise RegionOutsideGrid("averaging circle leaves the sampled span inside the region")
-    fields = fluctuation_grid(mx, my, nodes)
+    if spec.kind == "fourier":
+        mx, my, n_used = path.mode_x, path.mode_y, spec.n_modes
+    else:
+        circle, n_used = _circle_average(spec, path.grid, weights), None
+        mx, my = np.full_like(path.mode_x, np.nan), np.full_like(path.mode_y, np.nan)
+        for k in np.flatnonzero(weights):
+            mx[k], my[k] = circle.modes(lambda r: (path.mode_x[r], path.mode_y[r]), k)
+    fields = fluctuation_grid(mx, my, nodes, n_used)
     if ins:
         fields = fields + sum(
             alpha * (-np.log(np.abs(np.exp(-times[:, None] + 1j * nodes[None, :])
@@ -260,8 +305,9 @@ def circle_potential(field: CircleField, sign: int, k_trunc: int, params: ModelP
     if k_trunc > field.n_modes:
         raise ValueError(f"k_trunc={k_trunc} exceeds field modes {field.n_modes}")
     nodes, dtheta = theta_nodes(theta_cells)
-    vals = fluctuation_grid(field.xs[:k_trunc], field.ys[:k_trunc], nodes)
-    return float(slice_masses(0.0, vals, sign, params.gamma, harmonic_number(k_trunc), dtheta))
+    kernel = SliceMass(params.gamma, harmonic_number(k_trunc), dtheta, nodes, k_trunc)
+    plus, minus = kernel(field.xs[None, :], field.ys[None, :])
+    return float((plus if sign > 0 else minus)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -291,19 +337,27 @@ def sample_region_masses(region: Region, spec: GmcSpec, params: ModelParams,
     if not np.any(weights > 0):
         return np.zeros(n_samples)
     nodes, dtheta = theta_nodes(theta_cells, region.arc)
-    rows = weights > 0
+    kernel = SliceMass(params.gamma, spec.renorm_constant, dtheta, nodes, spec.path_modes)
+    sign = 0 if spec.sigma > 0 else 1
+    circle = _circle_average(spec, grid, weights) if spec.kind == "circle" else None
+    reach = 0 if circle is None else circle.reach
 
     rng = np.random.default_rng(seed)
     out = np.empty(n_samples)
     done = 0
     while done < n_samples:
         r = min(batch, n_samples - done)
-        brown, xs, ys = sample_path_batch(rng, r, spec.path_modes, grid)
-        mx, my = _effective_mode_arrays(xs, ys, grid, spec)
-        fields = fluctuation_grid(mx[:, rows, :], my[:, rows, :], nodes)
-        masses = slice_masses(brown[:, rows], fields, spec.sigma, params.gamma,
-                              spec.renorm_constant, dtheta)
-        out[done:done + r] = (masses * weights[rows]).sum(axis=-1)
+        mass = np.zeros(r)
+        recent = {}  # the last 2 * reach + 1 slices: what a circle average reads
+        for k, b, x, y in stream_paths(rng, r, spec.path_modes, grid):
+            recent[k] = (b.copy(), x.copy(), y.copy())
+            recent.pop(k - 2 * reach - 1, None)
+            j = k - reach
+            if j >= 0 and weights[j] > 0:
+                modes = recent[j][1:] if circle is None else circle.modes(
+                    lambda i: recent[i][1:], j)
+                mass += weights[j] * kernel(*modes, recent[j][0])[sign]
+        out[done:done + r] = mass
         done += r
     return out
 

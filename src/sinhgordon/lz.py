@@ -12,8 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from scipy.integrate import quad
-
 from .errors import InadmissibleAlpha, QuadratureFailure
 from .params import ModelParams
 
@@ -114,6 +112,7 @@ def lz_one_point(params: ModelParams, alpha: float, tol: float = 1e-10,
                 "the admissibility boundary)")
     tail = _tail_bound(params, alpha, t_cut)
 
+    from scipy.integrate import quad  # imported here: scipy stays off the import path
     mid, quad_err = quad(lambda t: integrand(params, alpha, t), t0, t_cut,
                          epsabs=tol / 4.0, epsrel=1e-13, limit=800)
     total_int = head + mid
@@ -146,6 +145,7 @@ def lz_one_point_brute(params: ModelParams, alpha: float, floor: float = 1e-12,
         t_cut = 8.0
         while _tail_bound(params, alpha, t_cut) > 1e-12:
             t_cut *= 1.5
+    from scipy.integrate import quad
     mid, _ = quad(lambda t: integrand(params, alpha, t), floor, t_cut,
                   epsabs=1e-13, epsrel=1e-13, limit=800)
     head = -alpha * alpha * floor  # leading behaviour below the floor

@@ -16,17 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GridSpanMismatch, NonPositiveTime, TailTolNotMet
-from .gff import CircleField, TimeGrid, fluctuation_grid, sample_path_batch
-from .gmc import (
-    GmcSpec,
-    _effective_mode_arrays,
-    harmonic_number,
-    mass_pair_slices,
-    region_time_weights,
-    slice_masses,
-    theta_nodes,
-)
+from .errors import GridSpanMismatch, NonPositiveTime, RegionOutsideGrid, TailTolNotMet
+from .gff import CircleField, TimeGrid, stream_paths
+from .gmc import GmcSpec, SliceMass, harmonic_number, region_time_weights, theta_nodes
+from .gmc import mass_pair_slices  # noqa: F401  (re-exported)
 from .params import ModelParams
 from .parallel import map_chunks, seed_chunks
 from .results import EstimatorResult, jackknife_func, mean_and_se, params_fingerprint
@@ -188,6 +181,11 @@ def fk_weights(mass_plus, mass_minus, cs, mu, gamma):
                       mu, gamma)
 
 
+def _fourier_only(spec: GmcSpec) -> None:
+    if spec.kind != "fourier":
+        raise RegionOutsideGrid("the circle average of a mass over [0, t] needs slices before 0")
+
+
 def _require_span(grid: TimeGrid, t: float) -> None:
     if t > grid.span * (1 + 1e-12) + 1e-12:
         raise GridSpanMismatch(f"grid span {grid.span} does not cover [0, {t}]")
@@ -209,6 +207,7 @@ def feynman_kac(observable, t: float, start, params: ModelParams, grid: TimeGrid
     masses of [0, t] x circle for both signs, combined in log space.
     """
     _require_span(grid, t)
+    _fourier_only(spec)
     c0, init = start
     gamma, mu = params.gamma, params.mu_scaled
     weights_t = region_time_weights(grid, 0.0, t)
@@ -219,17 +218,17 @@ def feynman_kac(observable, t: float, start, params: ModelParams, grid: TimeGrid
     def run(chunk):
         sub_seed, size = chunk
         rng = np.random.default_rng(sub_seed)
-        b, xs, ys = sample_path_batch(rng, size, init.n_modes, grid, initial=init)
-        mx, my = _effective_mode_arrays(xs, ys, grid, spec)
-        fields = fluctuation_grid(mx, my, nodes)
-        sp, sm = mass_pair_slices(b, fields, gamma, spec.renorm_constant, dtheta)
-        m_plus = (sp * weights_t).sum(axis=-1)
-        m_minus = (sm * weights_t).sum(axis=-1)
+        m_plus, m_minus = np.zeros(size), np.zeros(size)
+        kernel = SliceMass(gamma, spec.renorm_constant, dtheta, nodes, spec.path_modes)
+        for k, b, x, y in stream_paths(rng, size, init.n_modes, grid, initial=init):
+            if weights_t[k] > 0:
+                sp, sm = kernel(x, y, b)
+                m_plus += weights_t[k] * sp
+                m_minus += weights_t[k] * sm
+            if k == k_end:
+                obs = np.ones(size) if observable is None else observable(c0 + b, x, y)
+                break
         w = fk_weights(m_plus, m_minus, np.array([c0]), mu, gamma)[:, 0]
-        if observable is None:
-            obs = np.ones(size)
-        else:
-            obs = observable(c0 + b[:, k_end], xs[:, k_end, :], ys[:, k_end, :])
         return {"vals": obs * w}
 
     chunks = seed_chunks(seed, n_samples, batch)
@@ -267,18 +266,17 @@ def feynman_kac_circle_potential(observable, t: float, start, params: ModelParam
     def run(chunk):
         sub_seed, size = chunk
         rng = np.random.default_rng(sub_seed)
-        b, xs, ys = sample_path_batch(rng, size, init.n_modes, grid, initial=init)
-        fields = fluctuation_grid(xs[..., :k_trunc], ys[..., :k_trunc], nodes)
-        v_plus = slice_masses(0.0, fields, +1, gamma, renorm, dtheta)
-        v_minus = slice_masses(0.0, fields, -1, gamma, renorm, dtheta)
-        integ = (capped_exp(gamma * (c0 + b)) * v_plus
-                 + capped_exp(-gamma * (c0 + b)) * v_minus)
-        w = np.exp(-mu * (integ * weights_t).sum(axis=-1))
-        if observable is None:
-            obs = np.ones(size)
-        else:
-            obs = observable(c0 + b[:, k_end], xs[:, k_end, :], ys[:, k_end, :])
-        return {"vals": obs * w}
+        integ = np.zeros(size)
+        kernel = SliceMass(gamma, renorm, dtheta, nodes, k_trunc)
+        for k, b, x, y in stream_paths(rng, size, init.n_modes, grid, initial=init):
+            if weights_t[k] > 0:
+                v_plus, v_minus = kernel(x, y)
+                integ += weights_t[k] * (capped_exp(gamma * (c0 + b)) * v_plus
+                                         + capped_exp(-gamma * (c0 + b)) * v_minus)
+            if k == k_end:
+                obs = np.ones(size) if observable is None else observable(c0 + b, x, y)
+                break
+        return {"vals": obs * np.exp(-mu * integ)}
 
     chunks = seed_chunks(seed, n_samples, batch)
     parts = map_chunks(run, chunks, workers)
@@ -327,6 +325,7 @@ def partition_curve(t_half_values, params: ModelParams, quad: CQuadrature,
     grid = TimeGrid(dt, n_steps)
     for th in t_half_values:
         grid.index_of(2.0 * th)
+    _fourier_only(spec)
     gamma, mu = params.gamma, params.mu_scaled
     nodes, dtheta = theta_nodes(theta_cells)
     cs, cw = quad.nodes()
@@ -335,22 +334,25 @@ def partition_curve(t_half_values, params: ModelParams, quad: CQuadrature,
     def run(chunk):
         sub_seed, size = chunk
         rng = np.random.default_rng(sub_seed)
-        b, xs, ys = sample_path_batch(rng, size, spec.path_modes, grid)
-        mx, my = _effective_mode_arrays(xs, ys, grid, spec)
-        fields = fluctuation_grid(mx, my, nodes)
-        sp, sm = mass_pair_slices(b, fields, gamma, spec.renorm_constant, dtheta)
-        # cumulative trapezoid masses of [0, t_k] for every grid node
-        cum_p = np.cumsum(sp * dt, axis=-1) - 0.5 * dt * (sp + sp[:, :1])
-        cum_m = np.cumsum(sm * dt, axis=-1) - 0.5 * dt * (sm + sm[:, :1])
         z_rows = np.empty((size, len(ends)))
         edge = np.zeros((size, len(ends), 2))
         peak = np.zeros((size, len(ends)))
-        for j, k_end in enumerate(ends):
-            w = fk_weights(cum_p[:, k_end], cum_m[:, k_end], cs, mu, gamma)
-            z_rows[:, j] = w @ cw
-            edge[:, j, 0] = w[:, 0]
-            edge[:, j, 1] = w[:, -1]
-            peak[:, j] = w.max(axis=1)
+        # running trapezoid masses of [0, t_k]: sum_{j<=k} S_j dt - dt (S_k + S_0) / 2
+        run_p, run_m = np.zeros(size), np.zeros(size)
+        kernel = SliceMass(gamma, spec.renorm_constant, dtheta, nodes, spec.path_modes)
+        for k, b, x, y in stream_paths(rng, size, spec.path_modes, grid):
+            sp, sm = kernel(x, y, b)
+            if k == 0:
+                sp0, sm0 = sp, sm
+            run_p += sp * dt
+            run_m += sm * dt
+            for j in [j for j, k_end in enumerate(ends) if k_end == k]:
+                w = fk_weights(run_p - 0.5 * dt * (sp + sp0), run_m - 0.5 * dt * (sm + sm0),
+                               cs, mu, gamma)
+                z_rows[:, j] = w @ cw
+                edge[:, j, 0] = w[:, 0]
+                edge[:, j, 1] = w[:, -1]
+                peak[:, j] = w.max(axis=1)
         return {"z": z_rows, "edge": edge, "peak": peak}
 
     chunks = seed_chunks(seed, n_samples, batch)
@@ -369,30 +371,6 @@ def partition_curve(t_half_values, params: ModelParams, quad: CQuadrature,
             boundary_fraction=frac, truncation_warning=frac > 1e-6,
             samples=z[:, j].copy() if keep_samples else None))
     return points
-
-
-def partition_function(t_half: float, params: ModelParams, quad: CQuadrature,
-                       grid: TimeGrid, spec: GmcSpec, n_samples: int, seed,
-                       theta_cells: int = 128, workers: int = 1) -> EstimatorResult:
-    """Partition function of the finite cylinder of half-height T."""
-    _require_span(grid, 2.0 * t_half)
-    t0 = time.perf_counter()
-    pt = partition_curve([t_half], params, quad, grid.dt, spec, n_samples, seed,
-                         theta_cells=theta_cells, workers=workers)[0]
-    if pt.truncation_warning:
-        warnings.warn(
-            f"c-window boundary integrand is {pt.boundary_fraction:.2e} of the peak; "
-            "widen the window", RuntimeWarning, stacklevel=2)
-    res = EstimatorResult(
-        mean=pt.z, std_error=pt.z_se, n_samples=n_samples, seed=_seed_int(seed),
-        fingerprint=params_fingerprint({"op": "partition", "gamma": params.gamma,
-                                        "mu": params.mu, "radius": params.radius,
-                                        "t_half": t_half}),
-        wall_ms=1e3 * (time.perf_counter() - t0))
-    res.diagnostics = {"log_z": pt.log_z, "log_z_se": pt.log_z_se,
-                       "boundary_fraction": pt.boundary_fraction,
-                       "truncation_warning": pt.truncation_warning}
-    return res
 
 
 def _seed_int(seed) -> int:

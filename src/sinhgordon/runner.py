@@ -21,10 +21,10 @@ from . import correlations as corr
 from . import gmc as gmc_mod
 from . import lz as lz_mod
 from . import spectral as spec_mod
-from .config import EXPERIMENTS, RunConfig, load_config, with_overrides
+from .config import EXPERIMENTS, RunConfig, _number, load_config, with_overrides
 from .errors import ConfigError, SinhGordonError
-from .gff import TimeGrid, evolve_path, dump_path, fluctuation_grid, ou_step, \
-    ou_step_coeffs, truncated_slice_cov
+from .gff import TimeGrid, dump_path, evolve_path, fluctuation_grid, stream_paths, \
+    truncated_slice_cov
 from .gmc import Region, circle_spec, fourier_spec
 from .parallel import blas_threads, resolve_workers
 from .params import reduce_to_unit_radius
@@ -85,8 +85,8 @@ def _quad(cfg: RunConfig) -> CQuadrature:
 def _exp_validate(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     """Covariance panel: sampled field against the mode-truncated kernels.
 
-    The paths are stepped one slice at a time with the draws of
-    ``sample_path_batch``; only the field values at the probe points are
+    The paths come one slice at a time from ``stream_paths``, with the draws
+    of ``sample_path_batch``; only the field values at the probe points are
     kept, so memory does not grow with the number of time steps.
     """
     n = cfg.estimator.n_samples
@@ -96,17 +96,9 @@ def _exp_validate(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
               ((0.25, np.pi / 2), (0.75, np.pi / 2)), ((0.0, 0.0), (1.0, np.pi / 2)),
               ((0.5, 0.0), (0.5, np.pi))]
     points = {(grid.index_of(t), th) for pair in probes for t, th in pair}
-    decay, std = ou_step_coeffs(np.arange(1, n_modes + 1), grid.dt)
-    sqrt_dt = np.sqrt(grid.dt)
     rng = np.random.default_rng(cfg.estimator.seed)
-    b = np.zeros(n)
-    x = rng.standard_normal((n, n_modes))
-    y = rng.standard_normal((n, n_modes))
-    noise = np.empty((n, n_modes))
     field_at = {}
-    for k in range(grid.n_steps + 1):
-        if k > 0:
-            ou_step(rng, b, x, y, decay, std, sqrt_dt, noise)
+    for k, _, x, y in stream_paths(rng, n, n_modes, grid):
         for kk, th in points:
             if kk == k:
                 field_at[kk, th] = fluctuation_grid(x, y, np.array([th]))[:, 0]
@@ -261,6 +253,16 @@ def _exp_ground_state(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
                 "n_samples": cfg.estimator.n_samples, "seed": cfg.estimator.seed})
 
 
+def _truncations(n_list, n_modes: int) -> list[int]:
+    """Vertex ``n_list``: at least two increasing mode counts in [1, sampler.n_modes]."""
+    out = [_number(nv, "vertex n_list entry", int) for nv in n_list] \
+        if isinstance(n_list, list) else []
+    if len(out) < 2 or not all(1 <= a < b <= n_modes for a, b in zip(out, out[1:])):
+        raise ConfigError(f"vertex n_list needs at least two increasing integers in "
+                          f"[1, {n_modes}] (sampler.n_modes), got {n_list!r}")
+    return out
+
+
 def _exp_vertex(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     opts = dict(cfg.options)
     alpha = float(opts.pop("alpha", 0.5))
@@ -270,6 +272,8 @@ def _exp_vertex(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     n_list = opts.pop("n_list", None)
     if opts:
         raise ConfigError(f"unknown vertex options: {sorted(opts)}")
+    if n_list is not None:
+        n_list = _truncations(n_list, cfg.sampler.n_modes)
     ins = corr.make_insertions([(alpha, t_ins, theta)], reduce_to_unit_radius(cfg.params))
     common = dict(dt=cfg.sampler.dt, n_modes=cfg.sampler.n_modes,
                   theta_cells=cfg.gmc.theta_cells, quad=_quad(cfg),
@@ -279,7 +283,7 @@ def _exp_vertex(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
         # refinement sequence: one estimate per vertex truncation, all read from
         # one path set and reported with a Richardson flag instead of a single
         # number for the limit
-        res = corr.vertex_plain(ins, [("direct", fourier_spec(+1, int(nv))) for nv in n_list],
+        res = corr.vertex_plain(ins, [("direct", fourier_spec(+1, nv)) for nv in n_list],
                                 cfg.sampler.window, cfg.params, **common)
         out.record({"experiment": "vertex", "alpha": alpha, "method": "refinement",
                     **corr.refinement_report(n_list, [(r.mean, r.std_error) for r in res]),

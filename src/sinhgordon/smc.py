@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridSpanMismatch, WindowOutsideCylinder
-from .gff import TimeGrid, ou_step, ou_step_coeffs, theta_basis
-from .gmc import harmonic_number, mass_pair_slices, theta_nodes
+from .gff import TimeGrid, stream_paths, theta_basis
+from .gmc import SliceMass, harmonic_number, theta_nodes
 from .params import ModelParams, reduce_to_unit_radius
 from .parallel import map_chunks, stateless_children
 from .propagator import capped_exp
@@ -87,14 +87,14 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
     grid = TimeGrid(dt, k_total)
     marks = {grid.index_of(2.0 * th): j for j, th in enumerate(t_half_values)}
     nodes, dtheta = theta_nodes(theta_cells)
-    cb, sb = theta_basis(n_modes, nodes)
     renorm = harmonic_number(n_modes)
+    # the shifted field's cell weights (e^{gamma s}, e^{-gamma s}), one row per slice
+    shift_exp = None if shift is None else (np.exp(gamma * shift.shift_grid),
+                                            np.exp(-gamma * shift.shift_grid))
     c_lo = -settings.c_half_width / gamma
     c_hi = +settings.c_half_width / gamma
     log_width = math.log(c_hi - c_lo)
     n = settings.n_particles
-    decay, od_std = ou_step_coeffs(np.arange(1, n_modes + 1), dt)
-    sqrt_dt = math.sqrt(dt)
 
     groups = [tuple(g) for g in register_groups]
     ins_by_step: dict[int, list] = {}
@@ -108,10 +108,6 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
     def one_run(run_seed):
         rng = np.random.default_rng(run_seed)
         c = rng.uniform(c_lo, c_hi, n)
-        x = rng.standard_normal((n, n_modes))
-        y = rng.standard_normal((n, n_modes))
-        b = np.zeros(n)
-        noise = np.empty((n, n_modes))
         log_z = log_width
         log_w = np.zeros(n)
         regs = [np.zeros(n) for _ in groups]
@@ -119,20 +115,16 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
             log_w = log_w + shift.scalar_log + shift.total_alpha * c
         exp_cp = capped_exp(gamma * c)
         exp_cm = capped_exp(-gamma * c)
-
-        def slice_pair(row):
-            # the basis is precomputed once: fluctuation_grid would rebuild it every step
-            f = x @ cb + y @ sb
-            if shift is not None:
-                f = f + shift.shift_grid[row][None, :]
-            return mass_pair_slices(b, f, gamma, renorm, dtheta)
-
-        s_prev = slice_pair(0)
+        kernel = SliceMass(gamma, renorm, dtheta, nodes, n_modes)
         log_z_rows = np.full(len(t_half_values), np.nan)
         means = np.full(len(groups), np.nan)
-        for k in range(1, k_total + 1):
-            ou_step(rng, b, x, y, decay, od_std, sqrt_dt, noise)
-            s_cur = slice_pair(k)
+        # the particles' paths are the stream's buffers, so resampling writes into them
+        for k, b, x, y in stream_paths(rng, n, n_modes, grid):
+            cells = None if shift_exp is None else (shift_exp[0][k], shift_exp[1][k])
+            s_cur = kernel.load(x, y).pair(b, cells)
+            if k == 0:
+                s_prev = s_cur
+                continue
             log_w = log_w - mu * (exp_cp * 0.5 * dt * (s_prev[0] + s_cur[0])
                                   + exp_cm * 0.5 * dt * (s_prev[1] + s_cur[1]))
             s_prev = s_cur
@@ -158,8 +150,9 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
                 if ess < settings.resample_threshold * n:
                     log_z += hi + math.log(w.mean())
                     idx = _systematic_resample(w / w.sum(), rng.uniform())
-                    c, b = c[idx], b[idx]
-                    x, y = x[idx], y[idx]
+                    c = c[idx]
+                    for path in (b, x, y):
+                        path[:] = path[idx]
                     exp_cp, exp_cm = exp_cp[idx], exp_cm[idx]
                     s_prev = [s_prev[0][idx], s_prev[1][idx]]
                     regs = [r[idx] for r in regs]

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateFit, SignalLost
-from .gff import TimeGrid, sample_path_batch, fluctuation_grid
-from .gmc import harmonic_number, mass_pair_slices, region_time_weights, theta_nodes
+from .gff import TimeGrid, stream_paths
+from .gmc import SliceMass, harmonic_number, region_time_weights, theta_nodes
 from .params import ModelParams, reduce_to_unit_radius
 from .parallel import map_chunks, seed_chunks
 from .propagator import CQuadrature, default_c_quadrature, fk_damping
@@ -169,7 +169,6 @@ def ground_state_profile(t: float, params: ModelParams, *, dt: float = 1.0 / 32.
     grid = TimeGrid(dt, n_steps)
     nodes, dtheta = theta_nodes(theta_cells)
     trap = region_time_weights(grid, 0.0, grid.span)
-    renorm = harmonic_number(n_modes)
     nc, nx = bins
     c_edges = np.linspace(quad.c_min, quad.c_max, nc + 1)
     x_edges = np.linspace(-x_range, x_range, nx + 1)
@@ -178,13 +177,16 @@ def ground_state_profile(t: float, params: ModelParams, *, dt: float = 1.0 / 32.
         sub_seed, size = chunk
         rng = np.random.default_rng(sub_seed)
         cs = rng.uniform(quad.c_min, quad.c_max, size)
-        b, xs, ys = sample_path_batch(rng, size, n_modes, grid)
-        fields = fluctuation_grid(xs, ys, nodes)
-        sp, sm = mass_pair_slices(b, fields, gamma, renorm, dtheta)
-        m_plus = (sp * trap).sum(axis=-1)
-        m_minus = (sm * trap).sum(axis=-1)
+        m_plus, m_minus = np.zeros(size), np.zeros(size)
+        kernel = SliceMass(gamma, harmonic_number(n_modes), dtheta, nodes, n_modes)
+        for k, b, x, y in stream_paths(rng, size, n_modes, grid):
+            if k == 0:
+                x1 = x[:, 0].copy()
+            sp, sm = kernel(x, y, b)
+            m_plus += trap[k] * sp
+            m_minus += trap[k] * sm
         w = fk_damping(m_plus, m_minus, cs, mu, gamma)
-        return {"c": cs, "x1": xs[:, 0, 0], "w": w}
+        return {"c": cs, "x1": x1, "w": w}
 
     chunks = seed_chunks(seed, n_samples, batch)
     parts = map_chunks(run, chunks, workers)

@@ -332,16 +332,35 @@ def test_vertex_refinement_equals_per_truncation_estimates(tmp_path):
         assert (row["estimate"], row["std_error"]) == (res.mean, res.std_error)
 
 
-def test_vertex_both_samples_each_chunk_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("n_list, fast", [([8, "16"], False), ([8, 32], True)],
+                         ids=["string-entry", "above-fast-cap"])
+def test_vertex_n_list_checked_before_sampling(tmp_path, capsys, monkeypatch, n_list, fast):
+    import sinhgordon.correlations as corr
+    monkeypatch.setattr(corr, "stream_paths", lambda *a, **k: pytest.fail("paths sampled"))
+    cfg = base_config("vertex", {"alpha": 0.5, "n_list": n_list},
+                      sampler={"n_modes": 64, "dt": 1 / 8, "window": 0.75})
+    assert run(write_config(tmp_path, cfg), fast=fast, out_dir=str(tmp_path / "o")) == 2
+    assert "n_list" in capsys.readouterr().err
+
+
+def test_scipy_stays_off_the_import_path():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, sinhgordon.runner; print('scipy' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
+
+
+def test_vertex_both_streams_each_chunk_once(tmp_path, monkeypatch):
     import sinhgordon.correlations as corr
     calls = []
-    real = corr.sample_path_batch
+    real = corr.stream_paths
 
     def counted(rng, n_paths, *args, **kwargs):
         calls.append(n_paths)
         return real(rng, n_paths, *args, **kwargs)
 
-    monkeypatch.setattr(corr, "sample_path_batch", counted)
+    monkeypatch.setattr(corr, "stream_paths", counted)
     path = write_config(tmp_path, base_config("vertex", {"alpha": 0.5, "method": "both"},
                                               n_samples=600))
     assert run(path, out_dir=str(tmp_path / "out"), workers=2) == 0

@@ -334,12 +334,11 @@ def test_circle_average_variance_tracks_log():
     grid = TimeGrid(1 / 64, 64)
     n = 12000
     b, xs, ys = sample_path_batch(rng, n, 64, grid)
-    from sinhgordon.gff import averaged_mode_arrays
+    from sinhgordon.gff import CircleAverage
     gaps = []
     for eps in (1 / 4, 1 / 8, 1 / 16):
-        ax, ay = averaged_mode_arrays(xs, ys, grid, eps)
-        k = 32
-        vals = fluctuation_grid(ax[:, k, :], ay[:, k, :], np.array([0.0]))[:, 0]
+        ax, ay = CircleAverage(eps, grid.dt).modes(lambda r: (xs[:, r], ys[:, r]), 32)
+        vals = fluctuation_grid(ax, ay, np.array([0.0]))[:, 0]
         gaps.append(abs(vals.var() - math.log(1.0 / eps)))
     assert gaps[2] < gaps[0]
 
