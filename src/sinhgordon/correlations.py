@@ -576,7 +576,7 @@ def refinement_report(resolutions, estimates) -> dict:
     resolutions = [float(n) for n in resolutions]
     vals = [float(v) for v, _ in estimates]
     ses = [float(s) for _, s in estimates]
-    if len(vals) < 2 or sorted(resolutions) != resolutions:
+    if len(vals) < 2 or not all(a < b for a, b in zip(resolutions, resolutions[1:])):
         raise ValueError("need at least two strictly increasing resolutions")
     rows = [{"resolution": n, "estimate": v, "std_error": s}
             for n, v, s in zip(resolutions, vals, ses)]

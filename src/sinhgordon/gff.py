@@ -125,41 +125,59 @@ def sample_circle_field(n_modes: int, mode="stationary", seed=None) -> CircleFie
     raise ValueError(f"unknown sampling mode: {mode!r}")
 
 
+# Row-block budget of the stepper, in float64 elements (1 MB): a block of x or
+# y and its noise stay in cache while they are updated.
+_BLOCK_ELEMENTS = 1 << 17
+
+
 def ou_step(rng: np.random.Generator, b: np.ndarray, x: np.ndarray, y: np.ndarray,
             decay: np.ndarray, std: np.ndarray, sqrt_dt: float, noise: np.ndarray,
             out=None) -> None:
     """One exact step of a batch: b (R,) Brownian, x and y (R, N) modes.
 
     ``decay, std`` come from :func:`ou_step_coeffs`.  ``noise`` is a
-    caller-owned C-contiguous (R, N) scratch buffer the normals are drawn
-    into.  The step is written to ``out = (b1, x1, y1)``, or in place when
-    ``out`` is None; nothing is allocated.  The draw order is fixed (Brownian
-    increment, then x noise, then y noise), so every caller that steps from
-    the same generator state reproduces the same paths bit for bit, equal to
+    caller-owned C-contiguous (rows, N) scratch buffer the normals are drawn
+    into, with 1 <= rows; the modes are stepped in blocks of that many rows,
+    so the scratch need not be as large as the batch.  The step is written to
+    ``out = (b1, x1, y1)``, or in place when ``out`` is None; nothing is
+    allocated.  The draw order is fixed: the Brownian increments, then the x
+    noise block by block, then the y noise block by block.  A C-order fill
+    split into consecutive pieces draws the same normals as one fill, so the
+    paths do not depend on the block size, and every caller that steps from
+    the same generator state reproduces them bit for bit, equal to
     ``x * decay + std * z``.
     """
     b1, x1, y1 = (b, x, y) if out is None else out
-    nb = noise.reshape(-1)[:b.size]
-    rng.standard_normal(out=nb)
-    nb *= sqrt_dt
-    np.add(b, nb, out=b1)
+    flat = noise.reshape(-1)
+    for s in range(0, b.size, flat.size):
+        nb = flat[:b.size - s]
+        rng.standard_normal(out=nb)
+        nb *= sqrt_dt
+        np.add(b[s:s + nb.size], nb, out=b1[s:s + nb.size])
+    rows = noise.shape[0]
     for src, dst in ((x, x1), (y, y1)):
-        rng.standard_normal(out=noise)
-        noise *= std
-        np.multiply(src, decay, out=dst)
-        dst += noise
+        for s in range(0, len(src), rows):
+            # one view per block: ``dst[s:s + rows] += z`` would copy back through __setitem__
+            src_blk, dst_blk = src[s:s + rows], dst[s:s + rows]
+            z = noise[:len(src_blk)]
+            rng.standard_normal(out=z)
+            z *= std
+            np.multiply(src_blk, decay, out=dst_blk)
+            dst_blk += z
 
 
 def _stream(rng: np.random.Generator, x: np.ndarray, y: np.ndarray, grid: TimeGrid):
     """Step the caller-owned (R, N) modes ``x, y`` in place from a zero Brownian part.
 
     Yields ``(k, b, x, y)`` for k = 0..K; the arrays are reused, so a consumer
-    that keeps a slice copies it.
+    that keeps a slice copies it.  The noise scratch is one stepper block,
+    never more rows than the batch.
     """
-    decay, std = ou_step_coeffs(np.arange(1, x.shape[1] + 1), grid.dt)
+    n_paths, n_modes = x.shape
+    decay, std = ou_step_coeffs(np.arange(1, n_modes + 1), grid.dt)
     sqrt_dt = np.sqrt(grid.dt)
-    b = np.zeros(x.shape[0])
-    noise = np.empty(x.shape)
+    b = np.zeros(n_paths)
+    noise = np.empty((max(1, min(n_paths, _BLOCK_ELEMENTS // n_modes)), n_modes))
     yield 0, b, x, y
     for k in range(1, grid.n_steps + 1):
         ou_step(rng, b, x, y, decay, std, sqrt_dt, noise)
@@ -173,7 +191,11 @@ def stream_paths(rng: np.random.Generator, n_paths: int, n_modes: int, grid: Tim
     Draws the start (stationary x0 then y0, or the fixed slice ``initial``),
     then B, x and y at every step, and yields ``(k, b, x, y)`` with b (R,) and
     x, y (R, N) for k = 0..K.  The buffers are reused from slice to slice, so
-    memory does not grow with K.
+    memory does not grow with K.  Each step goes through :func:`ou_step` in
+    row blocks of about 2^17 elements (2048 rows at N = 64): B, then x block
+    by block, then y block by block, which draws the normals in the same
+    order as an unblocked step.  The noise scratch is one block, never larger
+    than the batch, so it stays within 1 MB whatever R.
     """
     if initial is None:
         x = rng.standard_normal((n_paths, n_modes))

@@ -78,6 +78,13 @@ def _quad(cfg: RunConfig) -> CQuadrature:
                        cfg.estimator.c_nodes)
 
 
+def _numbers(value, name: str, kind=float) -> list:
+    """A list option: a JSON array whose entries each pass ``_number``."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{name} must be an array of numbers, got {value!r}")
+    return [_number(v, f"{name} entry", kind) for v in value]
+
+
 # ---------------------------------------------------------------------------
 # Experiments
 # ---------------------------------------------------------------------------
@@ -89,6 +96,8 @@ def _exp_validate(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     of ``sample_path_batch``; only the field values at the probe points are
     kept, so memory does not grow with the number of time steps.
     """
+    if cfg.options:
+        raise ConfigError(f"unknown validate options: {sorted(cfg.options)}")
     n = cfg.estimator.n_samples
     n_modes = cfg.sampler.n_modes
     grid = TimeGrid(cfg.sampler.dt, int(round(1.0 / cfg.sampler.dt)))
@@ -120,10 +129,13 @@ def _exp_validate(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 def _exp_sample(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     from .gff import sample_circle_field
+    opts = dict(cfg.options)
+    c = _number(opts.pop("c", 0.0), "sample option c")
+    if opts:
+        raise ConfigError(f"unknown sample options: {sorted(opts)}")
     init = sample_circle_field(cfg.sampler.n_modes, "stationary", cfg.estimator.seed)
     grid = TimeGrid(cfg.sampler.dt, int(round(2 * cfg.sampler.window / cfg.sampler.dt)))
-    path = evolve_path(init, float(cfg.options.get("c", 0.0)), grid,
-                       seed=cfg.estimator.seed)
+    path = evolve_path(init, c, grid, seed=cfg.estimator.seed)
     with open(out.dir / "path.bin", "wb") as fh:
         dump_path(path, fh)
     out.record({"experiment": "sample", "n_modes": path.n_modes,
@@ -180,10 +192,10 @@ def _exp_scaling_check(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 def _exp_partition(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     t0 = time.perf_counter()
     opts = dict(cfg.options)
-    t_list = opts.pop("T_list", [cfg.sampler.window])
+    t_list = _numbers(opts.pop("T_list", [cfg.sampler.window]), "partition T_list")
     if opts:
         raise ConfigError(f"unknown partition options: {sorted(opts)}")
-    pts = partition_curve([float(t) for t in t_list], reduce_to_unit_radius(cfg.params),
+    pts = partition_curve(t_list, reduce_to_unit_radius(cfg.params),
                           _quad(cfg), cfg.sampler.dt, _gmc_spec(cfg),
                           cfg.estimator.n_samples, cfg.estimator.seed,
                           theta_cells=cfg.gmc.theta_cells, workers=workers)
@@ -200,7 +212,7 @@ def _exp_partition(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 def _exp_lambda0(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     t0 = time.perf_counter()
     opts = dict(cfg.options)
-    t_list = [float(t) for t in opts.pop("T_list", [1.0, 1.5, 2.0, 3.0])]
+    t_list = _numbers(opts.pop("T_list", [1.0, 1.5, 2.0, 3.0]), "lambda0 T_list")
     drop_smallest = bool(opts.pop("drop_smallest", True))
     backend = opts.pop("backend", "smc")
     if opts:
@@ -255,8 +267,7 @@ def _exp_ground_state(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 def _truncations(n_list, n_modes: int) -> list[int]:
     """Vertex ``n_list``: at least two increasing mode counts in [1, sampler.n_modes]."""
-    out = [_number(nv, "vertex n_list entry", int) for nv in n_list] \
-        if isinstance(n_list, list) else []
+    out = _numbers(n_list, "vertex n_list", int)
     if len(out) < 2 or not all(1 <= a < b <= n_modes for a, b in zip(out, out[1:])):
         raise ConfigError(f"vertex n_list needs at least two increasing integers in "
                           f"[1, {n_modes}] (sampler.n_modes), got {n_list!r}")
@@ -305,11 +316,12 @@ def _exp_vertex(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 def _exp_two_point(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     t0 = time.perf_counter()
     opts = dict(cfg.options)
-    a1 = float(opts.pop("alpha1", 0.5))
-    a2 = float(opts.pop("alpha2", a1))
-    th1 = float(opts.pop("theta1", 0.0))
-    th2 = float(opts.pop("theta2", th1))
-    seps = [float(s) for s in opts.pop("separations", [1.0, 1.5, 2.0, 2.5, 3.0])]
+    a1 = _number(opts.pop("alpha1", 0.5), "two-point alpha1")
+    a2 = _number(opts.pop("alpha2", a1), "two-point alpha2")
+    th1 = _number(opts.pop("theta1", 0.0), "two-point theta1")
+    th2 = _number(opts.pop("theta2", th1), "two-point theta2")
+    seps = _numbers(opts.pop("separations", [1.0, 1.5, 2.0, 2.5, 3.0]),
+                    "two-point separations")
     if opts:
         raise ConfigError(f"unknown two-point options: {sorted(opts)}")
     rows = corr.two_point_covariance((a1, th1), (a2, th2), seps, cfg.sampler.window,

@@ -119,6 +119,29 @@ def test_non_object_blocks_exit_two(tmp_path, capsys):
         assert "must be an object" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("experiment, options", [
+    ("validate", {"n_sampels": 5}),
+    ("sample", {"c": 0.5, "typo": 1}),
+    ("sample", {"c": "1"}),
+    ("lambda0", {"T_list": "12"}),
+    ("lambda0", {"T_list": [1.0, "2", 3.0]}),
+    ("two-point", {"alpha1": "x"}),
+    ("two-point", {"separations": "abc"}),
+    ("two-point", {"separations": [0.25, None]}),
+    ("partition", {"T_list": 0.5}),
+], ids=["validate-typo", "sample-typo", "sample-string-c", "lambda0-string-T_list",
+        "lambda0-string-entry", "two-point-string-alpha", "two-point-string-separations",
+        "two-point-null-separation", "partition-scalar-T_list"])
+def test_bad_experiment_options_exit_two(tmp_path, experiment, options):
+    path = write_config(tmp_path, base_config(experiment, options))
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", "sinhgordon", "--config", path, "--fast",
+                           "--out-dir", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "config error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_negative_seed_override_exits_two(tmp_path, capsys):
     path = write_config(tmp_path, base_config("lz"))
     assert run(path, seed=-1, out_dir=str(tmp_path / "o")) == 2

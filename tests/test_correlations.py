@@ -353,3 +353,10 @@ def test_refinement_report_flags():
     rough = refinement_report([8, 16], [(2.0, 0.001), (1.0, 0.001)])
     assert not rough["converged_flag"]
     assert len(conv["sequence"]) == 3
+
+
+@pytest.mark.parametrize("resolutions", [[8, 8], [8, 16, 16], [16, 8]])
+def test_refinement_report_needs_strictly_increasing_resolutions(resolutions):
+    from sinhgordon.correlations import refinement_report
+    with pytest.raises(ValueError, match="strictly increasing"):
+        refinement_report(resolutions, [(1.0 + 0.1 * i, 0.1) for i in range(len(resolutions))])

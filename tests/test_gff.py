@@ -1,11 +1,13 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import sinhgordon as sg
+from sinhgordon import gff
 from sinhgordon.errors import (
     CoincidentPoints,
     EpsilonGridMismatch,
@@ -20,6 +22,7 @@ from sinhgordon.gff import (
     ou_step,
     ou_step_coeffs,
     sample_path_batch,
+    stream_paths,
     truncated_slice_cov,
 )
 
@@ -63,6 +66,69 @@ def test_ou_step_is_the_exact_update_bit_for_bit(rng):
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
     assert np.array_equal(out[0], b)  # out= left its inputs alone
+
+
+def _unblocked_step(ref, b0, x0, y0, dec, std, sqrt_dt):
+    """Reference step: one fill each for B, x and y from the generator ``ref``."""
+    return (b0 + sqrt_dt * ref.standard_normal(b0.shape),
+            x0 * dec + std * ref.standard_normal(x0.shape),
+            y0 * dec + std * ref.standard_normal(y0.shape))
+
+
+@pytest.mark.parametrize("n_paths, n_modes, rows", [(10, 5, 4), (1, 5, 1), (17, 3, 2)],
+                         ids=["partial-last-block", "one-row", "brownian-in-pieces"])
+def test_blocked_ou_step_is_the_unblocked_update_bit_for_bit(rng, n_paths, n_modes, rows):
+    # a noise scratch of ``rows`` rows steps the batch block by block: 2.5
+    # blocks, a single row, and a Brownian part (17) longer than the scratch (6)
+    dec, std = ou_step_coeffs(np.arange(1, n_modes + 1), 0.1)
+    sqrt_dt = math.sqrt(0.1)
+    b0 = rng.standard_normal(n_paths)
+    x0, y0 = rng.standard_normal((2, n_paths, n_modes))
+    want = _unblocked_step(np.random.default_rng(45), b0, x0, y0, dec, std, sqrt_dt)
+    noise = np.empty((rows, n_modes))
+    b, x, y = b0.copy(), x0.copy(), y0.copy()
+    ou_step(np.random.default_rng(45), b, x, y, dec, std, sqrt_dt, noise)
+    out = (np.empty(n_paths), np.empty((n_paths, n_modes)), np.empty((n_paths, n_modes)))
+    ou_step(np.random.default_rng(45), b0, x0, y0, dec, std, sqrt_dt, noise, out=out)
+    for got in ((b, x, y), out):
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+
+def _multi_block_batch(n_modes=64):
+    """2.5 stepper blocks of rows at ``n_modes``: the last block is partial."""
+    rows = gff._BLOCK_ELEMENTS // n_modes
+    return 2 * rows + rows // 2
+
+
+def test_stream_steps_multi_block_batches_bit_for_bit():
+    # the real block size: the stream and the stored batch equal a reference
+    # stepped with one fill per B, x and y
+    n_paths, n_modes, grid = _multi_block_batch(), 64, TimeGrid(1 / 16, 3)
+    ref = np.random.default_rng(9)
+    want = [(np.zeros(n_paths), ref.standard_normal((n_paths, n_modes)),
+             ref.standard_normal((n_paths, n_modes)))]
+    dec, std = ou_step_coeffs(np.arange(1, n_modes + 1), grid.dt)
+    for _ in range(grid.n_steps):
+        want.append(_unblocked_step(ref, *want[-1], dec, std, math.sqrt(grid.dt)))
+    stored = sample_path_batch(np.random.default_rng(9), n_paths, n_modes, grid)
+    for k, bk, xk, yk in stream_paths(np.random.default_rng(9), n_paths, n_modes, grid):
+        for got, w, s in zip((bk, xk, yk), want[k], stored):
+            assert np.array_equal(got, w) and np.array_equal(s[:, k], w)
+
+
+def test_stream_scratch_is_one_block():
+    # beyond x and y the stream holds one noise block (1 MB), not a third
+    # (R, N) array: 2.5 blocks of 64 modes peak below 2 R N 8 bytes + 2 MB
+    n_paths, n_modes = _multi_block_batch(), 64
+    tracemalloc.start()
+    try:
+        for _ in stream_paths(np.random.default_rng(2), n_paths, n_modes, TimeGrid(1 / 16, 4)):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * n_paths * n_modes * 8 + 2 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
