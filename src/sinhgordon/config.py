@@ -8,15 +8,39 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .errors import ConfigError
 from .params import ModelParams, validate_params
 
-EXPERIMENTS = (
-    "validate", "sample", "gmc-mass", "moments", "scaling-check", "partition",
-    "lambda0", "ground-state", "vertex", "two-point", "gap-fit", "lz", "mc-vs-lz",
-)
+# Each experiment's options: name -> (kind, default[, bound]).  A kind is float
+# or int (a finite number, greater than bound if one is given), bool, str (a
+# path), a tuple of the allowed values, or [kind] (a JSON array of that kind).
+# A None default is "not given"; the experiment may resolve it from the config.
+OPTIONS = {
+    "validate": {},
+    "sample": {"c": (float, 0.0)},
+    "gmc-mass": {"t_min": (float, 0.0), "t_max": (float, 1.0), "sigma": ((1, -1), 1)},
+    "moments": {"t_min": (float, 0.5), "t_max": (float, 1.0), "p": (float, 1.0),
+                "sigma": ((1, -1), 1)},
+    "scaling-check": {"t_min": (float, 0.0), "t_max": (float, 1.0)},
+    "partition": {"T_list": ([float], None)},
+    "lambda0": {"T_list": ([float], [1.0, 1.5, 2.0, 3.0]), "drop_smallest": (bool, True),
+                "backend": (("smc", "plain"), "smc")},
+    "ground-state": {"T": (float, None), "bins_c": (int, 12, 0), "bins_x": (int, 8, 0)},
+    "vertex": {"alpha": (float, 0.5), "t": (float, 0.0), "theta": (float, 0.0),
+               "method": (("direct", "girsanov", "both"), "direct"),
+               "n_list": ([int], None)},
+    "two-point": {"alpha1": (float, 0.5), "alpha2": (float, None), "theta1": (float, 0.0),
+                  "theta2": (float, None),
+                  "separations": ([float], [1.0, 1.5, 2.0, 2.5, 3.0])},
+    "gap-fit": {"csv": (str, None), "separations": ([float], None),
+                "covariances": ([float], None), "std_errors": ([float], None)},
+    "lz": {"alpha": (float, 0.5), "tol": (float, 1e-10, 0.0)},
+    "mc-vs-lz": {"alpha": (float, 0.5), "R_values": ([float], [1.0, 2.0, 4.0]),
+                 "estimates": ([[float]], None)},
+}
+EXPERIMENTS = tuple(OPTIONS)
 
 
 @dataclass(frozen=True)
@@ -49,7 +73,8 @@ class RunConfig:
     gmc: GmcCfg
     estimator: EstimatorCfg
     experiment: str
-    options: dict = field(default_factory=dict)
+    options: dict = field(default_factory=dict)   # as written, for the manifest
+    opts: dict = field(default_factory=dict)      # checked against OPTIONS, defaults filled
 
     def raw(self) -> dict:
         return {
@@ -89,6 +114,35 @@ def _number(value, name: str, kind=float):
     if kind is int and value != int(value):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return kind(value)
+
+
+def _option(value, kind, name: str, bound=None):
+    """``value`` as an option of ``kind`` (see ``OPTIONS``), above ``bound`` if given."""
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{name} must be an array, got {value!r}")
+        return [_option(v, kind[0], f"{name} entry") for v in value]
+    if isinstance(kind, tuple):
+        if isinstance(value, bool) or value not in kind:
+            raise ConfigError(f"{name} must be one of {list(kind)}, got {value!r}")
+        return kind[kind.index(value)]
+    if kind in (bool, str):
+        if not isinstance(value, kind):
+            raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
+        return value
+    value = _number(value, name, kind)
+    if bound is not None and not value > bound:
+        raise ConfigError(f"{name} must be greater than {bound}, got {value!r}")
+    return value
+
+
+def _options(experiment: str, options) -> dict:
+    """``experiment``'s options checked against ``OPTIONS``, with the defaults filled in."""
+    table = OPTIONS[experiment]
+    _take(options, f"{experiment} options", table)   # an object with no unknown keys
+    return {key: _option(options[key], kind, f"{experiment} option {key}", *bound)
+            if key in options else default
+            for key, (kind, default, *bound) in table.items()}
 
 
 def parse_config(data: dict) -> RunConfig:
@@ -151,10 +205,9 @@ def parse_config(data: dict) -> RunConfig:
     if exp["name"] not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {exp['name']!r}; "
                           f"choose one of {', '.join(EXPERIMENTS)}")
-    if not isinstance(exp["options"], dict):
-        raise ConfigError("experiment.options must be an object")
     return RunConfig(params=params, sampler=sampler, gmc=gmc, estimator=est,
-                     experiment=exp["name"], options=exp["options"])
+                     experiment=exp["name"], options=exp["options"],
+                     opts=_options(exp["name"], exp["options"]))
 
 
 def load_config(path: str) -> RunConfig:
@@ -187,5 +240,4 @@ def with_overrides(cfg: RunConfig, seed: int | None = None, fast: bool = False) 
         sampler = SamplerCfg(min(sampler.n_modes, 16), sampler.dt, sampler.window)
         if gmc.kind == "fourier":
             gmc = GmcCfg(gmc.kind, min(gmc.n, 16), gmc.epsilon, gmc.theta_cells)
-    return RunConfig(params=cfg.params, sampler=sampler, gmc=gmc, estimator=est,
-                     experiment=cfg.experiment, options=cfg.options)
+    return replace(cfg, sampler=sampler, gmc=gmc, estimator=est)

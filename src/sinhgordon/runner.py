@@ -78,11 +78,11 @@ def _quad(cfg: RunConfig) -> CQuadrature:
                        cfg.estimator.c_nodes)
 
 
-def _numbers(value, name: str, kind=float) -> list:
-    """A list option: a JSON array whose entries each pass ``_number``."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{name} must be an array of numbers, got {value!r}")
-    return [_number(v, f"{name} entry", kind) for v in value]
+def _region(cfg: RunConfig) -> Region:
+    t_min, t_max = cfg.opts["t_min"], cfg.opts["t_max"]
+    if t_min > t_max:
+        raise ConfigError(f"{cfg.experiment} option t_min {t_min} exceeds t_max {t_max}")
+    return Region(t_min, t_max)
 
 
 # ---------------------------------------------------------------------------
@@ -96,8 +96,6 @@ def _exp_validate(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     of ``sample_path_batch``; only the field values at the probe points are
     kept, so memory does not grow with the number of time steps.
     """
-    if cfg.options:
-        raise ConfigError(f"unknown validate options: {sorted(cfg.options)}")
     n = cfg.estimator.n_samples
     n_modes = cfg.sampler.n_modes
     grid = TimeGrid(cfg.sampler.dt, int(round(1.0 / cfg.sampler.dt)))
@@ -129,13 +127,9 @@ def _exp_validate(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 def _exp_sample(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     from .gff import sample_circle_field
-    opts = dict(cfg.options)
-    c = _number(opts.pop("c", 0.0), "sample option c")
-    if opts:
-        raise ConfigError(f"unknown sample options: {sorted(opts)}")
     init = sample_circle_field(cfg.sampler.n_modes, "stationary", cfg.estimator.seed)
     grid = TimeGrid(cfg.sampler.dt, int(round(2 * cfg.sampler.window / cfg.sampler.dt)))
-    path = evolve_path(init, c, grid, seed=cfg.estimator.seed)
+    path = evolve_path(init, cfg.opts["c"], grid, seed=cfg.estimator.seed)
     with open(out.dir / "path.bin", "wb") as fh:
         dump_path(path, fh)
     out.record({"experiment": "sample", "n_modes": path.n_modes,
@@ -144,13 +138,9 @@ def _exp_sample(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 def _exp_gmc_mass(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     t0 = time.perf_counter()
-    opts = dict(cfg.options)
-    region = Region(float(opts.pop("t_min", 0.0)), float(opts.pop("t_max", 1.0)))
-    sigma = int(opts.pop("sigma", +1))
-    if opts:
-        raise ConfigError(f"unknown gmc-mass options: {sorted(opts)}")
+    region = _region(cfg)
     pu = reduce_to_unit_radius(cfg.params)
-    spec = _gmc_spec(cfg, sigma)
+    spec = _gmc_spec(cfg, cfg.opts["sigma"])
     masses = gmc_mod.sample_region_masses(region, spec, pu, cfg.estimator.n_samples,
                                           cfg.estimator.seed, dt=cfg.sampler.dt,
                                           theta_cells=cfg.gmc.theta_cells)
@@ -164,13 +154,8 @@ def _exp_gmc_mass(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 
 def _exp_moments(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
-    opts = dict(cfg.options)
-    region = Region(float(opts.pop("t_min", 0.5)), float(opts.pop("t_max", 1.0)))
-    p = float(opts.pop("p", 1.0))
-    sigma = int(opts.pop("sigma", +1))
-    if opts:
-        raise ConfigError(f"unknown moments options: {sorted(opts)}")
-    res = gmc_mod.moment_estimator(region, _gmc_spec(cfg, sigma),
+    p = cfg.opts["p"]
+    res = gmc_mod.moment_estimator(_region(cfg), _gmc_spec(cfg, cfg.opts["sigma"]),
                                    reduce_to_unit_radius(cfg.params), p,
                                    cfg.estimator.n_samples, cfg.estimator.seed,
                                    dt=cfg.sampler.dt, theta_cells=cfg.gmc.theta_cells)
@@ -178,11 +163,7 @@ def _exp_moments(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 
 def _exp_scaling_check(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
-    opts = dict(cfg.options)
-    region = Region(float(opts.pop("t_min", 0.0)), float(opts.pop("t_max", 1.0)))
-    if opts:
-        raise ConfigError(f"unknown scaling-check options: {sorted(opts)}")
-    rep = gmc_mod.scaling_check(region, cfg.params, cfg.estimator.n_samples,
+    rep = gmc_mod.scaling_check(_region(cfg), cfg.params, cfg.estimator.n_samples,
                                 cfg.estimator.seed, dt=cfg.sampler.dt,
                                 theta_cells=cfg.gmc.theta_cells,
                                 n_modes=cfg.sampler.n_modes)
@@ -191,10 +172,7 @@ def _exp_scaling_check(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 def _exp_partition(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     t0 = time.perf_counter()
-    opts = dict(cfg.options)
-    t_list = _numbers(opts.pop("T_list", [cfg.sampler.window]), "partition T_list")
-    if opts:
-        raise ConfigError(f"unknown partition options: {sorted(opts)}")
+    t_list = [cfg.sampler.window] if cfg.opts["T_list"] is None else cfg.opts["T_list"]
     pts = partition_curve(t_list, reduce_to_unit_radius(cfg.params),
                           _quad(cfg), cfg.sampler.dt, _gmc_spec(cfg),
                           cfg.estimator.n_samples, cfg.estimator.seed,
@@ -211,12 +189,7 @@ def _exp_partition(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 def _exp_lambda0(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     t0 = time.perf_counter()
-    opts = dict(cfg.options)
-    t_list = _numbers(opts.pop("T_list", [1.0, 1.5, 2.0, 3.0]), "lambda0 T_list")
-    drop_smallest = bool(opts.pop("drop_smallest", True))
-    backend = opts.pop("backend", "smc")
-    if opts:
-        raise ConfigError(f"unknown lambda0 options: {sorted(opts)}")
+    t_list, backend = cfg.opts["T_list"], cfg.opts["backend"]
     if backend == "smc":
         settings = SmcSettings(n_particles=max(256, cfg.estimator.n_samples // 12),
                                n_runs=12, c_half_width=cfg.estimator.c_window)
@@ -225,7 +198,7 @@ def _exp_lambda0(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
                                   cfg.estimator.seed, workers=workers)
         curve = [{"t_half": t, "log_z": p[0], "log_z_se": p[1]}
                  for t, p in zip(t_list, pairs)]
-    elif backend == "plain":
+    else:
         pts = partition_curve(t_list, reduce_to_unit_radius(cfg.params), _quad(cfg),
                               cfg.sampler.dt, _gmc_spec(cfg), cfg.estimator.n_samples,
                               cfg.estimator.seed, theta_cells=cfg.gmc.theta_cells,
@@ -233,9 +206,7 @@ def _exp_lambda0(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
         pairs = [(pt.log_z, pt.log_z_se) for pt in pts]
         curve = [{"t_half": pt.t_half, "log_z": pt.log_z, "log_z_se": pt.log_z_se}
                  for pt in pts]
-    else:
-        raise ConfigError(f"unknown lambda0 backend {backend!r}")
-    window = t_list[1:] if drop_smallest and len(t_list) > 3 else t_list
+    window = t_list[1:] if cfg.opts["drop_smallest"] and len(t_list) > 3 else t_list
     used = [(t, p) for t, p in zip(t_list, pairs) if t in window]
     fit = spec_mod.lambda0_fit([t for t, _ in used], [p for _, p in used])
     out.record({"experiment": "lambda0", "estimate": fit.value, "std_error": fit.std_error,
@@ -247,12 +218,8 @@ def _exp_lambda0(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 
 def _exp_ground_state(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
-    opts = dict(cfg.options)
-    t = float(opts.pop("T", max(1.0, cfg.sampler.window)))
-    bins_c = int(opts.pop("bins_c", 12))
-    bins_x = int(opts.pop("bins_x", 8))
-    if opts:
-        raise ConfigError(f"unknown ground-state options: {sorted(opts)}")
+    t = max(1.0, cfg.sampler.window) if cfg.opts["T"] is None else cfg.opts["T"]
+    bins_c, bins_x = cfg.opts["bins_c"], cfg.opts["bins_x"]
     prof = spec_mod.ground_state_profile(
         t, cfg.params, dt=cfg.sampler.dt, n_modes=cfg.sampler.n_modes,
         theta_cells=cfg.gmc.theta_cells, quad=_quad(cfg), bins=(bins_c, bins_x),
@@ -265,27 +232,15 @@ def _exp_ground_state(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
                 "n_samples": cfg.estimator.n_samples, "seed": cfg.estimator.seed})
 
 
-def _truncations(n_list, n_modes: int) -> list[int]:
-    """Vertex ``n_list``: at least two increasing mode counts in [1, sampler.n_modes]."""
-    out = _numbers(n_list, "vertex n_list", int)
-    if len(out) < 2 or not all(1 <= a < b <= n_modes for a, b in zip(out, out[1:])):
+def _exp_vertex(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
+    alpha, method, n_list = cfg.opts["alpha"], cfg.opts["method"], cfg.opts["n_list"]
+    n_modes = cfg.sampler.n_modes   # after the --fast cap, so checked here, not at parse
+    if n_list is not None and (len(n_list) < 2 or not all(
+            1 <= a < b <= n_modes for a, b in zip(n_list, n_list[1:]))):
         raise ConfigError(f"vertex n_list needs at least two increasing integers in "
                           f"[1, {n_modes}] (sampler.n_modes), got {n_list!r}")
-    return out
-
-
-def _exp_vertex(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
-    opts = dict(cfg.options)
-    alpha = float(opts.pop("alpha", 0.5))
-    t_ins = float(opts.pop("t", 0.0))
-    theta = float(opts.pop("theta", 0.0))
-    method = opts.pop("method", "direct")
-    n_list = opts.pop("n_list", None)
-    if opts:
-        raise ConfigError(f"unknown vertex options: {sorted(opts)}")
-    if n_list is not None:
-        n_list = _truncations(n_list, cfg.sampler.n_modes)
-    ins = corr.make_insertions([(alpha, t_ins, theta)], reduce_to_unit_radius(cfg.params))
+    ins = corr.make_insertions([(alpha, cfg.opts["t"], cfg.opts["theta"])],
+                               reduce_to_unit_radius(cfg.params))
     common = dict(dt=cfg.sampler.dt, n_modes=cfg.sampler.n_modes,
                   theta_cells=cfg.gmc.theta_cells, quad=_quad(cfg),
                   n_samples=cfg.estimator.n_samples, seed=cfg.estimator.seed,
@@ -300,8 +255,6 @@ def _exp_vertex(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
                     **corr.refinement_report(n_list, [(r.mean, r.std_error) for r in res]),
                     "n_samples": cfg.estimator.n_samples, "seed": cfg.estimator.seed})
         return
-    if method not in ("direct", "girsanov", "both"):
-        raise ConfigError(f"unknown vertex method {method!r}")
     estimators = []
     if method in ("direct", "both"):
         estimators.append(("direct", _gmc_spec(cfg) if cfg.gmc.kind == "circle" else None))
@@ -315,17 +268,11 @@ def _exp_vertex(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 def _exp_two_point(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     t0 = time.perf_counter()
-    opts = dict(cfg.options)
-    a1 = _number(opts.pop("alpha1", 0.5), "two-point alpha1")
-    a2 = _number(opts.pop("alpha2", a1), "two-point alpha2")
-    th1 = _number(opts.pop("theta1", 0.0), "two-point theta1")
-    th2 = _number(opts.pop("theta2", th1), "two-point theta2")
-    seps = _numbers(opts.pop("separations", [1.0, 1.5, 2.0, 2.5, 3.0]),
-                    "two-point separations")
-    if opts:
-        raise ConfigError(f"unknown two-point options: {sorted(opts)}")
-    rows = corr.two_point_covariance((a1, th1), (a2, th2), seps, cfg.sampler.window,
-                                     cfg.params, dt=cfg.sampler.dt,
+    a1, a2, th1, th2 = (cfg.opts[k] for k in ("alpha1", "alpha2", "theta1", "theta2"))
+    a2 = a1 if a2 is None else a2
+    th2 = th1 if th2 is None else th2
+    rows = corr.two_point_covariance((a1, th1), (a2, th2), cfg.opts["separations"],
+                                     cfg.sampler.window, cfg.params, dt=cfg.sampler.dt,
                                      n_modes=cfg.sampler.n_modes,
                                      theta_cells=cfg.gmc.theta_cells, quad=_quad(cfg),
                                      n_samples=cfg.estimator.n_samples,
@@ -339,23 +286,29 @@ def _exp_two_point(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
                     "fingerprint": params_fingerprint(cfg.raw()), "wall_ms": wall})
 
 
+def _read_curve(path: str) -> list[list[float]]:
+    """The separation, covariance and std_error columns of a gap-fit CSV."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        return [[_number(float(row[col]), f"column {col}") for row in rows]
+                for col in ("separation", "covariance", "std_error")]
+    except KeyError as exc:
+        raise ConfigError(f"gap-fit csv {path} has no column {exc}") from exc
+    except (OSError, csv.Error, TypeError, ValueError, ConfigError) as exc:
+        raise ConfigError(f"cannot read gap-fit csv {path}: {exc}") from exc
+
+
 def _exp_gap_fit(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
-    opts = dict(cfg.options)
-    csv_path = opts.pop("csv", None)
-    seps = opts.pop("separations", None)
-    covs = opts.pop("covariances", None)
-    ses = opts.pop("std_errors", None)
-    if opts:
-        raise ConfigError(f"unknown gap-fit options: {sorted(opts)}")
-    if csv_path:
-        seps, covs, ses = [], [], []
-        with open(csv_path) as fh:
-            for row in csv.DictReader(fh):
-                seps.append(float(row["separation"]))
-                covs.append(float(row["covariance"]))
-                ses.append(float(row["std_error"]))
+    if cfg.opts["csv"]:
+        seps, covs, ses = _read_curve(cfg.opts["csv"])
+    else:
+        seps, covs, ses = (cfg.opts[k] for k in ("separations", "covariances", "std_errors"))
     if not (seps and covs and ses):
         raise ConfigError("gap-fit needs separations/covariances/std_errors or csv")
+    if not len(seps) == len(covs) == len(ses):
+        raise ConfigError(f"gap-fit separations, covariances and std_errors differ in "
+                          f"length: {len(seps)}, {len(covs)}, {len(ses)}")
     fit = spec_mod.spectral_gap_fit(seps, list(zip(covs, ses)))
     out.record({"experiment": "gap-fit", "estimate": fit.value,
                 "std_error": fit.std_error, "r_squared": fit.r_squared,
@@ -363,24 +316,19 @@ def _exp_gap_fit(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 
 def _exp_lz(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
-    opts = dict(cfg.options)
-    alpha = float(opts.pop("alpha", 0.5))
-    tol = float(opts.pop("tol", 1e-10))
-    if opts:
-        raise ConfigError(f"unknown lz options: {sorted(opts)}")
-    res = lz_mod.lz_one_point(cfg.params, alpha, tol=tol)
+    alpha = cfg.opts["alpha"]
+    res = lz_mod.lz_one_point(cfg.params, alpha, tol=cfg.opts["tol"])
     out.record({"experiment": "lz", "alpha": alpha, "value": res.value,
                 "error_bound": res.error_bound, "diagnostics": res.diagnostics})
 
 
 def _exp_mc_vs_lz(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
-    opts = dict(cfg.options)
-    alpha = float(opts.pop("alpha", 0.5))
-    r_values = [float(r) for r in opts.pop("R_values", [1.0, 2.0, 4.0])]
-    estimates = opts.pop("estimates", None)
-    if opts:
-        raise ConfigError(f"unknown mc-vs-lz options: {sorted(opts)}")
-    if estimates is None:
+    alpha, r_values, estimates = (cfg.opts[k] for k in ("alpha", "R_values", "estimates"))
+    if estimates is not None:
+        if len(estimates) != len(r_values) or any(len(e) != 2 for e in estimates):
+            raise ConfigError(f"mc-vs-lz estimates must be one [value, std_error] pair "
+                              f"per R value {r_values}, got {estimates!r}")
+    else:
         estimates = []
         for i, r in enumerate(r_values):
             rep = corr.scaling_one_point(alpha, r, cfg.params,
@@ -389,10 +337,8 @@ def _exp_mc_vs_lz(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
                                          theta_cells=cfg.gmc.theta_cells,
                                          n_samples=cfg.estimator.n_samples,
                                          seed=cfg.estimator.seed + i, workers=workers)
-            estimates.append([rep["lhs"], rep["lhs_se"]])
-    report = lz_mod.mc_vs_lz_report(alpha, r_values,
-                                    [(float(v), float(s)) for v, s in estimates],
-                                    cfg.params)
+            estimates.append([float(rep["lhs"]), float(rep["lhs_se"])])
+    report = lz_mod.mc_vs_lz_report(alpha, r_values, estimates, cfg.params)
     out.record({"experiment": "mc-vs-lz", **report})
 
 

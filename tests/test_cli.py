@@ -1,14 +1,18 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from sinhgordon.config import parse_config, with_overrides
+from sinhgordon.config import OPTIONS, parse_config, with_overrides
 from sinhgordon.errors import ConfigError
 from sinhgordon.runner import run
 
@@ -129,17 +133,92 @@ def test_non_object_blocks_exit_two(tmp_path, capsys):
     ("two-point", {"separations": "abc"}),
     ("two-point", {"separations": [0.25, None]}),
     ("partition", {"T_list": 0.5}),
+    ("gmc-mass", {"sigma": "x"}),
+    ("gmc-mass", {"sigma": 2}),
+    ("gmc-mass", {"sigma": 1.7}),
+    ("gmc-mass", {"sigma": True}),
+    ("gmc-mass", {"t_max": "0.5"}),
+    ("gmc-mass", {"t_min": 0.5, "t_max": 0.25}),
+    ("vertex", {"alpha": "x"}),
+    ("vertex", {"n_list": [4, 8], "method": "bogus"}),
+    ("lz", {"alpha": "x"}),
+    ("lz", {"tol": "1e-3"}),
+    ("lz", {"tol": 0}),
+    ("moments", {"p": "x"}),
+    ("mc-vs-lz", {"estimates": [["a", 0.1]]}),
+    ("mc-vs-lz", {"estimates": 5}),
+    ("mc-vs-lz", {"R_values": "12"}),
+    ("mc-vs-lz", {"R_values": [1, 2, 4], "estimates": [[0.95, 0.05], [0.91, 0.03]]}),
+    ("gap-fit", {"separations": "abc", "covariances": [0.3, 0.2, 0.1],
+                 "std_errors": [1e-6] * 3}),
+    ("gap-fit", {"separations": [0.5, 1.0, 1.5, 2.0], "covariances": [0.3, 0.2, 0.1],
+                 "std_errors": [1e-6] * 3}),
+    ("gap-fit", {"csv": "no-such-curve.csv"}),
+    ("gap-fit", {"csv": "no-column.csv"}),
+    ("gap-fit", {"csv": "bad-cell.csv"}),
+    ("ground-state", {"bins_c": "4"}),
+    ("ground-state", {"bins_c": 0}),
+    ("ground-state", {"bins_x": 0}),
+    ("scaling-check", {"t_min": "0"}),
+    ("lambda0", {"drop_smallest": "false"}),
 ], ids=["validate-typo", "sample-typo", "sample-string-c", "lambda0-string-T_list",
         "lambda0-string-entry", "two-point-string-alpha", "two-point-string-separations",
-        "two-point-null-separation", "partition-scalar-T_list"])
+        "two-point-null-separation", "partition-scalar-T_list",
+        "gmc-mass-string-sigma", "gmc-mass-sigma-two", "gmc-mass-fractional-sigma", "gmc-mass-bool-sigma",
+        "gmc-mass-string-t_max", "gmc-mass-reversed-region", "vertex-string-alpha",
+        "vertex-unknown-method-with-n_list", "lz-string-alpha", "lz-string-tol", "lz-zero-tol",
+        "moments-string-p", "mc-vs-lz-string-estimate", "mc-vs-lz-scalar-estimates",
+        "mc-vs-lz-string-R_values", "mc-vs-lz-estimates-short",
+        "gap-fit-string-separations", "gap-fit-unequal-lengths", "gap-fit-missing-csv",
+        "gap-fit-csv-missing-column", "gap-fit-csv-non-numeric-cell",
+        "ground-state-string-bins_c", "ground-state-zero-bins_c", "ground-state-zero-bins_x",
+        "scaling-check-string-t_min", "lambda0-string-drop_smallest"])
 def test_bad_experiment_options_exit_two(tmp_path, experiment, options):
+    # the csv cases name these files relative to the working directory
+    (tmp_path / "no-column.csv").write_text("separation,covariance\n0.5,0.1\n1.0,0.05\n")
+    (tmp_path / "bad-cell.csv").write_text(
+        "separation,covariance,std_error\n0.5,0.1,1e-6\n1.0,abc,1e-6\n1.5,0.02,1e-6\n")
     path = write_config(tmp_path, base_config(experiment, options))
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-m", "sinhgordon", "--config", path, "--fast",
-                           "--out-dir", str(tmp_path / "out")],
+                           "--out-dir", str(tmp_path / "out")], cwd=tmp_path,
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "config error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def _wrong_values(kind):
+    """Values of the wrong type for an option kind of OPTIONS; a nested list is
+    three deep, so it is wrong for the arrays of arrays too."""
+    wrong = [st.none(), st.just(float("nan")),
+             st.lists(st.lists(st.lists(st.floats(-10, 10), min_size=1, max_size=2),
+                               min_size=1, max_size=2), min_size=1, max_size=2)]
+    if kind is not bool:
+        wrong.append(st.booleans())
+    if kind is not str:
+        wrong.append(st.text(max_size=8).filter(
+            lambda v: not (isinstance(kind, tuple) and v in kind)))
+    return st.one_of(wrong)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_wrongly_typed_option_is_rejected_before_dispatch(data):
+    # one wrongly typed option per experiment: exit 2 from the config parse,
+    # before the output directory exists
+    with tempfile.TemporaryDirectory() as tmp:
+        for experiment, table in OPTIONS.items():
+            if not table:
+                continue
+            key = data.draw(st.sampled_from(sorted(table)), label=experiment)
+            value = data.draw(_wrong_values(table[key][0]), label=key)
+            path = write_config(Path(tmp), base_config(experiment, {key: value}))
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = run(path, out_dir=str(Path(tmp) / "out"))
+            assert code == 2, (experiment, key, value)
+            assert "config error:" in err.getvalue() and "Traceback" not in err.getvalue()
+            assert not (Path(tmp) / "out").exists()
 
 
 def test_negative_seed_override_exits_two(tmp_path, capsys):
@@ -194,6 +273,14 @@ def test_partition_and_lambda0(tmp_path):
     assert run(path2, out_dir=str(tmp_path / "out2")) == 0
     rec = read_records(tmp_path / "out2", "lambda0")[0]
     assert rec["estimate"] > 0
+
+
+def test_lambda0_drop_smallest_false_keeps_the_smallest_t(tmp_path):
+    path = write_config(tmp_path, base_config(
+        "lambda0", {"T_list": [0.5, 0.75, 1.0, 1.25], "drop_smallest": False,
+                    "backend": "plain"}))
+    assert run(path, out_dir=str(tmp_path / "out"), fast=True) == 0
+    assert read_records(tmp_path / "out", "lambda0")[0]["fit_window"] == [0.5, 0.75, 1.0, 1.25]
 
 
 def test_vertex_and_two_point(tmp_path):
