@@ -6,9 +6,10 @@ the output is identical for any worker count.  Workers are threads: the heavy
 kernels (matmul, exp) release the GIL.
 
 While a pool runs, numpy's bundled OpenBLAS is held at one thread, so N
-workers keep N cores busy instead of N times the BLAS thread count.  OpenBLAS
-splits a matmul's output across its threads, never a dot product, so the
-pinning leaves every result bit-identical.
+workers keep N cores busy instead of N times the BLAS thread count
+(``runner.run`` holds it for a whole experiment, whatever the worker count).
+OpenBLAS splits a matmul's output across its threads, never a dot product, so
+the pinning leaves every result bit-identical.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import ctypes
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -121,14 +123,20 @@ def blas_threads(workers: int) -> int | None:
     return 1 if threads is not None and workers > 1 else threads
 
 
+@contextmanager
+def one_blas_thread():
+    """Hold OpenBLAS at one thread inside the block, then restore the count."""
+    _BLAS.pin()
+    try:
+        yield
+    finally:
+        _BLAS.unpin()
+
+
 def map_chunks(fn, chunks, workers: int = 1):
     """Apply ``fn`` to every chunk, preserving chunk order in the result."""
     workers = resolve_workers(workers)
     if workers <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
-    _BLAS.pin()
-    try:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, chunks))
-    finally:
-        _BLAS.unpin()
+    with one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, chunks))

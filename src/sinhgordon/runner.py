@@ -11,8 +11,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import platform
+import resource
 import sys
 import time
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +29,7 @@ from .errors import ConfigError, SinhGordonError
 from .gff import TimeGrid, dump_path, evolve_path, fluctuation_grid, stream_paths, \
     truncated_slice_cov
 from .gmc import Region, circle_spec, fourier_spec
-from .parallel import blas_threads, resolve_workers
+from .parallel import blas_threads, one_blas_thread, resolve_workers
 from .params import reduce_to_unit_radius
 from .propagator import CQuadrature, partition_curve
 from .results import _jsonable, params_fingerprint
@@ -34,24 +37,34 @@ from .smc import SmcSettings, smc_log_partition
 
 
 class OutputWriter:
+    """Records, CSVs and the manifest of one run, under ``out_dir``.
+
+    The directory is made on the first write, so a run that fails before
+    writing anything leaves none behind.
+    """
+
     def __init__(self, out_dir: str | Path):
         self.dir = Path(out_dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
         self._records = []
+
+    def path(self, name: str) -> Path:
+        self.dir.mkdir(parents=True, exist_ok=True)
+        return self.dir / name
 
     def record(self, rec: dict) -> None:
         self._records.append(_jsonable(rec))
 
     def csv(self, name: str, header, rows) -> Path:
-        path = self.dir / name
+        path = self.path(name)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(header)
             w.writerows(rows)
         return path
 
-    def flush(self, cfg: RunConfig, wall_s: float, workers: int) -> None:
-        with open(self.dir / "records.jsonl", "w") as fh:
+    def flush(self, cfg: RunConfig, wall_s: float, workers: int,
+              traceback_text: str | None = None) -> None:
+        with open(self.path("records.jsonl"), "w") as fh:
             for rec in self._records:
                 fh.write(json.dumps(rec, sort_keys=True) + "\n")
         manifest = {
@@ -61,9 +74,20 @@ class OutputWriter:
             "n_records": len(self._records),
             "workers": workers,
             "blas_threads": blas_threads(workers),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "peak_rss_mb": _peak_rss_mb(),
         }
-        with open(self.dir / "manifest.json", "w") as fh:
+        if traceback_text is not None:
+            manifest["traceback"] = traceback_text
+        with open(self.path("manifest.json"), "w") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
+
+
+def _peak_rss_mb() -> float:
+    """Peak resident set size of this process so far, in MB of 2**20 bytes."""
+    rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return round(rss / (2**20 if sys.platform == "darwin" else 2**10), 1)
 
 
 def _gmc_spec(cfg: RunConfig, sigma: int = +1):
@@ -130,7 +154,7 @@ def _exp_sample(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     init = sample_circle_field(cfg.sampler.n_modes, "stationary", cfg.estimator.seed)
     grid = TimeGrid(cfg.sampler.dt, int(round(2 * cfg.sampler.window / cfg.sampler.dt)))
     path = evolve_path(init, cfg.opts["c"], grid, seed=cfg.estimator.seed)
-    with open(out.dir / "path.bin", "wb") as fh:
+    with open(out.path("path.bin"), "wb") as fh:
         dump_path(path, fh)
     out.record({"experiment": "sample", "n_modes": path.n_modes,
                 "n_steps": grid.n_steps, "file": "path.bin"})
@@ -360,6 +384,15 @@ _DISPATCH = {
 assert set(_DISPATCH) == set(EXPERIMENTS)
 
 
+# The faults of the program and of numpy: Python's built-in error families.  A
+# caller's own exception raised through a wrapped ``_DISPATCH`` entry is not a
+# fault of the run and passes through (perfbench stops its setup probes at
+# dispatch that way).
+_FAULTS = (ArithmeticError, AssertionError, AttributeError, EOFError, ImportError,
+           LookupError, MemoryError, NameError, OSError, RuntimeError, TypeError,
+           ValueError)
+
+
 def run(config_path: str, seed: int | None = None, workers: int | None = None,
         fast: bool = False, out_dir: str = "runs") -> int:
     """Execute one experiment; returns the process exit code."""
@@ -370,20 +403,35 @@ def run(config_path: str, seed: int | None = None, workers: int | None = None,
         return 2
     out = OutputWriter(Path(out_dir) / cfg.experiment)
     workers = resolve_workers(workers)
+    # One BLAS thread for the whole run at every worker count: on the serial
+    # path a second thread costs more CPU than it saves on the small per-slice
+    # matmuls, and the pool pins it anyway.  The manifest is written inside,
+    # so its blas_threads is the count the experiment ran at.
+    with one_blas_thread():
+        return _execute(cfg, out, workers)
+
+
+def _execute(cfg: RunConfig, out: OutputWriter, workers: int) -> int:
     t0 = time.perf_counter()
+    tb = None
     try:
         _DISPATCH[cfg.experiment](cfg, out, workers)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SinhGordonError as exc:
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        out.record({"experiment": cfg.experiment, "status": "failed", "error": str(exc)})
+        error = str(exc)
+    except _FAULTS as exc:
+        error = f"{type(exc).__name__}: {exc}"
+        tb = "".join(traceback.format_exception(exc))
+    else:
         out.flush(cfg, time.perf_counter() - t0, workers)
-        return 1
-    out.flush(cfg, time.perf_counter() - t0, workers)
-    print(f"{cfg.experiment}: ok ({len(out._records)} records in {out.dir})")
-    return 0
+        print(f"{cfg.experiment}: ok ({len(out._records)} records in {out.dir})")
+        return 0
+    print(f"runtime failure: {error}", file=sys.stderr)
+    out.record({"experiment": cfg.experiment, "status": "failed", "error": error})
+    out.flush(cfg, time.perf_counter() - t0, workers, tb)
+    return 1
 
 
 def main(argv=None) -> int:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sinhgordon import runner
 from sinhgordon.config import OPTIONS, parse_config, with_overrides
 from sinhgordon.errors import ConfigError
 from sinhgordon.runner import run
@@ -380,8 +382,8 @@ def test_workers_do_not_change_results(tmp_path):
 
 
 def test_workers_do_not_change_plain_engine_records(tmp_path):
-    # three chunks of the plain engine: its matmuls run at 1 BLAS thread in
-    # the pool and at the default count on the serial path
+    # three chunks of the plain engine, in the pool and on the serial path;
+    # the run holds the matmuls at 1 BLAS thread on both
     r1, r2 = _records_at_one_and_two_workers(
         tmp_path, "vertex", {"alpha": 0.5, "method": "both"}, 600)
     assert [r["method"] for r in r1] == ["direct", "girsanov"]
@@ -402,6 +404,41 @@ def test_smc_off_grid_span_is_a_clean_failure(tmp_path):
     rec = read_records(tmp_path / "out", "lambda0")[-1]
     assert rec["status"] == "failed" and "not a multiple of dt" in rec["error"]
     assert (tmp_path / "out" / "lambda0" / "manifest.json").exists()
+
+
+def test_unexpected_exception_is_a_clean_failure(tmp_path, capsys, monkeypatch):
+    def broken(cfg, out, workers):
+        out.record({"experiment": "lz", "value": 1.0})
+        return 1 / 0
+
+    monkeypatch.setitem(runner._DISPATCH, "lz", broken)
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, base_config("lz")), out_dir=str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["runtime failure: ZeroDivisionError: division by zero"]
+    assert read_records(out, "lz")[-1] == {
+        "experiment": "lz", "status": "failed",
+        "error": "ZeroDivisionError: division by zero"}
+    manifest = json.loads((out / "lz" / "manifest.json").read_text())
+    assert manifest["n_records"] == 2
+    assert "in broken" in manifest["traceback"]
+
+
+def test_config_error_inside_an_experiment_leaves_no_output(tmp_path, capsys):
+    path = write_config(tmp_path, base_config("gap-fit", {"csv": str(tmp_path / "missing.csv")}))
+    assert run(path, out_dir=str(tmp_path / "out")) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_manifest_records_versions_and_peak_rss(tmp_path):
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, base_config("lz")), out_dir=str(out)) == 0
+    manifest = json.loads((out / "lz" / "manifest.json").read_text())
+    assert manifest["python"] == platform.python_version()
+    assert manifest["numpy"] == np.__version__
+    assert 1.0 < manifest["peak_rss_mb"] < 1e5
+    assert "traceback" not in manifest
 
 
 def test_worker_env_override(monkeypatch):

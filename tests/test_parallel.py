@@ -1,10 +1,14 @@
-"""OpenBLAS thread pinning around the worker pool of ``map_chunks``."""
+"""OpenBLAS thread pinning around the worker pool of ``map_chunks`` and
+around a whole ``runner.run``."""
 
+import json
 import sys
 import threading
 
 import pytest
 
+from sinhgordon import runner
+from sinhgordon.errors import ConfigError, SinhGordonError
 from sinhgordon.parallel import _BLAS, blas_threads, map_chunks
 
 pytestmark = pytest.mark.skipif(_BLAS.threads() is None,
@@ -74,4 +78,58 @@ def test_overlapping_pools_restore_the_count_once(two_blas_threads):
         sys.setswitchinterval(switch)
     assert errors == []
     assert seen == [1] * 36
+    assert _BLAS.threads() == two_blas_threads
+
+
+def _gap_fit_config(tmp_path):
+    path = tmp_path / "gap-fit.json"
+    path.write_text(json.dumps({
+        "params": {"gamma": 1.0, "mu": 1.0, "radius": 1.0},
+        "sampler": {"n_modes": 8, "dt": 0.125, "window": 0.5},
+        "gmc": {"regularization": {"kind": "fourier", "n": 8}, "theta_cells": 16},
+        "estimator": {"n_samples": 100, "seed": 1, "c_window": 8.0, "c_nodes": 17},
+        "experiment": {"name": "gap-fit", "options": {
+            "separations": [0.5, 1.0, 1.5, 2.0], "covariances": [0.3, 0.2, 0.12, 0.07],
+            "std_errors": [1e-3] * 4}},
+    }))
+    return str(path)
+
+
+class _CallerStop(Exception):
+    """A caller's own exception, not one of the run's faults."""
+
+
+@pytest.mark.parametrize("raised, code", [
+    (None, 0), (ConfigError("bad option"), 2), (SinhGordonError("signal lost"), 1),
+    (ZeroDivisionError("division by zero"), 1), (_CallerStop(), None),
+], ids=["ok", "config-error", "package-error", "unexpected", "caller-exception"])
+def test_run_holds_one_blas_thread_and_restores(two_blas_threads, tmp_path, monkeypatch,
+                                                raised, code):
+    experiment = runner._DISPATCH["gap-fit"]
+    seen = []
+
+    def dispatched(*args):
+        seen.append(_BLAS.threads())
+        if raised is not None:
+            raise raised
+        experiment(*args)
+
+    monkeypatch.setitem(runner._DISPATCH, "gap-fit", dispatched)
+    path = _gap_fit_config(tmp_path)
+    if code is None:
+        with pytest.raises(_CallerStop):
+            runner.run(path, workers=1, out_dir=str(tmp_path / "out"))
+    else:
+        assert runner.run(path, workers=1, out_dir=str(tmp_path / "out")) == code
+    assert seen == [1]
+    assert _BLAS.threads() == two_blas_threads
+
+
+def test_manifest_reports_the_count_the_run_used(two_blas_threads, tmp_path):
+    path = _gap_fit_config(tmp_path)
+    for workers in (1, 2):
+        out = tmp_path / f"w{workers}"
+        assert runner.run(path, workers=workers, out_dir=str(out)) == 0
+        manifest = json.loads((out / "gap-fit" / "manifest.json").read_text())
+        assert (manifest["workers"], manifest["blas_threads"]) == (workers, 1)
     assert _BLAS.threads() == two_blas_threads
