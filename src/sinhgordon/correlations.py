@@ -27,8 +27,8 @@ from .gff import CircleAverage, TimeGrid, fluctuation_grid, stream_paths, trunca
 from .gmc import GmcSpec, SliceMass, fourier_spec, harmonic_number, region_time_weights, \
     theta_nodes
 from .params import ModelParams, reduce_to_unit_radius, validate_params
-from .parallel import map_chunks, seed_chunks, stateless_children
-from .propagator import CQuadrature, default_c_quadrature, fk_weights, _seed_int
+from .parallel import map_replicas, seed_int, stateless_children
+from .propagator import CQuadrature, default_c_quadrature, fk_weights
 from .results import EstimatorResult, jackknife_func, jackknife_ratio, params_fingerprint
 from .smc import ShiftTask, SmcSettings, combine_ratio, smc_flow
 
@@ -177,7 +177,7 @@ def _tap_rows(entries, reg: GmcSpec, grid: TimeGrid, n_modes: int) -> set[int]:
     """Rows whose slices a vertex task reads: the insertion rows and their averaging circles."""
     circle = None
     if reg.kind == "circle":
-        circle = CircleAverage(reg.epsilon, grid.dt, reg.quadrature_points)
+        circle = CircleAverage(reg.epsilon, grid.dt)
     elif reg.n_modes > n_modes:
         raise IndexOutOfRange(f"requested {reg.n_modes} modes, path has {n_modes}")
     rows = set()
@@ -201,7 +201,7 @@ def _insertion_field_values(taps, grid, entries_proc, reg: GmcSpec):
         k = grid.index_of(s_i)
         b, x, y = taps[k]
         if reg.kind == "circle":
-            circle = CircleAverage(reg.epsilon, grid.dt, reg.quadrature_points)
+            circle = CircleAverage(reg.epsilon, grid.dt)
             x, y = circle.modes(lambda r: taps[r][1:], k)
         n_used = reg.n_modes if reg.kind == "fourier" else None
         val = fluctuation_grid(x, y, np.array([th_i]), n_used)[:, 0]
@@ -258,9 +258,7 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
             raise ValueError(f"unknown task kind {kind!r}")
     store = any(task["kind"] == "observable" for task in tasks)
 
-    def run(chunk):
-        sub_seed, size = chunk
-        rng = np.random.default_rng(sub_seed)
+    def run(rng, size):
         kernel = SliceMass(gamma, harmonic_number(n_modes), dtheta, nodes, n_modes)
         m_plus, m_minus = np.zeros(size), np.zeros(size)
         shifted = {i: np.zeros((2, size)) for i, task in enumerate(prepared)
@@ -282,31 +280,28 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
             if store:
                 stored.append((b.copy(), x.copy(), y.copy()))
         w = fk_weights(m_plus, m_minus, cs, mu, gamma)
-        out = {"den": w @ cw, "num": []}
+        out = {"den": w @ cw}   # and one numerator column per task, keyed by its index
         for i, task in enumerate(prepared):
             kind = task["kind"]
             if kind == "vertex":
                 log_v = _insertion_field_values(taps, grid, task["entries"], task["reg"])
                 cfac = cw * np.exp(task["total_alpha"] * cs)
-                out["num"].append(np.exp(log_v) * (w @ cfac))
+                out[i] = np.exp(log_v) * (w @ cfac)
             elif kind == "girsanov":
                 wg = fk_weights(shifted[i][0], shifted[i][1], cs, mu, gamma)
                 cfac = cw * np.exp(task["total_alpha"] * cs)
-                out["num"].append(math.exp(task["scalar"]) * (wg @ cfac))
+                out[i] = math.exp(task["scalar"]) * (wg @ cfac)
             else:
                 f = task["f"]
                 win = WindowPaths(grid, t_half, *(np.stack(arrs, axis=1) for arrs in zip(*stored)))
                 acc = np.zeros(size)
                 for j, c in enumerate(cs):
                     acc += cw[j] * w[:, j] * np.asarray(f(c, win), dtype=float)
-                out["num"].append(acc)
+                out[i] = acc
         return out
 
-    chunks = seed_chunks(seed, n_samples, batch)
-    parts = map_chunks(run, chunks, workers)
-    den = np.concatenate([p["den"] for p in parts])
-    nums = [np.concatenate([p["num"][i] for p in parts]) for i in range(len(tasks))]
-    return {"den": den, "num": nums, "grid": grid}
+    cols = map_replicas(run, seed, n_samples, batch, workers)
+    return {"den": cols["den"], "num": [cols[i] for i in range(len(tasks))]}
 
 
 def _entries_to_process(entries, t_half: float, grid_dt: float):
@@ -354,7 +349,7 @@ def finite_T_expectation(observable, t_half: float, params: ModelParams, *,
                            workers=workers)
     est, se = jackknife_ratio(res["num"][0], res["den"])
     return EstimatorResult(
-        mean=est, std_error=se, n_samples=n_samples, seed=_seed_int(seed),
+        mean=est, std_error=se, n_samples=n_samples, seed=seed_int(seed),
         fingerprint=_fingerprint(params, {"op": "finite_T", "t_half": t_half}),
         wall_ms=1e3 * (time.perf_counter() - t0))
 
@@ -373,7 +368,7 @@ def _vertex_result(op: str, insertions: InsertionSet, t_half: float, params: Mod
                    est: float, se: float, n_samples: int, seed, wall_ms: float,
                    diagnostics: dict) -> EstimatorResult:
     out = EstimatorResult(
-        mean=est, std_error=se, n_samples=n_samples, seed=_seed_int(seed),
+        mean=est, std_error=se, n_samples=n_samples, seed=seed_int(seed),
         fingerprint=_fingerprint(params, {"op": op, "t_half": t_half,
                                           "entries": list(insertions.entries)}),
         wall_ms=wall_ms)
@@ -639,8 +634,7 @@ def scaling_one_point(alpha: float, radius: float, params: ModelParams, *,
         raise InadmissibleAlpha(f"|alpha| must be < {base.q_const}")
     unit = reduce_to_unit_radius(base)
     t_half_reduced = t_half / radius
-    ss = np.random.SeedSequence(seed)
-    child_a, child_b = ss.spawn(2)
+    child_a, child_b = stateless_children(seed, 2)
     ins = make_insertions([(alpha, 0.0, 0.0)], unit)
     factor = radius ** (alpha * alpha / 2.0)
     common = dict(dt=dt, n_modes=n_modes, theta_cells=theta_cells, n_samples=n_samples,

@@ -166,14 +166,28 @@ def ou_step(rng: np.random.Generator, b: np.ndarray, x: np.ndarray, y: np.ndarra
             dst_blk += z
 
 
-def _stream(rng: np.random.Generator, x: np.ndarray, y: np.ndarray, grid: TimeGrid):
-    """Step the caller-owned (R, N) modes ``x, y`` in place from a zero Brownian part.
+def stream_paths(rng: np.random.Generator, n_paths: int, n_modes: int, grid: TimeGrid,
+                 initial: CircleField | None = None):
+    """The one path stepper: a batch of paths, one time slice at a time.
 
-    Yields ``(k, b, x, y)`` for k = 0..K; the arrays are reused, so a consumer
-    that keeps a slice copies it.  The noise scratch is one stepper block,
-    never more rows than the batch.
+    Draws the start (stationary x0 then y0, or the fixed slice ``initial``),
+    then B, x and y at every step, and yields ``(k, b, x, y)`` with b (R,) and
+    x, y (R, N) for k = 0..K; with ``initial`` its mode count replaces
+    ``n_modes``.  The buffers are reused from slice to slice, so memory does
+    not grow with K, and a consumer that keeps a slice copies it.  Each step
+    goes through :func:`ou_step` in row blocks of about 2^17 elements (2048
+    rows at N = 64): B, then x block by block, then y block by block, which
+    draws the normals in the same order as an unblocked step.  The noise
+    scratch is one block, never larger than the batch, so it stays within
+    1 MB whatever R.
     """
-    n_paths, n_modes = x.shape
+    if initial is None:
+        x = rng.standard_normal((n_paths, n_modes))
+        y = rng.standard_normal((n_paths, n_modes))
+    else:
+        x = np.broadcast_to(initial.xs, (n_paths, initial.n_modes)).copy()
+        y = np.broadcast_to(initial.ys, (n_paths, initial.n_modes)).copy()
+    n_modes = x.shape[1]
     decay, std = ou_step_coeffs(np.arange(1, n_modes + 1), grid.dt)
     sqrt_dt = np.sqrt(grid.dt)
     b = np.zeros(n_paths)
@@ -184,46 +198,6 @@ def _stream(rng: np.random.Generator, x: np.ndarray, y: np.ndarray, grid: TimeGr
         yield k, b, x, y
 
 
-def stream_paths(rng: np.random.Generator, n_paths: int, n_modes: int, grid: TimeGrid,
-                 initial: CircleField | None = None):
-    """The one path stepper: a batch of paths, one time slice at a time.
-
-    Draws the start (stationary x0 then y0, or the fixed slice ``initial``),
-    then B, x and y at every step, and yields ``(k, b, x, y)`` with b (R,) and
-    x, y (R, N) for k = 0..K.  The buffers are reused from slice to slice, so
-    memory does not grow with K.  Each step goes through :func:`ou_step` in
-    row blocks of about 2^17 elements (2048 rows at N = 64): B, then x block
-    by block, then y block by block, which draws the normals in the same
-    order as an unblocked step.  The noise scratch is one block, never larger
-    than the batch, so it stays within 1 MB whatever R.
-    """
-    if initial is None:
-        x = rng.standard_normal((n_paths, n_modes))
-        y = rng.standard_normal((n_paths, n_modes))
-    else:
-        x = np.broadcast_to(initial.xs, (n_paths, initial.n_modes)).copy()
-        y = np.broadcast_to(initial.ys, (n_paths, initial.n_modes)).copy()
-    yield from _stream(rng, x, y, grid)
-
-
-def _collect(stream, n_paths: int, n_modes: int, grid: TimeGrid):
-    """Store a path stream as (B, X, Y) with shapes (R, K+1), (R, K+1, N), (R, K+1, N)."""
-    brownian = np.empty((n_paths, grid.n_steps + 1))
-    xs = np.empty((n_paths, grid.n_steps + 1, n_modes))
-    ys = np.empty((n_paths, grid.n_steps + 1, n_modes))
-    for k, b, x, y in stream:
-        brownian[:, k] = b
-        xs[:, k] = x
-        ys[:, k] = y
-    return brownian, xs, ys
-
-
-def _evolve_arrays(rng: np.random.Generator, x0: np.ndarray, y0: np.ndarray, grid: TimeGrid):
-    """Evolve a batch of initial (R, N) modes; returns the stored (B, X, Y)."""
-    return _collect(_stream(rng, np.array(x0, dtype=float), np.array(y0, dtype=float), grid),
-                    *x0.shape, grid)
-
-
 def sample_path_batch(rng: np.random.Generator, n_paths: int, n_modes: int,
                       grid: TimeGrid, initial: CircleField | None = None):
     """Stored batch of paths from a stationary draw (default) or a fixed slice.
@@ -232,15 +206,19 @@ def sample_path_batch(rng: np.random.Generator, n_paths: int, n_modes: int,
     (R, K+1), (R, K+1, N), (R, K+1, N).
     """
     n_modes = n_modes if initial is None else initial.n_modes
-    return _collect(stream_paths(rng, n_paths, n_modes, grid, initial), n_paths, n_modes, grid)
+    brownian = np.empty((n_paths, grid.n_steps + 1))
+    xs = np.empty((n_paths, grid.n_steps + 1, n_modes))
+    ys = np.empty_like(xs)
+    for k, b, x, y in stream_paths(rng, n_paths, n_modes, grid, initial):
+        brownian[:, k], xs[:, k], ys[:, k] = b, x, y
+    return brownian, xs, ys
 
 
 def evolve_path(initial: CircleField, c: float, grid: TimeGrid, seed=None) -> PathSample:
     """Evolve one path from a fixed initial slice with an exact update scheme."""
     if grid.n_steps < 1:
         raise EmptyGrid("grid must have at least one step")
-    rng = np.random.default_rng(seed)
-    b, x, y = _evolve_arrays(rng, initial.xs[None, :], initial.ys[None, :], grid)
+    b, x, y = sample_path_batch(np.random.default_rng(seed), 1, initial.n_modes, grid, initial)
     start = CircleField(float(c), initial.xs.copy(), initial.ys.copy())
     return PathSample(grid=grid, brownian=b[0], mode_x=x[0], mode_y=y[0], initial=start)
 
@@ -349,6 +327,8 @@ def truncated_slice_cov(n_modes: int, dt_abs, dtheta):
 # Circle average
 # ---------------------------------------------------------------------------
 
+CIRCLE_QUADRATURE_POINTS = 16  # angles of the circle average of a chaos density
+
 class CircleAverage:
     """The one circle average: the mode field averaged over a radius-epsilon circle in (t, theta).
 
@@ -358,7 +338,8 @@ class CircleAverage:
     at most 2 epsilon/dt + 1 slices.
     """
 
-    def __init__(self, epsilon: float, dt: float, quadrature_points: int = 16):
+    def __init__(self, epsilon: float, dt: float,
+                 quadrature_points: int = CIRCLE_QUADRATURE_POINTS):
         ratio = epsilon / dt
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise EpsilonGridMismatch(f"epsilon={epsilon} is not a positive multiple of dt={dt}")
@@ -386,7 +367,7 @@ class CircleAverage:
 
 
 def circle_average(path: PathSample, epsilon: float, k: int, theta: float,
-                   quadrature_points: int = 16) -> float:
+                   quadrature_points: int = CIRCLE_QUADRATURE_POINTS) -> float:
     """Average of the field over a radius-epsilon circle in (t, theta).
 
     The average applies to the mode field only; the Brownian zero mode enters

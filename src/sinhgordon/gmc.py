@@ -26,6 +26,7 @@ from .gff import (
     stream_paths,
     theta_basis,
 )
+from .parallel import seed_int, stateless_children
 from .params import ModelParams, reduce_to_unit_radius
 from .results import EstimatorResult, mean_and_se, params_fingerprint
 
@@ -79,7 +80,6 @@ class GmcSpec:
     kind: str                      # "fourier" | "circle"
     n_modes: int | None = None
     epsilon: float | None = None
-    quadrature_points: int = 16
 
     def __post_init__(self):
         if self.sigma not in (+1, -1):
@@ -109,9 +109,8 @@ def fourier_spec(sigma: int, n_modes: int) -> GmcSpec:
     return GmcSpec(sigma=sigma, kind="fourier", n_modes=n_modes)
 
 
-def circle_spec(sigma: int, epsilon: float, quadrature_points: int = 16) -> GmcSpec:
-    return GmcSpec(sigma=sigma, kind="circle", epsilon=epsilon,
-                   quadrature_points=quadrature_points)
+def circle_spec(sigma: int, epsilon: float) -> GmcSpec:
+    return GmcSpec(sigma=sigma, kind="circle", epsilon=epsilon)
 
 
 def renorm_constant(n: int) -> float:
@@ -222,7 +221,7 @@ def mass_pair_slices(brownian, fields, gamma, renorm, dtheta):
 
 def _circle_average(spec: GmcSpec, grid: TimeGrid, weights: np.ndarray) -> CircleAverage:
     """The circle average of ``spec``, checked to fit around every row ``weights`` uses."""
-    circle = CircleAverage(spec.epsilon, grid.dt, spec.quadrature_points)
+    circle = CircleAverage(spec.epsilon, grid.dt)
     rows = np.flatnonzero(weights)
     if not (circle.covers(rows[0], grid.n_steps) and circle.covers(rows[-1], grid.n_steps)):
         raise RegionOutsideGrid("averaging circle leaves the sampled span inside the region")
@@ -316,15 +315,14 @@ def circle_potential(field: CircleField, sign: int, k_trunc: int, params: ModelP
 
 def sample_region_masses(region: Region, spec: GmcSpec, params: ModelParams,
                          n_samples: int, seed, dt: float = 1.0 / 64.0,
-                         theta_cells: int = 128, batch: int = 512,
-                         margin: float | None = None) -> np.ndarray:
+                         theta_cells: int = 128, batch: int = 512) -> np.ndarray:
     """Stationary-start Monte Carlo draws of the mass of one region.
 
-    Returns the (n_samples,) array of masses.  ``margin`` extends the sampled
-    span beyond the region (needed by the circle regularization).
+    Returns the (n_samples,) array of masses.  The circle regularization needs
+    epsilon of sampled span on both sides of the region: the paths run to
+    t_max + epsilon, and t_min must be at least epsilon.
     """
-    if margin is None:
-        margin = spec.epsilon if spec.kind == "circle" else 0.0
+    margin = spec.epsilon if spec.kind == "circle" else 0.0
     t_lo = region.t_min - margin
     if t_lo < -1e-12:
         raise RegionOutsideGrid("circle margin extends below t=0; shift the region")
@@ -386,8 +384,7 @@ def scaling_check(region: Region, params: ModelParams, n_samples: int, seed,
         raise IncompatibleGrids("reduced region spans fewer than 2 grid steps; decrease dt")
     unit = reduce_to_unit_radius(params)
     spec = fourier_spec(sigma, n_modes)
-    ss = np.random.SeedSequence(seed)
-    child_a, child_b = ss.spawn(2)
+    child_a, child_b = stateless_children(seed, 2)
     if r == 1.0:
         child_b = child_a
     side_r = scale * sample_region_masses(reduced, spec, unit, n_samples, child_a,
@@ -437,8 +434,7 @@ def moment_estimator(region: Region, spec: GmcSpec, params: ModelParams, p: floa
         ratios.append(se_c / abs(m_c) if m_c != 0 else float("inf"))
     stable = ratios[2] < ratios[1] < ratios[0] and ratios[2] <= 0.8 * ratios[0]
     result = EstimatorResult(
-        mean=mean, std_error=se, n_samples=n_samples, seed=int(np.random.SeedSequence(seed).entropy)
-        if not isinstance(seed, (int, np.integer)) else int(seed),
+        mean=mean, std_error=se, n_samples=n_samples, seed=seed_int(seed),
         fingerprint=params_fingerprint({"gamma": params.gamma, "mu": params.mu,
                                         "radius": params.radius, "p": p,
                                         "kind": spec.kind, "sigma": spec.sigma}),

@@ -1,9 +1,14 @@
 """Deterministic replica-parallel execution.
 
-Replicas are split into fixed-size chunks; chunk i always receives the i-th
-spawned child of the master seed, and results are reduced in chunk order, so
-the output is identical for any worker count.  Workers are threads: the heavy
-kernels (matmul, exp) release the GIL.
+:func:`map_replicas` is the one place the replica contract lives: replicas
+are split into fixed-size chunks, chunk i draws from the i-th stateless child
+of the master seed, and the chunk results are joined in chunk order, so the
+output is identical for any worker count.  Every plain estimator and the SMC
+runs (one run per chunk) go through it.  Two samplers stay outside because
+they draw from one generator across their batches, so their draws depend on
+the batch order: ``gmc.sample_region_masses`` and the ``validate``
+experiment.  Workers are threads: the heavy kernels (matmul, exp) release the
+GIL.
 
 While a pool runs, numpy's bundled OpenBLAS is held at one thread, so N
 workers keep N cores busy instead of N times the BLAS thread count
@@ -39,6 +44,16 @@ def resolve_workers(explicit: int | None = None) -> int:
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:
     return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+
+
+def seed_int(seed) -> int:
+    """The seed an estimator records: an int as given, a SeedSequence's entropy, else -1."""
+    if isinstance(seed, (int, np.integer)):
+        return int(seed)
+    if isinstance(seed, np.random.SeedSequence):
+        ent = seed.entropy
+        return int(ent if isinstance(ent, int) else ent[0])
+    return -1
 
 
 def stateless_children(seed, n: int):
@@ -140,3 +155,15 @@ def map_chunks(fn, chunks, workers: int = 1):
         return [fn(c) for c in chunks]
     with one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, chunks))
+
+
+def map_replicas(run, seed, n: int, chunk_size: int, workers: int = 1) -> dict:
+    """Run ``run(rng, size)`` over ``n`` replicas in chunks; join its columns in chunk order.
+
+    Chunk i gets ``np.random.default_rng`` of the i-th child of ``seed``
+    (:func:`seed_chunks`).  ``run`` returns ``{name: array}`` with one row per
+    replica; each name is concatenated along axis 0.
+    """
+    parts = map_chunks(lambda chunk: run(np.random.default_rng(chunk[0]), chunk[1]),
+                       seed_chunks(seed, n, chunk_size), workers)
+    return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}

@@ -21,7 +21,7 @@ from .gff import CircleField, TimeGrid, stream_paths
 from .gmc import GmcSpec, SliceMass, harmonic_number, region_time_weights, theta_nodes
 from .gmc import mass_pair_slices  # noqa: F401  (re-exported)
 from .params import ModelParams
-from .parallel import map_chunks, seed_chunks
+from .parallel import map_replicas, seed_int
 from .results import EstimatorResult, jackknife_func, mean_and_se, params_fingerprint
 
 _EXP_CAP = 700.0  # exp argument cap; beyond this the FK weight underflows to 0
@@ -215,9 +215,7 @@ def feynman_kac(observable, t: float, start, params: ModelParams, grid: TimeGrid
     k_end = grid.index_of(t)
     t0 = time.perf_counter()
 
-    def run(chunk):
-        sub_seed, size = chunk
-        rng = np.random.default_rng(sub_seed)
+    def run(rng, size):
         m_plus, m_minus = np.zeros(size), np.zeros(size)
         kernel = SliceMass(gamma, spec.renorm_constant, dtheta, nodes, spec.path_modes)
         for k, b, x, y in stream_paths(rng, size, init.n_modes, grid, initial=init):
@@ -231,12 +229,9 @@ def feynman_kac(observable, t: float, start, params: ModelParams, grid: TimeGrid
         w = fk_weights(m_plus, m_minus, np.array([c0]), mu, gamma)[:, 0]
         return {"vals": obs * w}
 
-    chunks = seed_chunks(seed, n_samples, batch)
-    parts = map_chunks(run, chunks, workers)
-    vals = np.concatenate([p["vals"] for p in parts])
-    mean, se = mean_and_se(vals)
+    mean, se = mean_and_se(map_replicas(run, seed, n_samples, batch, workers)["vals"])
     return EstimatorResult(
-        mean=mean, std_error=se, n_samples=n_samples, seed=_seed_int(seed),
+        mean=mean, std_error=se, n_samples=n_samples, seed=seed_int(seed),
         fingerprint=params_fingerprint({"op": "feynman_kac", "gamma": gamma, "mu": params.mu,
                                         "radius": params.radius, "t": t}),
         wall_ms=1e3 * (time.perf_counter() - t0))
@@ -263,9 +258,7 @@ def feynman_kac_circle_potential(observable, t: float, start, params: ModelParam
     k_end = grid.index_of(t)
     t0 = time.perf_counter()
 
-    def run(chunk):
-        sub_seed, size = chunk
-        rng = np.random.default_rng(sub_seed)
+    def run(rng, size):
         integ = np.zeros(size)
         kernel = SliceMass(gamma, renorm, dtheta, nodes, k_trunc)
         for k, b, x, y in stream_paths(rng, size, init.n_modes, grid, initial=init):
@@ -278,12 +271,9 @@ def feynman_kac_circle_potential(observable, t: float, start, params: ModelParam
                 break
         return {"vals": obs * np.exp(-mu * integ)}
 
-    chunks = seed_chunks(seed, n_samples, batch)
-    parts = map_chunks(run, chunks, workers)
-    vals = np.concatenate([p["vals"] for p in parts])
-    mean, se = mean_and_se(vals)
+    mean, se = mean_and_se(map_replicas(run, seed, n_samples, batch, workers)["vals"])
     return EstimatorResult(
-        mean=mean, std_error=se, n_samples=n_samples, seed=_seed_int(seed),
+        mean=mean, std_error=se, n_samples=n_samples, seed=seed_int(seed),
         fingerprint=params_fingerprint({"op": "feynman_kac_circle", "gamma": gamma,
                                         "mu": params.mu, "radius": params.radius, "t": t}),
         wall_ms=1e3 * (time.perf_counter() - t0))
@@ -331,9 +321,7 @@ def partition_curve(t_half_values, params: ModelParams, quad: CQuadrature,
     cs, cw = quad.nodes()
     ends = [grid.index_of(2.0 * th) for th in t_half_values]
 
-    def run(chunk):
-        sub_seed, size = chunk
-        rng = np.random.default_rng(sub_seed)
+    def run(rng, size):
         z_rows = np.empty((size, len(ends)))
         edge = np.zeros((size, len(ends), 2))
         peak = np.zeros((size, len(ends)))
@@ -355,11 +343,8 @@ def partition_curve(t_half_values, params: ModelParams, quad: CQuadrature,
                 peak[:, j] = w.max(axis=1)
         return {"z": z_rows, "edge": edge, "peak": peak}
 
-    chunks = seed_chunks(seed, n_samples, batch)
-    parts = map_chunks(run, chunks, workers)
-    z = np.concatenate([p["z"] for p in parts], axis=0)
-    edge = np.concatenate([p["edge"] for p in parts], axis=0)
-    peak = np.concatenate([p["peak"] for p in parts], axis=0)
+    cols = map_replicas(run, seed, n_samples, batch, workers)
+    z, edge, peak = cols["z"], cols["edge"], cols["peak"]
     points = []
     for j, th in enumerate(t_half_values):
         mean, se = mean_and_se(z[:, j])
@@ -371,12 +356,3 @@ def partition_curve(t_half_values, params: ModelParams, quad: CQuadrature,
             boundary_fraction=frac, truncation_warning=frac > 1e-6,
             samples=z[:, j].copy() if keep_samples else None))
     return points
-
-
-def _seed_int(seed) -> int:
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    if isinstance(seed, np.random.SeedSequence):
-        ent = seed.entropy
-        return int(ent if isinstance(ent, int) else ent[0])
-    return -1

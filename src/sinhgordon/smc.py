@@ -3,9 +3,9 @@
 The finite-cylinder weight factorizes over time cells, so the damped
 expectations are Feynman-Kac flows: a particle population carries
 (c, B, modes), accumulates the incremental damping of each cell, and is
-resampled systematically whenever the effective sample size drops below a
-threshold.  The product of mean incremental weights is an unbiased estimator
-of the corresponding normalizer.
+resampled systematically whenever the effective sample size drops below
+half the population.  The product of mean incremental weights is an
+unbiased estimator of the corresponding normalizer.
 
 Two estimator styles are built on the flow:
 
@@ -32,16 +32,17 @@ from .errors import GridSpanMismatch, WindowOutsideCylinder
 from .gff import TimeGrid, stream_paths, theta_basis
 from .gmc import SliceMass, harmonic_number, theta_nodes
 from .params import ModelParams, reduce_to_unit_radius
-from .parallel import map_chunks, stateless_children
+from .parallel import map_replicas
 from .propagator import capped_exp
 from .results import jackknife_func
+
+_RESAMPLE_THRESHOLD = 0.5  # resample when the ESS falls below this fraction of the particles
 
 
 @dataclass(frozen=True)
 class SmcSettings:
     n_particles: int = 2048
     n_runs: int = 12
-    resample_threshold: float = 0.5
     c_half_width: float = 8.0      # zero-mode window is [-w/gamma, +w/gamma]
 
 
@@ -105,8 +106,7 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
                 raise WindowOutsideCylinder(f"insertion time {s_i} outside the open cylinder")
             ins_by_step.setdefault(k_i, []).append((gi, float(a), float(th_i)))
 
-    def one_run(run_seed):
-        rng = np.random.default_rng(run_seed)
+    def one_run(rng, _):
         c = rng.uniform(c_lo, c_hi, n)
         log_z = log_width
         log_w = np.zeros(n)
@@ -147,7 +147,7 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
                 hi = log_w.max()
                 w = np.exp(log_w - hi)
                 ess = w.sum() ** 2 / (w ** 2).sum()
-                if ess < settings.resample_threshold * n:
+                if ess < _RESAMPLE_THRESHOLD * n:
                     log_z += hi + math.log(w.mean())
                     idx = _systematic_resample(w / w.sum(), rng.uniform())
                     c = c[idx]
@@ -157,14 +157,10 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
                     s_prev = [s_prev[0][idx], s_prev[1][idx]]
                     regs = [r[idx] for r in regs]
                     log_w = np.zeros(n)
-        return {"log_z": log_z_rows, "means": means}
+        return {"log_z": log_z_rows[None], "group_means": means[None]}
 
-    parts = map_chunks(one_run, stateless_children(seed, settings.n_runs), workers)
-    return {
-        "log_z": np.vstack([p["log_z"] for p in parts]),
-        "group_means": np.vstack([p["means"] for p in parts]) if groups else
-        np.zeros((settings.n_runs, 0)),
-    }
+    # one run per chunk: run r draws from the r-th child of ``seed``
+    return map_replicas(one_run, seed, settings.n_runs, 1, workers)
 
 
 def combine_ratio(log_z: np.ndarray, group_means: np.ndarray, func):

@@ -18,7 +18,7 @@ from .errors import DegenerateFit, SignalLost
 from .gff import TimeGrid, stream_paths
 from .gmc import SliceMass, harmonic_number, region_time_weights, theta_nodes
 from .params import ModelParams, reduce_to_unit_radius
-from .parallel import map_chunks, seed_chunks
+from .parallel import map_replicas
 from .propagator import CQuadrature, default_c_quadrature, fk_damping
 from .results import mean_and_se
 
@@ -173,9 +173,7 @@ def ground_state_profile(t: float, params: ModelParams, *, dt: float = 1.0 / 32.
     c_edges = np.linspace(quad.c_min, quad.c_max, nc + 1)
     x_edges = np.linspace(-x_range, x_range, nx + 1)
 
-    def run(chunk):
-        sub_seed, size = chunk
-        rng = np.random.default_rng(sub_seed)
+    def run(rng, size):
         cs = rng.uniform(quad.c_min, quad.c_max, size)
         m_plus, m_minus = np.zeros(size), np.zeros(size)
         kernel = SliceMass(gamma, harmonic_number(n_modes), dtheta, nodes, n_modes)
@@ -188,11 +186,8 @@ def ground_state_profile(t: float, params: ModelParams, *, dt: float = 1.0 / 32.
         w = fk_damping(m_plus, m_minus, cs, mu, gamma)
         return {"c": cs, "x1": x1, "w": w}
 
-    chunks = seed_chunks(seed, n_samples, batch)
-    parts = map_chunks(run, chunks, workers)
-    cs = np.concatenate([p["c"] for p in parts])
-    x1 = np.concatenate([p["x1"] for p in parts])
-    w = np.concatenate([p["w"] for p in parts])
+    cols = map_replicas(run, seed, n_samples, batch, workers)
+    cs, x1, w = cols["c"], cols["x1"], cols["w"]
 
     values = np.zeros((nc, nx))
     ses = np.zeros((nc, nx))

@@ -524,7 +524,9 @@ def test_vertex_both_streams_each_chunk_once(tmp_path, monkeypatch):
 # Records (without wall_ms) written before the sampler, slice-mass and damping
 # kernels were consolidated, for these configs at --fast and seed 5.  A change
 # that keeps the draw order must reproduce them: the plain engine bit for bit,
-# the particle backend (lambda0) up to re-associated products.
+# the particle backend (lambda0) up to re-associated products.  The two-point
+# (particle flow registers) and mc-vs-lz (particle vertex_direct) records were
+# added later, written before the replica driver took over the particle runs.
 PINNED = json.loads((Path(__file__).parent / "pinned_records.json").read_text())
 PINNED_CONFIGS = {
     "vertex": ({"alpha": 0.5, "method": "both"}, 400),
@@ -532,6 +534,8 @@ PINNED_CONFIGS = {
     "gmc-mass": ({"t_min": 0.0, "t_max": 0.5}, 700),
     "lambda0": ({"T_list": [0.5, 0.75, 1.0]}, 1200),
     "validate": ({}, 3000),
+    "two-point": ({"alpha1": 0.5, "separations": [0.25, 0.5, 0.75]}, 600),
+    "mc-vs-lz": ({"alpha": 0.5, "R_values": [1.0, 2.0]}, 600),
 }
 
 

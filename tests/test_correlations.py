@@ -315,6 +315,13 @@ def test_scaling_one_point_r1_exact(unit_params):
     assert rep["pass"]
 
 
+def test_scaling_one_point_takes_a_seed_sequence(unit_params):
+    # a SeedSequence seed names the same two substreams as its int entropy
+    kw = dict(t_half=0.75, dt=1 / 8, n_modes=8, theta_cells=16, n_samples=300)
+    assert (sg.scaling_one_point(0.5, 2.0, unit_params, seed=np.random.SeedSequence(7), **kw)
+            == sg.scaling_one_point(0.5, 2.0, unit_params, seed=7, **kw))
+
+
 @pytest.mark.parametrize("radius, calls", [(1.0, 1), (2.0, 2)])
 def test_scaling_one_point_runs_r1_once(unit_params, monkeypatch, radius, calls):
     import sinhgordon.correlations as corr

@@ -15,6 +15,7 @@ from sinhgordon.errors import (
     NegativeTime,
 )
 from sinhgordon.gff import (
+    CircleField,
     TimeGrid,
     dump_path,
     fluctuation_grid,
@@ -185,9 +186,9 @@ def test_evolve_transition_moments_from_zero():
     rng = np.random.default_rng(5)
     grid = TimeGrid(1 / 8, 8)
     n_paths = 40000
-    zeros = np.zeros((n_paths, 3))
-    from sinhgordon.gff import _evolve_arrays
-    _, xs, _ = _evolve_arrays(rng, zeros.copy(), zeros.copy(), grid)
+    zeros = np.zeros(3)
+    _, xs, _ = sample_path_batch(rng, n_paths, 3, grid,
+                                 initial=CircleField(0.0, zeros, zeros))
     t_a, t_b, n = 4, 8, 2  # times 0.5 and 1.0, mode index 2
     emp = float(np.mean(xs[:, t_a, n - 1] * xs[:, t_b, n - 1]))
     se = float(np.std(xs[:, t_a, n - 1] * xs[:, t_b, n - 1]) / math.sqrt(n_paths))

@@ -225,6 +225,14 @@ def test_scaling_check_r1_identical(unit_params):
     assert rep["ratio"] == 1.0
 
 
+def test_scaling_check_takes_a_seed_sequence():
+    # a SeedSequence seed names the same two substreams as its int entropy
+    args = (Region(0.0, 0.5), sg.validate_params(1.0, 1.0, 2.0))
+    kw = dict(n_samples=40, dt=1 / 8, theta_cells=16, n_modes=8)
+    assert (sg.scaling_check(*args, seed=np.random.SeedSequence(7), **kw)
+            == sg.scaling_check(*args, seed=7, **kw))
+
+
 def test_scaling_check_degenerate_region(unit_params):
     rep = sg.scaling_check(Region(0.5, 0.5), sg.validate_params(1.0, 1.0, 2.0),
                            n_samples=200, seed=3, dt=1 / 32, theta_cells=64)
@@ -250,6 +258,13 @@ def test_moment_estimator_heavy_tail_flag(unit_params):
     res = sg.moment_estimator(Region(0.0, 1.0), fourier_spec(+1, 32), unit_params,
                               p=5.0, n_samples=8000, seed=63, dt=1 / 32, theta_cells=96)
     assert res.diagnostics["heavy_tail_flag"]
+
+
+@pytest.mark.parametrize("seed, recorded", [(np.random.SeedSequence(7), 7), (None, -1)])
+def test_moment_estimator_records_the_seed_like_every_estimator(unit_params, seed, recorded):
+    res = sg.moment_estimator(Region(0.0, 0.5), fourier_spec(+1, 8), unit_params, p=1.0,
+                              n_samples=40, seed=seed, dt=1 / 8, theta_cells=16)
+    assert res.seed == recorded
 
 
 def test_moment_estimator_empty_region(unit_params):

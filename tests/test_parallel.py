@@ -1,24 +1,56 @@
-"""OpenBLAS thread pinning around the worker pool of ``map_chunks`` and
-around a whole ``runner.run``."""
+"""The replica driver ``map_replicas``, and OpenBLAS thread pinning around the
+worker pool of ``map_chunks`` and around a whole ``runner.run``."""
 
 import json
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from sinhgordon import runner
 from sinhgordon.errors import ConfigError, SinhGordonError
-from sinhgordon.parallel import _BLAS, blas_threads, map_chunks
+from sinhgordon.parallel import _BLAS, blas_threads, map_chunks, map_replicas, seed_chunks
 
-pytestmark = pytest.mark.skipif(_BLAS.threads() is None,
-                                reason="numpy has no bundled OpenBLAS to pin")
+
+def _columns(rng, size):
+    return {"flat": rng.standard_normal(size), "wide": rng.standard_normal((size, 3)),
+            "empty": np.zeros((size, 0)), "size": np.full(size, size)}
+
+
+def test_map_replicas_is_the_same_at_any_worker_count():
+    one = map_replicas(_columns, 17, 10, 4, workers=1)
+    three = map_replicas(_columns, 17, 10, 4, workers=3)
+    assert one.keys() == three.keys()
+    for key in one:
+        assert np.array_equal(one[key], three[key]), key
+
+
+def test_map_replicas_joins_chunks_in_order():
+    # 10 replicas in chunks of 4: the last chunk has 2, and chunk i draws from
+    # the i-th child seed whichever worker ran it
+    got = map_replicas(_columns, 17, 10, 4, workers=3)
+    assert got["size"].tolist() == [4] * 4 + [4] * 4 + [2] * 2
+    want = np.concatenate([np.random.default_rng(child).standard_normal(size)
+                           for child, size in seed_chunks(17, 10, 4)])
+    assert np.array_equal(got["flat"], want)
+
+
+def test_map_replicas_joins_columns_along_the_first_axis():
+    got = map_replicas(_columns, 17, 10, 4, workers=2)
+    assert got["wide"].shape == (10, 3)
+    assert got["empty"].shape == (10, 0)
+    first = np.random.default_rng(seed_chunks(17, 10, 4)[0][0])
+    first.standard_normal(4)
+    assert np.array_equal(got["wide"][:4], first.standard_normal((4, 3)))
 
 
 @pytest.fixture
 def two_blas_threads():
     # the count before each test is 2 whatever the core count, so that a
     # pool that failed to pin or to restore is seen
+    if _BLAS.threads() is None:
+        pytest.skip("numpy has no bundled OpenBLAS to pin")
     saved = _BLAS.threads()
     _BLAS._funcs[1](2)
     yield 2

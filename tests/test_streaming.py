@@ -17,7 +17,8 @@ import sinhgordon as sg
 from sinhgordon import smc
 from sinhgordon.correlations import ShiftData, _cylinder_engine, _entries_to_process, \
     _pair_groups
-from sinhgordon.gff import TimeGrid, fluctuation_grid, sample_path_batch, stream_paths
+from sinhgordon.gff import CIRCLE_QUADRATURE_POINTS, TimeGrid, fluctuation_grid, \
+    sample_path_batch, stream_paths
 from sinhgordon.gmc import SliceMass, chaos_exponent, circle_spec, fourier_spec, \
     harmonic_number, region_time_weights, theta_nodes
 from sinhgordon.parallel import seed_chunks
@@ -42,7 +43,7 @@ def two_exp_pair(brownian, fields, gamma, renorm, dtheta):
 
 def point_circle_field(xs, ys, grid, k, thetas, spec):
     """Circle average at row k from point values of the stored field."""
-    qp = spec.quadrature_points
+    qp = CIRCLE_QUADRATURE_POINTS
     v = 2.0 * np.pi * (np.arange(qp) + 0.5) / qp
     offs = np.rint(spec.epsilon * np.cos(v) / grid.dt).astype(int)
     return sum(fluctuation_grid(xs[:, k + off], ys[:, k + off], thetas + ang)
