@@ -15,7 +15,8 @@ from .params import ModelParams, validate_params
 
 # Each experiment's options: name -> (kind, default[, bound]).  A kind is float
 # or int (a finite number, greater than bound if one is given), bool, str (a
-# path), a tuple of the allowed values, or [kind] (a JSON array of that kind).
+# path), a tuple of the allowed values, or [kind] (a non-empty JSON array of
+# that kind).
 # A None default is "not given"; the experiment may resolve it from the config.
 OPTIONS = {
     "validate": {},
@@ -27,7 +28,7 @@ OPTIONS = {
     "partition": {"T_list": ([float], None)},
     "lambda0": {"T_list": ([float], [1.0, 1.5, 2.0, 3.0]), "drop_smallest": (bool, True),
                 "backend": (("smc", "plain"), "smc")},
-    "ground-state": {"T": (float, None), "bins_c": (int, 12, 0), "bins_x": (int, 8, 0)},
+    "ground-state": {"T": (float, None, 0.0), "bins_c": (int, 12, 0), "bins_x": (int, 8, 0)},
     "vertex": {"alpha": (float, 0.5), "t": (float, 0.0), "theta": (float, 0.0),
                "method": (("direct", "girsanov", "both"), "direct"),
                "n_list": ([int], None)},
@@ -119,8 +120,8 @@ def _number(value, name: str, kind=float):
 def _option(value, kind, name: str, bound=None):
     """``value`` as an option of ``kind`` (see ``OPTIONS``), above ``bound`` if given."""
     if isinstance(kind, list):
-        if not isinstance(value, list):
-            raise ConfigError(f"{name} must be an array, got {value!r}")
+        if not isinstance(value, list) or not value:
+            raise ConfigError(f"{name} must be a non-empty array, got {value!r}")
         return [_option(v, kind[0], f"{name} entry") for v in value]
     if isinstance(kind, tuple):
         if isinstance(value, bool) or value not in kind:

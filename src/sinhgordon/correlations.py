@@ -30,7 +30,7 @@ from .params import ModelParams, reduce_to_unit_radius, validate_params
 from .parallel import map_replicas, seed_int, stateless_children
 from .propagator import CQuadrature, default_c_quadrature, fk_weights
 from .results import EstimatorResult, jackknife_func, jackknife_ratio, params_fingerprint
-from .smc import ShiftTask, SmcSettings, combine_ratio, smc_flow
+from .smc import ShiftTask, SmcSettings, smc_flow
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +215,8 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
                      mirror: bool = False):
     """Per-path numerator/denominator columns for the finite cylinder.
 
-    Each task is a dict with "kind" in {"vertex", "girsanov", "observable"}.
+    Each task is a dict with "kind" in {"vertex", "girsanov", "observable"};
+    a vertex or girsanov task's zero-mode factor comes from its insertions.
     Returns {"den": (R,), "num": list of (R,)}.  ``mirror=True`` negates the
     field and the zero-mode axis (used by symmetry tests; it leaves the
     denominator invariant and maps vertex weights alpha -> -alpha).
@@ -227,16 +228,15 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
     """
     pu = reduce_to_unit_radius(params)
     gamma, mu = pu.gamma, pu.mu
-    span = 2.0 * t_half
-    n_steps = int(round(span / dt))
-    if abs(n_steps * dt - span) > 1e-9:
-        raise WindowOutsideCylinder(f"window 2*T={span} is not a multiple of dt={dt}")
-    grid = TimeGrid(dt, n_steps)
+    grid = TimeGrid.spanning(2.0 * t_half, dt)
     nodes, dtheta = theta_nodes(theta_cells)
     cs, cw = quad.nodes()
     if mirror:
         cs = -cs
     trap = region_time_weights(grid, 0.0, grid.span)
+
+    def cfac(entries):  # the zero-mode factor exp(total alpha * c) at the c nodes
+        return cw * np.exp(sum(a for a, _, _ in entries) * cs)
 
     prepared, tap_rows = [], set()
     for task in tasks:
@@ -247,11 +247,10 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
             sh: ShiftData = task["shift"]
             s_grid = sh.total_grid(grid.times(), nodes)
             prepared.append({**task, "cells": (np.exp(gamma * s_grid), np.exp(-gamma * s_grid)),
-                             "scalar": sh.scalar_log(),
-                             "total_alpha": sum(a for a, _, _ in sh.insertions)})
+                             "scalar": sh.scalar_log(), "cfac": cfac(sh.insertions)})
         elif kind == "vertex":
             tap_rows |= _tap_rows(task["entries"], task["reg"], grid, n_modes)
-            prepared.append(task)
+            prepared.append({**task, "cfac": cfac(task["entries"])})
         elif kind == "observable":
             prepared.append(task)
         else:
@@ -285,12 +284,10 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
             kind = task["kind"]
             if kind == "vertex":
                 log_v = _insertion_field_values(taps, grid, task["entries"], task["reg"])
-                cfac = cw * np.exp(task["total_alpha"] * cs)
-                out[i] = np.exp(log_v) * (w @ cfac)
+                out[i] = np.exp(log_v) * (w @ task["cfac"])
             elif kind == "girsanov":
                 wg = fk_weights(shifted[i][0], shifted[i][1], cs, mu, gamma)
-                cfac = cw * np.exp(task["total_alpha"] * cs)
-                out[i] = math.exp(task["scalar"]) * (wg @ cfac)
+                out[i] = math.exp(task["scalar"]) * (wg @ task["cfac"])
             else:
                 f = task["f"]
                 win = WindowPaths(grid, t_half, *(np.stack(arrs, axis=1) for arrs in zip(*stored)))
@@ -305,14 +302,13 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
 
 
 def _entries_to_process(entries, t_half: float, grid_dt: float):
-    """Window -> process coordinates, snapping times to the grid."""
+    """Window -> process coordinates; every insertion time must be a grid node."""
+    grid = TimeGrid.spanning(2.0 * t_half, grid_dt)
     out = []
     for a, t, th in entries:
         if not (-t_half < t < t_half):
             raise WindowOutsideCylinder(f"insertion time {t} outside (-{t_half}, {t_half})")
-        s = t + t_half
-        k = round(s / grid_dt)
-        out.append((a, k * grid_dt, th))
+        out.append((a, grid.index_of(t + t_half) * grid_dt, th))
     return tuple(out)
 
 
@@ -393,11 +389,10 @@ def vertex_plain(insertions: InsertionSet, estimators, t_half: float, params: Mo
     if quad is None:
         quad = default_c_quadrature(reduce_to_unit_radius(params).gamma)
     entries = _entries_to_process(insertions.entries, t_half, dt)
-    total_alpha = sum(a for a, _, _ in entries)
     tasks, diagnostics = [], []
     for kind, reg in estimators:
         if kind == "direct":
-            tasks.append({"kind": "vertex", "entries": entries, "total_alpha": total_alpha,
+            tasks.append({"kind": "vertex", "entries": entries,
                           "reg": fourier_spec(+1, n_modes) if reg is None else reg})
             diagnostics.append({"admissible": insertions.admissible, "backend": "plain"})
         elif kind == "girsanov":
@@ -449,7 +444,8 @@ def vertex_direct(insertions: InsertionSet, regularization: GmcSpec | None,
     flow = smc_flow(params, [t_half], dt, n_modes, theta_cells,
                     _smc_settings(n_samples, smc_runs), seed,
                     register_groups=[entries], workers=workers)
-    est, se = combine_ratio(flow["log_z"], flow["group_means"], lambda u, w: u / w)
+    num, den = _smc_columns(flow)
+    est, se = jackknife_ratio(num[0], den)
     return _vertex_result("vertex_direct", insertions, t_half, params, est, se, n_samples,
                           seed, 1e3 * (time.perf_counter() - t0),
                           {"admissible": insertions.admissible, "backend": backend})
@@ -481,7 +477,7 @@ def vertex_girsanov(insertions: InsertionSet, t_half: float, params: ModelParams
     shift = ShiftData(entries, kernel=n_modes)
     t0 = time.perf_counter()
     settings = _smc_settings(n_samples, smc_runs)
-    grid = TimeGrid(dt, int(round(2.0 * t_half / dt)))
+    grid = TimeGrid.spanning(2.0 * t_half, dt)
     nodes, _ = theta_nodes(theta_cells)
     s_grid = shift.total_grid(grid.times(), nodes)
     task = ShiftTask(shift_grid=s_grid, scalar_log=shift.scalar_log(),
@@ -493,9 +489,8 @@ def vertex_girsanov(insertions: InsertionSet, t_half: float, params: ModelParams
     den = smc_flow(params, [t_half], dt, n_modes, theta_cells, settings, child,
                    workers=workers)
     ref = max(num["log_z"][:, 0].max(), den["log_z"][:, 0].max())
-    est, se = jackknife_func([np.exp(num["log_z"][:, 0] - ref),
-                              np.exp(den["log_z"][:, 0] - ref)],
-                             lambda u, w: u / w)
+    est, se = jackknife_ratio(np.exp(num["log_z"][:, 0] - ref),
+                              np.exp(den["log_z"][:, 0] - ref))
     return _vertex_result("vertex_girsanov", insertions, t_half, params, est, se,
                           n_samples, seed, 1e3 * (time.perf_counter() - t0),
                           {"scalar_log": shift.scalar_log(), "backend": backend})
@@ -526,21 +521,35 @@ def two_point_covariance(ins1, ins2, separations, t_half: float, params: ModelPa
     if quad is None:
         quad = default_c_quadrature(reduce_to_unit_radius(params).gamma)
     reg = fourier_spec(+1, n_modes)
-    tasks = [{"kind": "vertex", "entries": entries, "reg": reg,
-              "total_alpha": sum(a for a, _, _ in entries)}
+    tasks = [{"kind": "vertex", "entries": entries, "reg": reg}
              for s in separations for entries in _pair_groups(ins1, ins2, s, t_half, dt)]
     res = _cylinder_engine(params, t_half, dt, n_modes, theta_cells, quad,
                            n_samples, seed, tasks, batch=batch, workers=workers)
-    den = res["den"]
+    return _two_point_rows(separations, res["num"], res["den"])
+
+
+def _two_point_rows(separations, num, den) -> list[dict]:
+    """Covariance rows from per-replica columns: ``num`` holds the (pair,
+    first, second) columns of each separation in turn, ``den`` the normalizer."""
     rows = []
     for j, s in enumerate(separations):
-        u, v1, v2 = res["num"][3 * j], res["num"][3 * j + 1], res["num"][3 * j + 2]
+        u, v1, v2 = num[3 * j:3 * j + 3]
         cov, cov_se = jackknife_func(
             [u, v1, v2, den], lambda su, s1, s2, sd: su / sd - (s1 / sd) * (s2 / sd))
         prod, _ = jackknife_func([u, den], lambda su, sd: su / sd)
         rows.append({"separation": s, "covariance": cov, "std_error": cov_se,
                      "product_moment": prod})
     return rows
+
+
+def _smc_columns(flow: dict):
+    """Per-run columns Z_r m_{g,r} of every register group g, and Z_r, both over
+    the largest Z_r (Z at the flow's last height); sum_r Z_r m_{g,r} / sum_r Z_r
+    estimates the group's expectation."""
+    ref = flow["log_z"][:, -1]
+    scale = np.exp(ref - ref.max())
+    means = flow["group_means"]
+    return [scale * means[:, g] for g in range(means.shape[1])], scale
 
 
 def _checked_separations(separations, t_half: float) -> list[float]:
@@ -602,20 +611,10 @@ def two_point_panel(pairs, separations, t_half: float, params: ModelParams, *,
     flow = smc_flow(params, [t_half], dt, n_modes, theta_cells,
                     _smc_settings(n_samples, smc_runs), seed,
                     register_groups=groups, workers=workers)
-    out = {}
-    for pi in range(len(pairs)):
-        rows = []
-        for j, s in enumerate(separations):
-            base = 3 * (pi * len(separations) + j)
-            sub = flow["group_means"][:, base:base + 3]
-            cov, cov_se = combine_ratio(
-                flow["log_z"], sub,
-                lambda su, s1, s2, sd: su / sd - (s1 / sd) * (s2 / sd))
-            prod, _ = combine_ratio(flow["log_z"], sub[:, :1], lambda su, sd: su / sd)
-            rows.append({"separation": s, "covariance": cov, "std_error": cov_se,
-                         "product_moment": prod})
-        out[pi] = rows
-    return out
+    num, den = _smc_columns(flow)
+    per_pair = 3 * len(separations)
+    return {pi: _two_point_rows(separations, num[pi * per_pair:(pi + 1) * per_pair], den)
+            for pi in range(len(pairs))}
 
 
 def scaling_one_point(alpha: float, radius: float, params: ModelParams, *,

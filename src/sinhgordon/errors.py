@@ -54,7 +54,7 @@ class TailTolNotMet(SinhGordonError):
 
 
 class GridSpanMismatch(SinhGordonError):
-    """Time grid does not span the interval required by the estimator."""
+    """A span or time that is not a node of the time grid."""
 
 
 class DegenerateFit(SinhGordonError):

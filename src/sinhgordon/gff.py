@@ -21,6 +21,7 @@ from .errors import (
     CoincidentPoints,
     EmptyGrid,
     EpsilonGridMismatch,
+    GridSpanMismatch,
     IndexOutOfRange,
     NegativeTime,
 )
@@ -28,7 +29,12 @@ from .errors import (
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid 0, dt, 2*dt, ..., n_steps*dt."""
+    """Uniform grid 0, dt, 2*dt, ..., n_steps*dt.
+
+    The one place where times become grid rows: :meth:`spanning` builds the
+    grid of a span and :meth:`index_of` finds a time's row.  Both raise
+    :class:`GridSpanMismatch` for a span or time that is not a node.
+    """
 
     dt: float
     n_steps: int
@@ -38,6 +44,14 @@ class TimeGrid:
             raise EmptyGrid(f"dt must be positive, got {self.dt}")
         if self.n_steps < 1:
             raise EmptyGrid(f"n_steps must be >= 1, got {self.n_steps}")
+
+    @classmethod
+    def spanning(cls, span: float, dt: float) -> TimeGrid:
+        """The grid 0, dt, ..., span; ``span`` must be a whole number of steps."""
+        n_steps = int(round(span / dt))
+        if abs(n_steps * dt - span) > 1e-9:
+            raise GridSpanMismatch(f"span {span} is not a multiple of dt={dt}")
+        return cls(dt, n_steps)
 
     @property
     def span(self) -> float:
@@ -50,7 +64,7 @@ class TimeGrid:
         """Grid index of a time that must sit on (or within tol of) a node."""
         k = int(round(t / self.dt))
         if not (0 <= k <= self.n_steps) or abs(k * self.dt - t) > tol * max(1.0, abs(t)):
-            raise IndexOutOfRange(f"time {t} is not on the grid (dt={self.dt}, K={self.n_steps})")
+            raise GridSpanMismatch(f"time {t} is not on the grid (dt={self.dt}, K={self.n_steps})")
         return k
 
 
@@ -216,8 +230,6 @@ def sample_path_batch(rng: np.random.Generator, n_paths: int, n_modes: int,
 
 def evolve_path(initial: CircleField, c: float, grid: TimeGrid, seed=None) -> PathSample:
     """Evolve one path from a fixed initial slice with an exact update scheme."""
-    if grid.n_steps < 1:
-        raise EmptyGrid("grid must have at least one step")
     b, x, y = sample_path_batch(np.random.default_rng(seed), 1, initial.n_modes, grid, initial)
     start = CircleField(float(c), initial.xs.copy(), initial.ys.copy())
     return PathSample(grid=grid, brownian=b[0], mode_x=x[0], mode_y=y[0], initial=start)

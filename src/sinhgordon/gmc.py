@@ -326,11 +326,7 @@ def sample_region_masses(region: Region, spec: GmcSpec, params: ModelParams,
     t_lo = region.t_min - margin
     if t_lo < -1e-12:
         raise RegionOutsideGrid("circle margin extends below t=0; shift the region")
-    span = region.t_max + margin
-    n_steps = int(round(span / dt))
-    if abs(n_steps * dt - span) > 1e-9:
-        raise IncompatibleGrids(f"span {span} is not a multiple of dt={dt}")
-    grid = TimeGrid(dt, n_steps)
+    grid = TimeGrid.spanning(region.t_max + margin, dt)
     weights = region_time_weights(grid, region.t_min, region.t_max)
     if not np.any(weights > 0):
         return np.zeros(n_samples)

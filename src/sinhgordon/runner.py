@@ -122,7 +122,7 @@ def _exp_validate(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     """
     n = cfg.estimator.n_samples
     n_modes = cfg.sampler.n_modes
-    grid = TimeGrid(cfg.sampler.dt, int(round(1.0 / cfg.sampler.dt)))
+    grid = TimeGrid.spanning(1.0, cfg.sampler.dt)
     probes = [((0.0, 0.0), (0.0, np.pi)), ((0.0, 0.0), (0.5, 0.0)),
               ((0.25, np.pi / 2), (0.75, np.pi / 2)), ((0.0, 0.0), (1.0, np.pi / 2)),
               ((0.5, 0.0), (0.5, np.pi))]
@@ -152,7 +152,7 @@ def _exp_validate(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 def _exp_sample(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     from .gff import sample_circle_field
     init = sample_circle_field(cfg.sampler.n_modes, "stationary", cfg.estimator.seed)
-    grid = TimeGrid(cfg.sampler.dt, int(round(2 * cfg.sampler.window / cfg.sampler.dt)))
+    grid = TimeGrid.spanning(2 * cfg.sampler.window, cfg.sampler.dt)
     path = evolve_path(init, cfg.opts["c"], grid, seed=cfg.estimator.seed)
     with open(out.path("path.bin"), "wb") as fh:
         dump_path(path, fh)
@@ -179,6 +179,8 @@ def _exp_gmc_mass(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 def _exp_moments(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     p = cfg.opts["p"]
+    if p == 0:
+        raise ConfigError("moments option p must be nonzero")
     res = gmc_mod.moment_estimator(_region(cfg), _gmc_spec(cfg, cfg.opts["sigma"]),
                                    reduce_to_unit_radius(cfg.params), p,
                                    cfg.estimator.n_samples, cfg.estimator.seed,
@@ -333,6 +335,8 @@ def _exp_gap_fit(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     if not len(seps) == len(covs) == len(ses):
         raise ConfigError(f"gap-fit separations, covariances and std_errors differ in "
                           f"length: {len(seps)}, {len(covs)}, {len(ses)}")
+    if min(ses) < 0:
+        raise ConfigError(f"gap-fit std_errors must be >= 0, got {min(ses)!r}")
     fit = spec_mod.spectral_gap_fit(seps, list(zip(covs, ses)))
     out.record({"experiment": "gap-fit", "estimate": fit.value,
                 "std_error": fit.std_error, "r_squared": fit.r_squared,

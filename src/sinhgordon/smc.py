@@ -28,13 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridSpanMismatch, WindowOutsideCylinder
+from .errors import WindowOutsideCylinder
 from .gff import TimeGrid, stream_paths, theta_basis
 from .gmc import SliceMass, harmonic_number, theta_nodes
 from .params import ModelParams, reduce_to_unit_radius
 from .parallel import map_replicas
 from .propagator import capped_exp
-from .results import jackknife_func
 
 _RESAMPLE_THRESHOLD = 0.5  # resample when the ESS falls below this fraction of the particles
 
@@ -81,11 +80,8 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
     pu = reduce_to_unit_radius(params)
     gamma, mu = pu.gamma, pu.mu
     t_half_values = [float(t) for t in t_half_values]
-    span = 2.0 * max(t_half_values)
-    k_total = int(round(span / dt))
-    if abs(k_total * dt - span) > 1e-9:
-        raise GridSpanMismatch(f"2*T={span} is not a multiple of dt={dt}")
-    grid = TimeGrid(dt, k_total)
+    grid = TimeGrid.spanning(2.0 * max(t_half_values), dt)
+    k_total = grid.n_steps
     marks = {grid.index_of(2.0 * th): j for j, th in enumerate(t_half_values)}
     nodes, dtheta = theta_nodes(theta_cells)
     renorm = harmonic_number(n_modes)
@@ -161,20 +157,6 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
 
     # one run per chunk: run r draws from the r-th child of ``seed``
     return map_replicas(one_run, seed, settings.n_runs, 1, workers)
-
-
-def combine_ratio(log_z: np.ndarray, group_means: np.ndarray, func):
-    """Jackknife over runs of func applied to normalizer-weighted group sums.
-
-    Each run contributes Z_r and Z_r * mean_{g,r}; the global estimate of a
-    group expectation is sum_r Z_r m_{g,r} / sum_r Z_r, and ``func`` receives
-    the weighted column sums (denominator last).
-    """
-    ref = log_z[:, -1] if log_z.ndim == 2 else log_z
-    scale = np.exp(ref - ref.max())
-    cols = [scale * group_means[:, g] for g in range(group_means.shape[1])]
-    cols.append(scale)
-    return jackknife_func(cols, func)
 
 
 def smc_log_partition(params: ModelParams, t_half_values, dt: float, n_modes: int,

@@ -163,10 +163,7 @@ def ground_state_profile(t: float, params: ModelParams, *, dt: float = 1.0 / 32.
     gamma, mu = pu.gamma, pu.mu
     if quad is None:
         quad = default_c_quadrature(gamma)
-    n_steps = int(round(t / dt))
-    if abs(n_steps * dt - t) > 1e-9:
-        raise ValueError(f"t={t} is not a multiple of dt={dt}")
-    grid = TimeGrid(dt, n_steps)
+    grid = TimeGrid.spanning(t, dt)
     nodes, dtheta = theta_nodes(theta_cells)
     trap = region_time_weights(grid, 0.0, grid.span)
     nc, nx = bins

@@ -163,6 +163,16 @@ def test_non_object_blocks_exit_two(tmp_path, capsys):
     ("ground-state", {"bins_x": 0}),
     ("scaling-check", {"t_min": "0"}),
     ("lambda0", {"drop_smallest": "false"}),
+    ("lambda0", {"T_list": []}),
+    ("partition", {"T_list": []}),
+    ("two-point", {"separations": []}),
+    ("mc-vs-lz", {"R_values": []}),
+    ("gap-fit", {"separations": [0.5, 1.0, 1.5], "covariances": [0.3, 0.2, 0.1],
+                 "std_errors": [1e-3, -1e-3, 1e-3]}),
+    ("gap-fit", {"csv": "negative-se.csv"}),
+    ("moments", {"p": 0}),
+    ("ground-state", {"T": 0.0}),
+    ("ground-state", {"T": -0.25}),
 ], ids=["validate-typo", "sample-typo", "sample-string-c", "lambda0-string-T_list",
         "lambda0-string-entry", "two-point-string-alpha", "two-point-string-separations",
         "two-point-null-separation", "partition-scalar-T_list",
@@ -174,12 +184,18 @@ def test_non_object_blocks_exit_two(tmp_path, capsys):
         "gap-fit-string-separations", "gap-fit-unequal-lengths", "gap-fit-missing-csv",
         "gap-fit-csv-missing-column", "gap-fit-csv-non-numeric-cell",
         "ground-state-string-bins_c", "ground-state-zero-bins_c", "ground-state-zero-bins_x",
-        "scaling-check-string-t_min", "lambda0-string-drop_smallest"])
+        "scaling-check-string-t_min", "lambda0-string-drop_smallest",
+        "lambda0-empty-T_list", "partition-empty-T_list", "two-point-empty-separations",
+        "mc-vs-lz-empty-R_values", "gap-fit-negative-std_error",
+        "gap-fit-csv-negative-std_error", "moments-zero-p", "ground-state-zero-T",
+        "ground-state-negative-T"])
 def test_bad_experiment_options_exit_two(tmp_path, experiment, options):
     # the csv cases name these files relative to the working directory
     (tmp_path / "no-column.csv").write_text("separation,covariance\n0.5,0.1\n1.0,0.05\n")
     (tmp_path / "bad-cell.csv").write_text(
         "separation,covariance,std_error\n0.5,0.1,1e-6\n1.0,abc,1e-6\n1.5,0.02,1e-6\n")
+    (tmp_path / "negative-se.csv").write_text(
+        "separation,covariance,std_error\n0.5,0.3,1e-3\n1.0,0.2,-1e-3\n1.5,0.1,1e-3\n")
     path = write_config(tmp_path, base_config(experiment, options))
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-m", "sinhgordon", "--config", path, "--fast",
@@ -404,6 +420,31 @@ def test_smc_off_grid_span_is_a_clean_failure(tmp_path):
     rec = read_records(tmp_path / "out", "lambda0")[-1]
     assert rec["status"] == "failed" and "not a multiple of dt" in rec["error"]
     assert (tmp_path / "out" / "lambda0" / "manifest.json").exists()
+
+
+_DT32 = {"n_modes": 12, "dt": 1 / 32, "window": 0.75}
+
+
+@pytest.mark.parametrize("experiment, options, sampler", [
+    ("sample", {}, {"n_modes": 12, "dt": 1 / 32, "window": 0.51}),
+    ("vertex", {"t": 0.01}, _DT32),
+    ("vertex", {"t": 0.01, "method": "both"}, _DT32),
+    ("two-point", {"separations": [0.25, 0.3, 0.5]}, _DT32),
+    ("ground-state", {"T": 0.51}, _DT32),
+    ("validate", {}, {"n_modes": 12, "dt": 0.3, "window": 0.75}),
+], ids=["sample-window", "vertex-t-direct", "vertex-t-both", "two-point-separation",
+        "ground-state-T", "validate-dt"])
+def test_off_grid_time_is_a_typed_failure(tmp_path, capsys, experiment, options, sampler):
+    # a span or time that is not a node of the dt grid is neither snapped nor a crash
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config(experiment, options, sampler=sampler))
+    assert run(path, out_dir=str(out)) == 1
+    err = capsys.readouterr().err
+    assert "runtime failure" in err and "Traceback" not in err
+    rec = read_records(out, experiment)[-1]
+    assert rec["status"] == "failed"
+    assert "not a multiple of dt" in rec["error"] or "not on the grid" in rec["error"]
+    assert "traceback" not in json.loads((out / experiment / "manifest.json").read_text())
 
 
 def test_unexpected_exception_is_a_clean_failure(tmp_path, capsys, monkeypatch):

@@ -10,13 +10,17 @@ from sinhgordon.correlations import (
     _entries_to_process,
 )
 from sinhgordon.errors import (
+    GridSpanMismatch,
     InadmissibleAlpha,
     InadmissibleInsertions,
     WindowOutsideCylinder,
 )
-from sinhgordon.gmc import circle_spec, fourier_spec
+from sinhgordon.gff import TimeGrid
+from sinhgordon.gmc import circle_spec, fourier_spec, theta_nodes
+from sinhgordon.parallel import stateless_children
 from sinhgordon.propagator import default_c_quadrature
 from sinhgordon.results import jackknife_func
+from sinhgordon.smc import ShiftTask, SmcSettings, smc_flow
 
 from conftest import agree
 
@@ -154,6 +158,34 @@ def test_vertex_insertion_must_sit_inside_window(unit_params):
         sg.vertex_direct(ins, None, 1.0, unit_params, n_samples=16)
 
 
+def test_insertion_times_must_be_grid_nodes():
+    assert _entries_to_process(((0.5, 0.0, 0.0),), 0.5, 1 / 32) == ((0.5, 0.5, 0.0),)
+    with pytest.raises(GridSpanMismatch):
+        _entries_to_process(((0.5, 0.01, 0.0),), 0.5, 1 / 32)
+
+
+def test_vertex_girsanov_smc_is_the_ratio_of_its_two_flows(unit_params):
+    # the shifted and the plain flow share run substreams; the estimate is the
+    # ratio of their summed normalizers, with a delete-one jackknife over runs
+    ins = sg.make_insertions([(0.5, 0.125, 0.3)], unit_params)
+    res = sg.vertex_girsanov(ins, 0.5, unit_params, dt=1 / 16, n_modes=8, theta_cells=16,
+                             n_samples=1024, seed=3, backend="smc", smc_runs=4)
+    shift = ShiftData(((0.5, 0.625, 0.3),), kernel=8)
+    task = ShiftTask(shift_grid=shift.total_grid(TimeGrid(1 / 16, 16).times(),
+                                                 theta_nodes(16)[0]),
+                     scalar_log=shift.scalar_log(), total_alpha=0.5)
+    settings = SmcSettings(n_particles=256, n_runs=4)
+    child = stateless_children(3, 1)[0]
+    z_num = np.exp(smc_flow(unit_params, [0.5], 1 / 16, 8, 16, settings, child,
+                            shift=task)["log_z"][:, 0])
+    z_den = np.exp(smc_flow(unit_params, [0.5], 1 / 16, 8, 16, settings, child)["log_z"][:, 0])
+    loo = (z_num.sum() - z_num) / (z_den.sum() - z_den)
+    se = math.sqrt(3 / 4 * ((loo - loo.mean()) ** 2).sum())
+    assert res.mean == pytest.approx(z_num.sum() / z_den.sum(), rel=1e-12, abs=0)
+    assert res.std_error == pytest.approx(se, rel=1e-12, abs=0)
+    assert res.std_error > 0
+
+
 def test_girsanov_identity_numerator_level(unit_params):
     # E[direct numerator] == E[shifted numerator] exactly in law; tight check
     # through the per-path difference on shared paths
@@ -190,8 +222,8 @@ def test_vertex_smc_matches_plain(unit_params):
 
 
 def test_vertex_negation_coupling_exact(unit_params):
-    ins_p = sg.make_insertions([(0.5, 0.2, 1.0)], unit_params)
-    ins_m = sg.make_insertions([(-0.5, 0.2, 1.0)], unit_params)
+    ins_p = sg.make_insertions([(0.5, 0.1875, 1.0)], unit_params)
+    ins_m = sg.make_insertions([(-0.5, 0.1875, 1.0)], unit_params)
     a = sg.vertex_direct(ins_p, None, 1.0, unit_params, dt=1 / 16, n_modes=16,
                          theta_cells=32, n_samples=512, seed=11)
     b = sg.vertex_direct(ins_m, None, 1.0, unit_params, dt=1 / 16, n_modes=16,

@@ -11,6 +11,7 @@ from sinhgordon import gff
 from sinhgordon.errors import (
     CoincidentPoints,
     EpsilonGridMismatch,
+    GridSpanMismatch,
     IndexOutOfRange,
     NegativeTime,
 )
@@ -208,6 +209,24 @@ def test_stationary_marginal_stays_standard_normal():
 def test_empty_grid_rejected():
     with pytest.raises(Exception):
         TimeGrid(1 / 8, 0)
+
+
+@pytest.mark.parametrize("span, dt", [(1.0, 1 / 32), (1.5, 1 / 16), (0.375, 1 / 8),
+                                      (3.0, 0.0625), (1.0, 0.1)])
+def test_spanning_grid_of_an_on_grid_span(span, dt):
+    grid = TimeGrid.spanning(span, dt)
+    assert (grid.dt, grid.n_steps) == (dt, round(span / dt))
+    assert grid.index_of(span) == grid.n_steps
+
+
+def test_off_grid_span_and_time_raise_grid_span_mismatch():
+    with pytest.raises(GridSpanMismatch, match="not a multiple of dt"):
+        TimeGrid.spanning(1.02, 1 / 32)
+    grid = TimeGrid.spanning(1.0, 1 / 32)
+    with pytest.raises(GridSpanMismatch, match="not on the grid"):
+        grid.index_of(0.51)
+    with pytest.raises(GridSpanMismatch):  # a time beyond the span is not a node either
+        grid.index_of(1.5)
 
 
 # ---------------------------------------------------------------------------
