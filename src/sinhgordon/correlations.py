@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    GridSpanMismatch,
     InadmissibleAlpha,
     InadmissibleInsertions,
     IndexOutOfRange,
@@ -308,7 +309,12 @@ def _entries_to_process(entries, t_half: float, grid_dt: float):
     for a, t, th in entries:
         if not (-t_half < t < t_half):
             raise WindowOutsideCylinder(f"insertion time {t} outside (-{t_half}, {t_half})")
-        out.append((a, grid.index_of(t + t_half) * grid_dt, th))
+        try:
+            k = grid.index_of(t + t_half)
+        except GridSpanMismatch:
+            raise GridSpanMismatch(f"insertion time {t} is not on the grid (dt={grid_dt}, "
+                                   f"window {t_half})") from None
+        out.append((a, k * grid_dt, th))
     return tuple(out)
 
 
@@ -563,10 +569,11 @@ def _checked_separations(separations, t_half: float) -> list[float]:
 def _pair_groups(ins1, ins2, s: float, t_half: float, dt: float):
     """Register groups (pair, first, second) for two insertions at window times -s/2, +s/2."""
     (a1, th1), (a2, th2) = ins1, ins2
-    pair = _entries_to_process(((a1, -s / 2.0, th1), (a2, +s / 2.0, th2)), t_half, dt)
-    one = _entries_to_process(((a1, -s / 2.0, th1),), t_half, dt)
-    two = _entries_to_process(((a2, +s / 2.0, th2),), t_half, dt)
-    return pair, one, two
+    try:
+        pair = _entries_to_process(((a1, -s / 2.0, th1), (a2, +s / 2.0, th2)), t_half, dt)
+    except GridSpanMismatch as exc:
+        raise GridSpanMismatch(f"separation {s}: {exc}") from None
+    return pair, pair[:1], pair[1:]
 
 
 def refinement_report(resolutions, estimates) -> dict:

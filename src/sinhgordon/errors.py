@@ -5,6 +5,10 @@ class SinhGordonError(Exception):
     """Base class for all package errors."""
 
 
+class ConfigError(SinhGordonError):
+    """Malformed or invalid run configuration."""
+
+
 class OutOfRangeGamma(SinhGordonError):
     """Coupling gamma outside the open interval (0, 2)."""
 
@@ -53,8 +57,12 @@ class TailTolNotMet(SinhGordonError):
     """Mode truncation too coarse for the requested tail tolerance."""
 
 
-class GridSpanMismatch(SinhGordonError):
-    """A span or time that is not a node of the time grid."""
+class GridSpanMismatch(ConfigError):
+    """A span or time that is not a node of the time grid.
+
+    Spans and times come from the run configuration, so the CLI treats this
+    as a configuration error (exit 2).
+    """
 
 
 class DegenerateFit(SinhGordonError):
@@ -83,7 +91,3 @@ class QuadratureFailure(SinhGordonError):
 
 class FingerprintMismatch(SinhGordonError):
     """Attempt to merge estimates produced under different parameters."""
-
-
-class ConfigError(SinhGordonError):
-    """Malformed or invalid run configuration."""

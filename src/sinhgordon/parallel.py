@@ -3,12 +3,11 @@
 :func:`map_replicas` is the one place the replica contract lives: replicas
 are split into fixed-size chunks, chunk i draws from the i-th stateless child
 of the master seed, and the chunk results are joined in chunk order, so the
-output is identical for any worker count.  Every plain estimator and the SMC
-runs (one run per chunk) go through it.  Two samplers stay outside because
-they draw from one generator across their batches, so their draws depend on
-the batch order: ``gmc.sample_region_masses`` and the ``validate``
-experiment.  Workers are threads: the heavy kernels (matmul, exp) release the
-GIL.
+output is identical for any worker count.  Every plain estimator, the SMC
+runs (one run per chunk) and the ``validate`` panel go through it.  One
+sampler stays outside because it draws from one generator across its
+batches, so its draws depend on the batch order: ``gmc.sample_region_masses``.
+Workers are threads: the heavy kernels (matmul, exp) release the GIL.
 
 While a pool runs, numpy's bundled OpenBLAS is held at one thread, so N
 workers keep N cores busy instead of N times the BLAS thread count

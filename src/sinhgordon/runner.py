@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import platform
 import resource
 import sys
@@ -29,7 +30,7 @@ from .errors import ConfigError, SinhGordonError
 from .gff import TimeGrid, dump_path, evolve_path, fluctuation_grid, stream_paths, \
     truncated_slice_cov
 from .gmc import Region, circle_spec, fourier_spec
-from .parallel import blas_threads, one_blas_thread, resolve_workers
+from .parallel import blas_threads, map_replicas, one_blas_thread, resolve_workers
 from .params import reduce_to_unit_radius
 from .propagator import CQuadrature, partition_curve
 from .results import _jsonable, params_fingerprint
@@ -113,12 +114,21 @@ def _region(cfg: RunConfig) -> Region:
 # Experiments
 # ---------------------------------------------------------------------------
 
+# Replicas per chunk of the validate panel: the plain engine's batch.
+VALIDATE_CHUNK = 256
+
+
 def _exp_validate(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     """Covariance panel: sampled field against the mode-truncated kernels.
 
-    The paths come one slice at a time from ``stream_paths``, with the draws
-    of ``sample_path_batch``; only the field values at the probe points are
-    kept, so memory does not grow with the number of time steps.
+    Every probe time must be a node of the ``sampler.dt`` grid.  The modes
+    are OU processes stepped with their exact transition, so the field at the
+    probe rows has the same law at any step: the paths are stepped from probe
+    row to probe row only, on the grid whose step is dt times the gcd of the
+    probe rows.  Replicas run in chunks of ``VALIDATE_CHUNK`` through
+    ``map_replicas``, each keeping only the field at the probe points, so the
+    records do not depend on the worker count and the paths held do not grow
+    with ``n_samples``.
     """
     n = cfg.estimator.n_samples
     n_modes = cfg.sampler.n_modes
@@ -127,12 +137,18 @@ def _exp_validate(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
               ((0.25, np.pi / 2), (0.75, np.pi / 2)), ((0.0, 0.0), (1.0, np.pi / 2)),
               ((0.5, 0.0), (0.5, np.pi))]
     points = {(grid.index_of(t), th) for pair in probes for t, th in pair}
-    rng = np.random.default_rng(cfg.estimator.seed)
-    field_at = {}
-    for k, _, x, y in stream_paths(rng, n, n_modes, grid):
-        for kk, th in points:
-            if kk == k:
-                field_at[kk, th] = fluctuation_grid(x, y, np.array([th]))[:, 0]
+    stride = math.gcd(*(k for k, _ in points))
+    coarse = TimeGrid(stride * grid.dt, grid.n_steps // stride)
+
+    def panel(rng, size):
+        cols = {}
+        for k, _, x, y in stream_paths(rng, size, n_modes, coarse):
+            for kk, th in points:
+                if kk == k * stride:
+                    cols[kk, th] = fluctuation_grid(x, y, np.array([th]))[:, 0]
+        return cols
+
+    field_at = map_replicas(panel, cfg.estimator.seed, n, VALIDATE_CHUNK, workers)
     worst = 0.0
     for (t1, th1), (t2, th2) in probes:
         f1 = field_at[grid.index_of(t1), th1]
@@ -335,8 +351,8 @@ def _exp_gap_fit(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     if not len(seps) == len(covs) == len(ses):
         raise ConfigError(f"gap-fit separations, covariances and std_errors differ in "
                           f"length: {len(seps)}, {len(covs)}, {len(ses)}")
-    if min(ses) < 0:
-        raise ConfigError(f"gap-fit std_errors must be >= 0, got {min(ses)!r}")
+    if min(ses) <= 0:
+        raise ConfigError(f"gap-fit std_errors must be > 0, got {min(ses)!r}")
     fit = spec_mod.spectral_gap_fit(seps, list(zip(covs, ses)))
     out.record({"experiment": "gap-fit", "estimate": fit.value,
                 "std_error": fit.std_error, "r_squared": fit.r_squared,

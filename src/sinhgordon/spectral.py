@@ -85,14 +85,19 @@ def lambda0_fit(t_values, log_z) -> SpectralEstimate:
 def spectral_gap_fit(separations, covariances) -> SpectralEstimate:
     """Decay rate of |covariance| against separation (= the spectral gap).
 
-    Every covariance must be bounded away from zero at 3 standard errors;
-    otherwise the log transform is meaningless and SignalLost is raised.
+    Every standard error must be positive and finite (a zero error would
+    claim an exact gap), else DegenerateFit; every covariance must be bounded
+    away from zero at 3 standard errors, otherwise the log transform is
+    meaningless and SignalLost is raised.
     """
     separations = [float(s) for s in separations]
     vals = np.array([v for v, _ in covariances], dtype=float)
     ses = np.array([s for _, s in covariances], dtype=float)
     if len(separations) < 3:
         raise DegenerateFit("need at least 3 separations")
+    bad = ses[~(np.isfinite(ses) & (ses > 0))]
+    if bad.size:
+        raise DegenerateFit(f"standard errors must be positive and finite, got {bad[0]}")
     if np.any(np.abs(vals) <= 3.0 * ses):
         raise SignalLost("covariance consistent with zero at some separation")
     y = np.log(np.abs(vals))

@@ -170,6 +170,8 @@ def test_non_object_blocks_exit_two(tmp_path, capsys):
     ("gap-fit", {"separations": [0.5, 1.0, 1.5], "covariances": [0.3, 0.2, 0.1],
                  "std_errors": [1e-3, -1e-3, 1e-3]}),
     ("gap-fit", {"csv": "negative-se.csv"}),
+    ("gap-fit", {"separations": [0.5, 1.0, 1.5], "covariances": [0.3, 0.2, 0.1],
+                 "std_errors": [0.0, 0.0, 0.0]}),
     ("moments", {"p": 0}),
     ("ground-state", {"T": 0.0}),
     ("ground-state", {"T": -0.25}),
@@ -187,7 +189,7 @@ def test_non_object_blocks_exit_two(tmp_path, capsys):
         "scaling-check-string-t_min", "lambda0-string-drop_smallest",
         "lambda0-empty-T_list", "partition-empty-T_list", "two-point-empty-separations",
         "mc-vs-lz-empty-R_values", "gap-fit-negative-std_error",
-        "gap-fit-csv-negative-std_error", "moments-zero-p", "ground-state-zero-T",
+        "gap-fit-csv-negative-std_error", "gap-fit-zero-std_error", "moments-zero-p", "ground-state-zero-T",
         "ground-state-negative-T"])
 def test_bad_experiment_options_exit_two(tmp_path, experiment, options):
     # the csv cases name these files relative to the working directory
@@ -414,12 +416,12 @@ def test_smc_off_grid_span_is_a_clean_failure(tmp_path):
     proc = subprocess.run([sys.executable, "-m", "sinhgordon", "--config", path,
                            "--out-dir", str(tmp_path / "out")],
                           capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 1
+    # an off-grid span is a configuration error: exit 2, one line, no output
+    assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
-    assert "runtime failure" in proc.stderr
-    rec = read_records(tmp_path / "out", "lambda0")[-1]
-    assert rec["status"] == "failed" and "not a multiple of dt" in rec["error"]
-    assert (tmp_path / "out" / "lambda0" / "manifest.json").exists()
+    assert proc.stderr.splitlines() == [
+        "config error: span 1.06 is not a multiple of dt=0.0625"]
+    assert not (tmp_path / "out").exists()
 
 
 _DT32 = {"n_modes": 12, "dt": 1 / 32, "window": 0.75}
@@ -435,16 +437,28 @@ _DT32 = {"n_modes": 12, "dt": 1 / 32, "window": 0.75}
 ], ids=["sample-window", "vertex-t-direct", "vertex-t-both", "two-point-separation",
         "ground-state-T", "validate-dt"])
 def test_off_grid_time_is_a_typed_failure(tmp_path, capsys, experiment, options, sampler):
-    # a span or time that is not a node of the dt grid is neither snapped nor a crash
+    # a span or time that is not a node of the dt grid is neither snapped nor a
+    # crash: it is a configuration error, exit 2 with one line and no output
     out = tmp_path / "out"
     path = write_config(tmp_path, base_config(experiment, options, sampler=sampler))
-    assert run(path, out_dir=str(out)) == 1
-    err = capsys.readouterr().err
-    assert "runtime failure" in err and "Traceback" not in err
-    rec = read_records(out, experiment)[-1]
-    assert rec["status"] == "failed"
-    assert "not a multiple of dt" in rec["error"] or "not on the grid" in rec["error"]
-    assert "traceback" not in json.loads((out / experiment / "manifest.json").read_text())
+    assert run(path, out_dir=str(out)) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: ")
+    assert "not a multiple of dt" in err[0] or "not on the grid" in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("experiment, options, message", [
+    ("vertex", {"t": 0.01}, "insertion time 0.01 is not on the grid"),
+    ("two-point", {"separations": [0.25, 0.3]},
+     "separation 0.3: insertion time -0.15 is not on the grid"),
+], ids=["vertex-t", "two-point-separation"])
+def test_off_grid_insertion_names_the_configured_time(tmp_path, capsys, experiment, options,
+                                                      message):
+    # the message holds the window time of the config, not the process time t + T
+    path = write_config(tmp_path, base_config(experiment, options, sampler=_DT32))
+    assert run(path, out_dir=str(tmp_path / "out")) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_unexpected_exception_is_a_clean_failure(tmp_path, capsys, monkeypatch):
@@ -606,20 +620,54 @@ def test_records_match_pinned(tmp_path, experiment):
 
 
 def test_validate_streams_the_sampled_paths(tmp_path):
-    # the panel steps one slice at a time; its covariances must equal the ones
-    # read from the stored paths of sample_path_batch at the same seed
+    # the panel steps from probe row to probe row (0.25 apart) in replica
+    # chunks; its covariances must equal the ones read from the stored paths
+    # of sample_path_batch on that grid, chunk by chunk, from the seed_chunks
+    # children of the seed
     from sinhgordon.gff import TimeGrid, fluctuation_grid, sample_path_batch
+    from sinhgordon.parallel import seed_chunks
 
-    n, seed = 500, 11
+    n, seed = 600, 11
     path = write_config(tmp_path, base_config("validate", n_samples=n, seed=seed))
     assert run(path, out_dir=str(tmp_path / "out")) == 0
     recs = [r for r in read_records(tmp_path / "out", "validate") if "probe" in r]
-    grid = TimeGrid(1 / 8, 8)
-    _, xs, ys = sample_path_batch(np.random.default_rng(seed), n, 12, grid)
+    grid = TimeGrid(0.25, 4)
+    chunks = seed_chunks(seed, n, runner.VALIDATE_CHUNK)
+    assert [size for _, size in chunks] == [256, 256, 88]
+    paths = [sample_path_batch(np.random.default_rng(child), size, 12, grid)
+             for child, size in chunks]
+
+    def field(t, th):
+        k = grid.index_of(t)
+        return np.concatenate([fluctuation_grid(xs[:, k, :], ys[:, k, :], np.array([th]))[:, 0]
+                               for _, xs, ys in paths])
+
     assert len(recs) == 5
     for rec in recs:
         (t1, th1), (t2, th2) = rec["probe"]
-        k1, k2 = grid.index_of(t1), grid.index_of(t2)
-        f1 = fluctuation_grid(xs[:, k1, :], ys[:, k1, :], np.array([th1]))[:, 0]
-        f2 = fluctuation_grid(xs[:, k2, :], ys[:, k2, :], np.array([th2]))[:, 0]
+        f1, f2 = field(t1, th1), field(t2, th2)
         assert rec["empirical"] == float(np.mean(f1 * f2) - np.mean(f1) * np.mean(f2))
+        assert rec["std_error"] == float(np.std(f1 * f2) / np.sqrt(n))
+
+
+def test_validate_records_do_not_depend_on_workers(tmp_path):
+    r1, r2 = _records_at_one_and_two_workers(tmp_path, "validate", {}, 700)
+    assert len(r1) == 6 and r1[-1]["status"] == "pass"
+    assert r1 == r2
+
+
+@pytest.mark.parametrize("n_samples", [300, 2000])
+def test_validate_streams_in_bounded_chunks(tmp_path, monkeypatch, n_samples):
+    # the panel never steps more than one chunk of paths at a time, however
+    # many samples it is asked for, and covers every sample once
+    batches, stream_paths = [], runner.stream_paths
+
+    def counting(rng, n_paths, *args):
+        batches.append(n_paths)
+        return stream_paths(rng, n_paths, *args)
+
+    monkeypatch.setattr(runner, "stream_paths", counting)
+    path = write_config(tmp_path, base_config("validate", n_samples=n_samples))
+    assert run(path, out_dir=str(tmp_path / "out")) == 0
+    assert max(batches) <= runner.VALIDATE_CHUNK
+    assert sum(batches) == n_samples

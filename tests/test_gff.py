@@ -44,6 +44,18 @@ def test_ou_half_step_composition(n, dt):
     assert std ** 2 == pytest.approx(var_two, abs=1e-12)
 
 
+@pytest.mark.parametrize("m", [2, 16])
+def test_ou_coarse_step_is_the_composed_fine_steps(m):
+    # one step of m*dt is m steps of dt in law: decay^m, and the m noises
+    # carried forward, std^2 * sum_{j<m} decay^(2j)
+    n = np.arange(1, 65)
+    dec, std = ou_step_coeffs(n, 1 / 64)
+    dec_m, std_m = ou_step_coeffs(n, m / 64)
+    np.testing.assert_allclose(dec_m, dec ** m, rtol=0, atol=1e-12)
+    composed = std ** 2 * sum(dec ** (2 * j) for j in range(m))
+    np.testing.assert_allclose(std_m ** 2, composed, rtol=0, atol=1e-12)
+
+
 def test_ou_stationary_variance_preserved(rng):
     dec, std = ou_step_coeffs(np.arange(1, 8), 0.37)
     assert np.allclose(dec ** 2 + std ** 2, 1.0, atol=1e-14)

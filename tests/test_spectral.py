@@ -129,3 +129,11 @@ def test_profile_csv_rows(unit_params):
     rows = list(prof.rows())
     assert len(rows) == 8
     assert all(len(r) == 5 for r in rows)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf])
+def test_gap_fit_needs_positive_finite_errors(bad):
+    # a zero error would claim an exact gap from points that are not on a line
+    covs = [(0.3, 1e-3), (0.2, bad), (0.1, 1e-3)]
+    with pytest.raises(DegenerateFit, match="positive and finite"):
+        sg.spectral_gap_fit([0.5, 1.0, 1.5], covs)
