@@ -1,62 +1,50 @@
-"""Monte Carlo toolkit for the massless Sinh-Gordon model on a cylinder."""
+"""Monte Carlo toolkit for the massless Sinh-Gordon model on a cylinder.
 
-from .params import ModelParams, validate_params, reduce_to_unit_radius
-from .gff import (
-    CircleField,
-    PathSample,
-    TimeGrid,
-    circle_average,
-    covariance_oracle,
-    eval_field,
-    evolve_path,
-    harmonic_extension,
-    ou_step_coeffs,
-    sample_circle_field,
-)
-from .gmc import (
-    GmcSpec,
-    Region,
-    circle_potential,
-    circle_spec,
-    fourier_spec,
-    gmc_mass,
-    gmc_mass_weighted,
-    harmonic_number,
-    moment_estimator,
-    renorm_constant,
-    scaling_check,
-)
-from .propagator import (
-    CQuadrature,
-    KernelEval,
-    default_c_quadrature,
-    feynman_kac,
-    feynman_kac_circle_potential,
-    free_kernel,
-    mehler_factor,
-    partition_curve,
-)
-from .correlations import (
-    InsertionSet,
-    ShiftData,
-    finite_T_expectation,
-    make_insertions,
-    scaling_one_point,
-    two_point_covariance,
-    vertex_direct,
-    vertex_girsanov,
-    vertex_plain,
-)
-from .spectral import (
-    GroundStateProfile,
-    SpectralEstimate,
-    ground_state_profile,
-    lambda0_fit,
-    lambda0_scaling_probe,
-    spectral_gap_fit,
-)
-from .lz import LzResult, lz_one_point, mc_vs_lz_report
-from .results import EstimatorResult, merge_results
+The public names are loaded on first use (PEP 562), so ``import sinhgordon``
+imports no numpy: the CLI runner sets the OpenBLAS thread count before numpy
+loads (see ``runner.py``).
+"""
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+import importlib
+
+# module -> the public names it exports here
+_EXPORTS = {
+    "params": ("ModelParams", "validate_params", "reduce_to_unit_radius"),
+    "gff": ("CircleField", "PathSample", "TimeGrid", "circle_average", "covariance_oracle",
+            "eval_field", "evolve_path", "harmonic_extension", "ou_step_coeffs",
+            "sample_circle_field"),
+    "gmc": ("GmcSpec", "Region", "circle_potential", "circle_spec", "fourier_spec",
+            "gmc_mass", "gmc_mass_weighted", "harmonic_number", "moment_estimator",
+            "renorm_constant", "scaling_check"),
+    "propagator": ("CQuadrature", "KernelEval", "default_c_quadrature", "feynman_kac",
+                   "feynman_kac_circle_potential", "free_kernel", "mehler_factor",
+                   "partition_curve"),
+    "correlations": ("InsertionSet", "ShiftData", "finite_T_expectation", "make_insertions",
+                     "scaling_one_point", "two_point_covariance", "vertex_direct",
+                     "vertex_girsanov", "vertex_plain"),
+    "spectral": ("GroundStateProfile", "SpectralEstimate", "ground_state_profile",
+                 "lambda0_fit", "lambda0_scaling_probe", "spectral_gap_fit"),
+    "lz": ("LzResult", "lz_one_point", "mc_vs_lz_report"),
+    "results": ("EstimatorResult", "merge_results"),
+}
+# submodules that are public names themselves
+_MODULES = ("correlations", "errors", "gff", "gmc", "lz", "parallel", "params", "propagator",
+            "results", "smc", "spectral")
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted([*_ORIGIN, *_MODULES])
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name in _MODULES:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

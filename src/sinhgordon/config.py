@@ -13,10 +13,16 @@ from dataclasses import dataclass, field, replace
 from .errors import ConfigError
 from .params import ModelParams, validate_params
 
+
+class Increasing(list):
+    """The option kind ``Increasing([kind])``: a ``[kind]`` array that strictly increases."""
+
+
 # Each experiment's options: name -> (kind, default[, bound]).  A kind is float
 # or int (a finite number, greater than bound if one is given), bool, str (a
-# path), a tuple of the allowed values, or [kind] (a non-empty JSON array of
-# that kind).
+# path), a tuple of the allowed values, [kind] (a non-empty JSON array of that
+# kind, each entry above bound if one is given), or Increasing([kind]) (one
+# whose entries strictly increase).
 # A None default is "not given"; the experiment may resolve it from the config.
 OPTIONS = {
     "validate": {},
@@ -25,9 +31,9 @@ OPTIONS = {
     "moments": {"t_min": (float, 0.5), "t_max": (float, 1.0), "p": (float, 1.0),
                 "sigma": ((1, -1), 1)},
     "scaling-check": {"t_min": (float, 0.0), "t_max": (float, 1.0)},
-    "partition": {"T_list": ([float], None)},
-    "lambda0": {"T_list": ([float], [1.0, 1.5, 2.0, 3.0]), "drop_smallest": (bool, True),
-                "backend": (("smc", "plain"), "smc")},
+    "partition": {"T_list": (Increasing([float]), None, 0.0)},
+    "lambda0": {"T_list": (Increasing([float]), [1.0, 1.5, 2.0, 3.0], 0.0),
+                "drop_smallest": (bool, True), "backend": (("smc", "plain"), "smc")},
     "ground-state": {"T": (float, None, 0.0), "bins_c": (int, 12, 0), "bins_x": (int, 8, 0)},
     "vertex": {"alpha": (float, 0.5), "t": (float, 0.0), "theta": (float, 0.0),
                "method": (("direct", "girsanov", "both"), "direct"),
@@ -122,7 +128,10 @@ def _option(value, kind, name: str, bound=None):
     if isinstance(kind, list):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"{name} must be a non-empty array, got {value!r}")
-        return [_option(v, kind[0], f"{name} entry") for v in value]
+        values = [_option(v, kind[0], f"{name} entry", bound) for v in value]
+        if isinstance(kind, Increasing) and any(a >= b for a, b in zip(values, values[1:])):
+            raise ConfigError(f"{name} must be strictly increasing, got {value!r}")
+        return values
     if isinstance(kind, tuple):
         if isinstance(value, bool) or value not in kind:
             raise ConfigError(f"{name} must be one of {list(kind)}, got {value!r}")

@@ -53,6 +53,23 @@ class TimeGrid:
             raise GridSpanMismatch(f"span {span} is not a multiple of dt={dt}")
         return cls(dt, n_steps)
 
+    @classmethod
+    def of_half_heights(cls, t_half_values, dt: float) -> tuple[TimeGrid, list[int]]:
+        """The grid of the cylinder [0, 2 max(T)] and the row of each span 2T.
+
+        An off-grid half-height is named as given, not by its span 2T.
+        """
+        th = max(t_half_values)
+        try:
+            grid = cls.spanning(2.0 * th, dt)
+            rows = []
+            for th in t_half_values:
+                rows.append(grid.index_of(2.0 * th))
+        except GridSpanMismatch:
+            raise GridSpanMismatch(f"half-height T={th} is not on the grid "
+                                   f"(2T must be a multiple of dt={dt})") from None
+        return grid, rows
+
     @property
     def span(self) -> float:
         return self.dt * self.n_steps

@@ -300,8 +300,7 @@ def partition_curve(t_half_values, params: ModelParams, quad: CQuadrature,
     and a pointwise smaller weight.
     """
     t_half_values = sorted(float(v) for v in t_half_values)
-    grid = TimeGrid.spanning(2.0 * t_half_values[-1], dt)
-    ends = [grid.index_of(2.0 * th) for th in t_half_values]
+    grid, ends = TimeGrid.of_half_heights(t_half_values, dt)
     _fourier_only(spec)
     gamma, mu = params.gamma, params.mu_scaled
     nodes, dtheta = theta_nodes(theta_cells)

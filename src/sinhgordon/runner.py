@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import platform
 import resource
 import sys
@@ -19,7 +20,14 @@ import time
 import traceback
 from pathlib import Path
 
-import numpy as np
+# ``run`` holds OpenBLAS at one thread for every experiment, so a CLI process
+# never uses the library's worker threads.  Asking for one thread before numpy
+# loads keeps that pool from being started at all, which saves start-up CPU.
+# An explicit OPENBLAS_NUM_THREADS still wins.  Library modules leave the count
+# alone: a process whose OpenBLAS loaded at one thread stays at one.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402  (after the thread count is set)
 
 from . import correlations as corr
 from . import gmc as gmc_mod
@@ -74,6 +82,7 @@ class OutputWriter:
             "wall_seconds": round(wall_s, 3),
             "n_records": len(self._records),
             "workers": workers,
+            "cores": _usable_cores(),
             "blas_threads": blas_threads(workers),
             "python": platform.python_version(),
             "numpy": np.__version__,
@@ -89,6 +98,14 @@ def _peak_rss_mb() -> float:
     """Peak resident set size of this process so far, in MB of 2**20 bytes."""
     rss = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return round(rss / (2**20 if sys.platform == "darwin" else 2**10), 1)
+
+
+def _usable_cores() -> int:
+    """Cores this process may run on: its CPU affinity set, where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
 
 
 def _gmc_spec(cfg: RunConfig, sigma: int = +1):
@@ -248,9 +265,9 @@ def _exp_lambda0(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
         pairs = [(pt.log_z, pt.log_z_se) for pt in pts]
         curve = [{"t_half": pt.t_half, "log_z": pt.log_z, "log_z_se": pt.log_z_se}
                  for pt in pts]
-    window = t_list[1:] if cfg.opts["drop_smallest"] and len(t_list) > 3 else t_list
-    used = [(t, p) for t, p in zip(t_list, pairs) if t in window]
-    fit = spec_mod.lambda0_fit([t for t, _ in used], [p for _, p in used])
+    # T_list strictly increases (config.OPTIONS), so the smallest T comes first
+    skip = 1 if cfg.opts["drop_smallest"] and len(t_list) > 3 else 0
+    fit = spec_mod.lambda0_fit(t_list[skip:], pairs[skip:])
     out.record({"experiment": "lambda0", "estimate": fit.value, "std_error": fit.std_error,
                 "fit_window": fit.fit_window, "r_squared": fit.r_squared,
                 "backend": backend, "curve": curve,

@@ -80,9 +80,9 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
     pu = reduce_to_unit_radius(params)
     gamma, mu = pu.gamma, pu.mu
     t_half_values = [float(t) for t in t_half_values]
-    grid = TimeGrid.spanning(2.0 * max(t_half_values), dt)
+    grid, ends = TimeGrid.of_half_heights(t_half_values, dt)
     k_total = grid.n_steps
-    marks = {grid.index_of(2.0 * th): j for j, th in enumerate(t_half_values)}
+    marks = {k: j for j, k in enumerate(ends)}
     nodes, dtheta = theta_nodes(theta_cells)
     renorm = harmonic_number(n_modes)
     # the shifted field's cell weights (e^{gamma s}, e^{-gamma s}), one row per slice

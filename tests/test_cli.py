@@ -420,7 +420,8 @@ def test_smc_off_grid_span_is_a_clean_failure(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.splitlines() == [
-        "config error: span 1.06 is not a multiple of dt=0.0625"]
+        "config error: half-height T=0.53 is not on the grid (2T must be a multiple of "
+        "dt=0.0625)"]
     assert not (tmp_path / "out").exists()
 
 
@@ -448,17 +449,53 @@ def test_off_grid_time_is_a_typed_failure(tmp_path, capsys, experiment, options,
     assert not out.exists()
 
 
+_HALF_HEIGHT_0515 = ("config error: half-height T=0.515 is not on the grid "
+                     "(2T must be a multiple of dt=0.03125)")
+
+
 @pytest.mark.parametrize("experiment, options, message", [
     ("vertex", {"t": 0.01}, "insertion time 0.01 is not on the grid"),
     ("two-point", {"separations": [0.25, 0.3]},
      "separation 0.3: insertion time -0.15 is not on the grid"),
-], ids=["vertex-t", "two-point-separation"])
+    ("lambda0", {"T_list": [0.25, 0.5, 0.515, 0.75]}, _HALF_HEIGHT_0515),
+    ("lambda0", {"T_list": [0.25, 0.5, 0.515, 0.75], "backend": "plain"}, _HALF_HEIGHT_0515),
+    ("partition", {"T_list": [0.25, 0.515, 0.75]}, _HALF_HEIGHT_0515),
+    ("partition", {"T_list": [0.25, 0.5, 0.515]}, _HALF_HEIGHT_0515),
+], ids=["vertex-t", "two-point-separation", "lambda0-smc-T_list", "lambda0-plain-T_list",
+        "partition-T_list", "partition-largest-T_list"])
 def test_off_grid_insertion_names_the_configured_time(tmp_path, capsys, experiment, options,
                                                       message):
-    # the message holds the window time of the config, not the process time t + T
+    # the message holds the time the config gives, not the process time: the
+    # window time t, not t + T, and a T_list entry T, not the span 2T
     path = write_config(tmp_path, base_config(experiment, options, sampler=_DT32))
     assert run(path, out_dir=str(tmp_path / "out")) == 2
     assert message in capsys.readouterr().err
+
+
+_UNSORTED = "option T_list must be strictly increasing"
+_NOT_POSITIVE = "option T_list entry must be greater than 0.0"
+
+
+@pytest.mark.parametrize("experiment, options, message", [
+    ("lambda0", {"T_list": [1.5, 1.0, 2.0, 3.0]}, _UNSORTED),
+    ("lambda0", {"T_list": [1.5, 1.0, 2.0, 3.0], "backend": "plain"}, _UNSORTED),
+    ("lambda0", {"T_list": [1.0, 1.5, 1.5, 2.0]}, _UNSORTED),
+    ("partition", {"T_list": [0.75, 0.5]}, _UNSORTED),
+    ("partition", {"T_list": [0.5, 0.5]}, _UNSORTED),
+    ("lambda0", {"T_list": [0.0, 0.5, 0.75], "drop_smallest": False}, _NOT_POSITIVE),
+    ("lambda0", {"T_list": [-0.5, 0.5, 0.75, 1.0], "backend": "plain"}, _NOT_POSITIVE),
+    ("partition", {"T_list": [0.0, 0.5]}, _NOT_POSITIVE),
+], ids=["lambda0-smc-unsorted", "lambda0-plain-unsorted", "lambda0-repeated",
+        "partition-unsorted", "partition-repeated", "lambda0-smc-zero", "lambda0-plain-negative",
+        "partition-zero"])
+def test_t_list_is_checked_before_sampling(tmp_path, capsys, experiment, options, message):
+    # an unsorted T_list used to fit the wrong points, and a T of 0 gave the
+    # SMC backend a NaN estimate, both with exit 0; both are config errors now
+    path = write_config(tmp_path, base_config(experiment, options))
+    assert run(path, out_dir=str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {experiment} {message}, got ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_unexpected_exception_is_a_clean_failure(tmp_path, capsys, monkeypatch):
@@ -493,7 +530,10 @@ def test_manifest_records_versions_and_peak_rss(tmp_path):
     assert manifest["python"] == platform.python_version()
     assert manifest["numpy"] == np.__version__
     assert 1.0 < manifest["peak_rss_mb"] < 1e5
+    assert 1 <= manifest["cores"] <= (os.cpu_count() or 1)
     assert "traceback" not in manifest
+    # provenance stays out of the records
+    assert all("cores" not in rec for rec in read_records(out, "lz"))
 
 
 def test_worker_env_override(monkeypatch):
@@ -551,6 +591,31 @@ def test_scipy_stays_off_the_import_path():
                            "import sys, sinhgordon.runner; print('scipy' in sys.modules)"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
+
+
+def test_package_import_loads_no_numpy():
+    # the runner must be able to set the OpenBLAS thread count before numpy loads
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", "import sys, sinhgordon; "
+                           "print('numpy' in sys.modules, 'scipy' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stdout.split() == ["False", "False"], proc.stderr
+
+
+def test_package_names_resolve_to_their_modules():
+    import importlib
+
+    import sinhgordon
+    for name in sinhgordon.__all__:
+        value = getattr(sinhgordon, name)
+        if name in sinhgordon._MODULES:
+            assert value is importlib.import_module(f"sinhgordon.{name}")
+        else:
+            module = importlib.import_module(f"sinhgordon.{sinhgordon._ORIGIN[name]}")
+            assert value is getattr(module, name), name
+    assert set(sinhgordon.__all__) <= set(dir(sinhgordon))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        sinhgordon.no_such_name
 
 
 def test_vertex_both_streams_each_chunk_once(tmp_path, monkeypatch):

@@ -1,9 +1,13 @@
-"""The replica driver ``map_replicas``, and OpenBLAS thread pinning around the
-worker pool of ``map_chunks`` and around a whole ``runner.run``."""
+"""The replica driver ``map_replicas``, OpenBLAS thread pinning around the
+worker pool of ``map_chunks`` and around a whole ``runner.run``, and the
+OpenBLAS thread count a CLI process starts at."""
 
 import json
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -165,3 +169,44 @@ def test_manifest_reports_the_count_the_run_used(two_blas_threads, tmp_path):
         manifest = json.loads((out / "gap-fit" / "manifest.json").read_text())
         assert (manifest["workers"], manifest["blas_threads"]) == (workers, 1)
     assert _BLAS.threads() == two_blas_threads
+
+
+# A fresh interpreter's OpenBLAS thread count, printed after ``code`` runs.
+_COUNT = "\nfrom sinhgordon.parallel import _BLAS\nprint(_BLAS.threads())"
+
+
+def _in_a_new_process(args, **env):
+    """Run ``python args`` with ``env`` in place of any OPENBLAS_NUM_THREADS."""
+    if _BLAS.threads() is None:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    full = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    full.update(env, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=full, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_a_cli_process_starts_at_one_blas_thread():
+    # the runner asks for one thread before numpy loads, so no pool is started
+    for code in ("import sinhgordon.runner", "from sinhgordon import runner"):
+        assert _in_a_new_process(["-c", code + _COUNT]) == ["1"], code
+
+
+def test_an_explicit_blas_thread_count_wins(tmp_path):
+    if runner._usable_cores() < 2:
+        pytest.skip("OpenBLAS caps the count at the usable cores")
+    assert _in_a_new_process(["-c", "import sinhgordon.runner" + _COUNT],
+                             OPENBLAS_NUM_THREADS="2") == ["2"]
+    # and an experiment still runs at one thread
+    _in_a_new_process(["-m", "sinhgordon", "--config", _gap_fit_config(tmp_path),
+                       "--out-dir", str(tmp_path / "out")], OPENBLAS_NUM_THREADS="2")
+    manifest = json.loads((tmp_path / "out" / "gap-fit" / "manifest.json").read_text())
+    assert manifest["blas_threads"] == 1
+
+
+def test_the_runner_leaves_a_loaded_blas_alone():
+    # a library caller that loaded numpy first keeps its thread count
+    code = "import numpy" + _COUNT + "\nimport sinhgordon.runner" + _COUNT
+    before, after = _in_a_new_process(["-c", code])
+    assert after == before
