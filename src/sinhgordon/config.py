@@ -8,9 +8,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, SinhGordonError
 from .params import ModelParams, validate_params
 
 
@@ -20,9 +20,9 @@ class Increasing(list):
 
 # Each experiment's options: name -> (kind, default[, bound]).  A kind is float
 # or int (a finite number, greater than bound if one is given), bool, str (a
-# path), a tuple of the allowed values, [kind] (a non-empty JSON array of that
-# kind, each entry above bound if one is given), or Increasing([kind]) (one
-# whose entries strictly increase).
+# path), dict (a JSON object), a tuple of the allowed values, [kind] (a
+# non-empty JSON array of that kind, each entry above bound if one is given),
+# or Increasing([kind]) (one whose entries strictly increase).
 # A None default is "not given"; the experiment may resolve it from the config.
 OPTIONS = {
     "validate": {},
@@ -37,12 +37,12 @@ OPTIONS = {
     "ground-state": {"T": (float, None, 0.0), "bins_c": (int, 12, 0), "bins_x": (int, 8, 0)},
     "vertex": {"alpha": (float, 0.5), "t": (float, 0.0), "theta": (float, 0.0),
                "method": (("direct", "girsanov", "both"), "direct"),
-               "n_list": ([int], None)},
+               "n_list": (Increasing([int]), None, 0)},
     "two-point": {"alpha1": (float, 0.5), "alpha2": (float, None), "theta1": (float, 0.0),
                   "theta2": (float, None),
                   "separations": ([float], [1.0, 1.5, 2.0, 2.5, 3.0])},
     "gap-fit": {"csv": (str, None), "separations": ([float], None),
-                "covariances": ([float], None), "std_errors": ([float], None)},
+                "covariances": ([float], None), "std_errors": ([float], None, 0.0)},
     "lz": {"alpha": (float, 0.5), "tol": (float, 1e-10, 0.0)},
     "mc-vs-lz": {"alpha": (float, 0.5), "R_values": ([float], [1.0, 2.0, 4.0]),
                  "estimates": ([[float]], None)},
@@ -50,27 +50,47 @@ OPTIONS = {
 EXPERIMENTS = tuple(OPTIONS)
 
 
+# The config blocks: block -> key -> (kind, default[, bound]), in the form of
+# OPTIONS.  gmc.regularization is an object whose keys are those of its kind in
+# REGULARIZATIONS.  A _REQUIRED key has no default.
+_REQUIRED = object()
+BLOCKS = {
+    "params": {"gamma": (float, _REQUIRED), "mu": (float, _REQUIRED), "radius": (float, 1.0)},
+    "sampler": {"n_modes": (int, 64, 0), "dt": (float, 1.0 / 32.0, 0.0),
+                "window": (float, 1.5, 0.0)},                 # cylinder half-height T
+    "gmc": {"regularization": (dict, {}), "theta_cells": (int, 128, 3)},
+    "estimator": {"n_samples": (int, 8192, 1), "seed": (int, 1, -1),
+                  "c_window": (float, 8.0, 0.0),  # window is [-c_window/gamma, c_window/gamma]
+                  "c_nodes": (int, 65, 7)},
+}
+REGULARIZATIONS = {"fourier": {"n": (int, 64, 0)},
+                   "circle": {"epsilon": (float, 1.0 / 16.0, 0.0)}}
+_TOP = {**{name: (dict, {}) for name in BLOCKS}, "params": (dict, _REQUIRED),
+        "experiment": (dict, _REQUIRED)}
+_EXPERIMENT = {"name": (EXPERIMENTS, _REQUIRED), "options": (dict, {})}
+
+
 @dataclass(frozen=True)
 class SamplerCfg:
-    n_modes: int = 64
-    dt: float = 1.0 / 32.0
-    window: float = 1.5          # cylinder half-height T
+    n_modes: int
+    dt: float
+    window: float
 
 
 @dataclass(frozen=True)
 class GmcCfg:
-    kind: str = "fourier"        # "fourier" | "circle"
-    n: int = 64
-    epsilon: float = 1.0 / 16.0
-    theta_cells: int = 128
+    kind: str                    # a key of REGULARIZATIONS; the other kind's key is its default
+    n: int
+    epsilon: float
+    theta_cells: int
 
 
 @dataclass(frozen=True)
 class EstimatorCfg:
-    n_samples: int = 8192
-    seed: int = 1
-    c_window: float = 8.0        # window is [-c_window/gamma, c_window/gamma]
-    c_nodes: int = 65
+    n_samples: int
+    seed: int
+    c_window: float
+    c_nodes: int
 
 
 @dataclass(frozen=True)
@@ -80,47 +100,21 @@ class RunConfig:
     gmc: GmcCfg
     estimator: EstimatorCfg
     experiment: str
-    options: dict = field(default_factory=dict)   # as written, for the manifest
-    opts: dict = field(default_factory=dict)      # checked against OPTIONS, defaults filled
+    options: dict                # as written, for the manifest
+    opts: dict                   # checked against OPTIONS, defaults filled
 
     def raw(self) -> dict:
-        return {
-            "params": {"gamma": self.params.gamma, "mu": self.params.mu,
-                       "radius": self.params.radius},
-            "sampler": {"n_modes": self.sampler.n_modes, "dt": self.sampler.dt,
-                        "window": self.sampler.window},
-            "gmc": {"regularization": ({"kind": "fourier", "n": self.gmc.n}
-                                       if self.gmc.kind == "fourier"
-                                       else {"kind": "circle", "epsilon": self.gmc.epsilon}),
-                    "theta_cells": self.gmc.theta_cells},
-            "estimator": {"n_samples": self.estimator.n_samples, "seed": self.estimator.seed,
-                          "c_window": self.estimator.c_window,
-                          "c_nodes": self.estimator.c_nodes},
-            "experiment": {"name": self.experiment, "options": self.options},
-        }
+        """The config with every default filled in: ``parse_config(raw())`` gives it back."""
+        fields = {name: asdict(getattr(self, name)) for name in BLOCKS}
+        gmc = fields["gmc"]
+        gmc["regularization"] = {"kind": gmc["kind"],
+                                 **{key: gmc[key] for key in REGULARIZATIONS[gmc["kind"]]}}
+        return {**{name: {key: fields[name][key] for key in table}
+                   for name, table in BLOCKS.items()},
+                "experiment": {"name": self.experiment, "options": self.options}}
 
 
-def _take(block: dict, context: str, allowed: dict):
-    """Pop known keys with defaults; reject anything unknown."""
-    if not isinstance(block, dict):
-        raise ConfigError(f"{context} must be an object")
-    block = dict(block)
-    out = {}
-    for key, default in allowed.items():
-        out[key] = block.pop(key, default)
-    if block:
-        raise ConfigError(f"unknown keys in {context}: {sorted(block)}")
-    return out
-
-
-def _number(value, name: str, kind=float):
-    """``value`` as a finite ``kind``: strings, booleans and fractional ints are rejected."""
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or isinstance(value, float) and not math.isfinite(value)):
-        raise ConfigError(f"{name} must be a finite number, got {value!r}")
-    if kind is int and value != int(value):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return kind(value)
+_NOUNS = {bool: "a boolean", str: "a string", dict: "an object"}
 
 
 def _option(value, kind, name: str, bound=None):
@@ -136,88 +130,69 @@ def _option(value, kind, name: str, bound=None):
         if isinstance(value, bool) or value not in kind:
             raise ConfigError(f"{name} must be one of {list(kind)}, got {value!r}")
         return kind[kind.index(value)]
-    if kind in (bool, str):
+    if kind in _NOUNS:
         if not isinstance(value, kind):
-            raise ConfigError(f"{name} must be a {kind.__name__}, got {value!r}")
+            raise ConfigError(f"{name} must be {_NOUNS[kind]}, got {value!r}")
         return value
-    value = _number(value, name, kind)
+    # a number: strings, booleans and fractional ints are rejected
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or isinstance(value, float) and not math.isfinite(value)):
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    if kind is int and value != int(value):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    value = kind(value)
     if bound is not None and not value > bound:
         raise ConfigError(f"{name} must be greater than {bound}, got {value!r}")
     return value
 
 
-def _options(experiment: str, options) -> dict:
-    """``experiment``'s options checked against ``OPTIONS``, with the defaults filled in."""
-    table = OPTIONS[experiment]
-    _take(options, f"{experiment} options", table)   # an object with no unknown keys
-    return {key: _option(options[key], kind, f"{experiment} option {key}", *bound)
-            if key in options else default
-            for key, (kind, default, *bound) in table.items()}
+def _checked(block, table: dict, context: str, prefix: str) -> dict:
+    """``block`` checked key by key against ``table``, with the defaults filled in.
+
+    ``context`` names the block in errors and ``prefix`` + key names a key.
+    """
+    _option(block, dict, context)
+    unknown = sorted(set(block) - set(table))
+    if unknown:
+        raise ConfigError(f"unknown keys in {context}: {unknown}")
+    out = {}
+    for key, (kind, default, *bound) in table.items():
+        if key in block:
+            out[key] = _option(block[key], kind, prefix + key, *bound)
+        elif default is _REQUIRED:
+            raise ConfigError(f"{prefix}{key} is required")
+        else:
+            out[key] = default
+    return out
+
+
+def _regularization(reg: dict) -> dict:
+    """``gmc.regularization`` checked against its kind; the other kinds' keys at their defaults."""
+    kind = _option(reg.get("kind", "fourier"), tuple(REGULARIZATIONS),
+                   "gmc.regularization.kind")
+    defaults = {key: default for table in REGULARIZATIONS.values()
+                for key, (_, default, *_) in table.items()}
+    table = {"kind": ((kind,), kind), **REGULARIZATIONS[kind]}   # kind itself is checked above
+    return {**defaults, **_checked(reg, table, "gmc.regularization", "gmc.regularization.")}
 
 
 def parse_config(data: dict) -> RunConfig:
-    if not isinstance(data, dict):
-        raise ConfigError("configuration root must be an object")
-    top = _take(data, "top level", {
-        "params": None, "sampler": {}, "gmc": {}, "estimator": {}, "experiment": None,
-    })
-    if top["params"] is None:
-        raise ConfigError("missing required block 'params'")
-    if top["experiment"] is None:
-        raise ConfigError("missing required block 'experiment'")
-
-    p = _take(top["params"], "params", {"gamma": None, "mu": None, "radius": 1.0})
-    if p["gamma"] is None or p["mu"] is None:
-        raise ConfigError("params block needs gamma and mu")
+    top = _checked(data, _TOP, "configuration root", "")
+    blocks = {name: _checked(top[name], table, name, f"{name}.")
+              for name, table in BLOCKS.items()}
     try:
-        params = validate_params(p["gamma"], p["mu"], p["radius"])
-    except Exception as exc:
+        params = validate_params(**blocks["params"])
+    except SinhGordonError as exc:
         raise ConfigError(f"invalid params: {exc}") from exc
-
-    s = _take(top["sampler"], "sampler", {"n_modes": 64, "dt": 1.0 / 32.0, "window": 1.5})
-    sampler = SamplerCfg(_number(s["n_modes"], "sampler.n_modes", int),
-                         _number(s["dt"], "sampler.dt"), _number(s["window"], "sampler.window"))
-    if sampler.n_modes < 1 or sampler.dt <= 0 or sampler.window <= 0:
-        raise ConfigError("sampler block values out of range")
-
-    g = _take(top["gmc"], "gmc", {"regularization": {"kind": "fourier", "n": 64},
-                                  "theta_cells": 128})
-    if not isinstance(g["regularization"], dict):
-        raise ConfigError("gmc.regularization must be an object")
-    reg = dict(g["regularization"])
-    kind = reg.pop("kind", "fourier")
-    theta_cells = _number(g["theta_cells"], "gmc.theta_cells", int)
-    if kind == "fourier":
-        reg = _take({"kind": kind, **reg}, "gmc.regularization", {"kind": None, "n": 64})
-        gmc = GmcCfg(kind="fourier", n=_number(reg["n"], "gmc.regularization.n", int),
-                     theta_cells=theta_cells)
-    elif kind == "circle":
-        reg = _take({"kind": kind, **reg}, "gmc.regularization",
-                    {"kind": None, "epsilon": 1.0 / 16.0})
-        gmc = GmcCfg(kind="circle",
-                     epsilon=_number(reg["epsilon"], "gmc.regularization.epsilon"),
-                     theta_cells=theta_cells)
-    else:
-        raise ConfigError(f"unknown regularization kind {kind!r}")
-    if gmc.n < 1 or gmc.epsilon <= 0 or gmc.theta_cells < 4:
-        raise ConfigError("gmc block values out of range")
-
-    e = _take(top["estimator"], "estimator",
-              {"n_samples": 8192, "seed": 1, "c_window": 8.0, "c_nodes": 65})
-    est = EstimatorCfg(_number(e["n_samples"], "estimator.n_samples", int),
-                       _number(e["seed"], "estimator.seed", int),
-                       _number(e["c_window"], "estimator.c_window"),
-                       _number(e["c_nodes"], "estimator.c_nodes", int))
-    if est.n_samples < 2 or est.seed < 0 or est.c_nodes < 8 or est.c_window <= 0:
-        raise ConfigError("estimator block values out of range")
-
-    exp = _take(top["experiment"], "experiment", {"name": None, "options": {}})
-    if exp["name"] not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {exp['name']!r}; "
-                          f"choose one of {', '.join(EXPERIMENTS)}")
-    return RunConfig(params=params, sampler=sampler, gmc=gmc, estimator=est,
-                     experiment=exp["name"], options=exp["options"],
-                     opts=_options(exp["name"], exp["options"]))
+    gmc = blocks["gmc"]
+    reg = _regularization(gmc.pop("regularization"))
+    exp = _checked(top["experiment"], _EXPERIMENT, "experiment", "experiment.")
+    name = exp["name"]
+    return RunConfig(params=params, sampler=SamplerCfg(**blocks["sampler"]),
+                     gmc=GmcCfg(**reg, **gmc), estimator=EstimatorCfg(**blocks["estimator"]),
+                     experiment=name, options=exp["options"],
+                     opts=_checked(exp["options"], OPTIONS[name], f"{name} options",
+                                   f"{name} option "))
 
 
 def load_config(path: str) -> RunConfig:
@@ -238,16 +213,13 @@ def with_overrides(cfg: RunConfig, seed: int | None = None, fast: bool = False) 
     the sampler's and the Fourier regularization's.  The circle kind's fixed
     path modes are not capped.
     """
-    est = cfg.estimator
-    sampler = cfg.sampler
-    gmc = cfg.gmc
+    est, sampler, gmc = cfg.estimator, cfg.sampler, cfg.gmc
     if seed is not None:
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
-        est = EstimatorCfg(est.n_samples, int(seed), est.c_window, est.c_nodes)
+        kind, _, bound = BLOCKS["estimator"]["seed"]
+        est = replace(est, seed=_option(seed, kind, "seed override", bound))
     if fast:
-        est = EstimatorCfg(min(est.n_samples, 1000), est.seed, est.c_window, est.c_nodes)
-        sampler = SamplerCfg(min(sampler.n_modes, 16), sampler.dt, sampler.window)
+        est = replace(est, n_samples=min(est.n_samples, 1000))
+        sampler = replace(sampler, n_modes=min(sampler.n_modes, 16))
         if gmc.kind == "fourier":
-            gmc = GmcCfg(gmc.kind, min(gmc.n, 16), gmc.epsilon, gmc.theta_cells)
+            gmc = replace(gmc, n=min(gmc.n, 16))
     return replace(cfg, sampler=sampler, gmc=gmc, estimator=est)

@@ -61,10 +61,6 @@ class InsertionSet:
     def admissible(self) -> bool:
         return all(abs(a) < self.q_bound for a, _, _ in self.entries)
 
-    @property
-    def total_alpha(self) -> float:
-        return sum(a for a, _, _ in self.entries)
-
 
 def make_insertions(entries, params: ModelParams) -> InsertionSet:
     return InsertionSet(tuple((float(a), float(t), float(th)) for a, t, th in entries),
@@ -356,10 +352,6 @@ def finite_T_expectation(observable, t_half: float, params: ModelParams, *,
         wall_ms=1e3 * (time.perf_counter() - t0))
 
 
-def _smc_settings(n_samples: int, n_runs: int) -> SmcSettings:
-    return SmcSettings(n_particles=max(256, n_samples // n_runs), n_runs=n_runs)
-
-
 def _check_admissible(insertions: InsertionSet) -> None:
     if not insertions.admissible:
         raise InadmissibleInsertions(
@@ -448,7 +440,7 @@ def vertex_direct(insertions: InsertionSet, regularization: GmcSpec | None,
     entries = _entries_to_process(insertions.entries, t_half, dt)
     t0 = time.perf_counter()
     flow = smc_flow(params, [t_half], dt, n_modes, theta_cells,
-                    _smc_settings(n_samples, smc_runs), seed,
+                    SmcSettings.for_samples(n_samples, smc_runs), seed,
                     register_groups=[entries], workers=workers)
     num, den = _smc_columns(flow)
     est, se = jackknife_ratio(num[0], den)
@@ -482,7 +474,7 @@ def vertex_girsanov(insertions: InsertionSet, t_half: float, params: ModelParams
     entries = _entries_to_process(insertions.entries, t_half, dt)
     shift = ShiftData(entries, kernel=n_modes)
     t0 = time.perf_counter()
-    settings = _smc_settings(n_samples, smc_runs)
+    settings = SmcSettings.for_samples(n_samples, smc_runs)
     grid = TimeGrid.spanning(2.0 * t_half, dt)
     nodes, _ = theta_nodes(theta_cells)
     s_grid = shift.total_grid(grid.times(), nodes)
@@ -616,7 +608,7 @@ def two_point_panel(pairs, separations, t_half: float, params: ModelParams, *,
     groups = [g for ins1, ins2 in pairs for s in separations
               for g in _pair_groups(ins1, ins2, s, t_half, dt)]
     flow = smc_flow(params, [t_half], dt, n_modes, theta_cells,
-                    _smc_settings(n_samples, smc_runs), seed,
+                    SmcSettings.for_samples(n_samples, smc_runs), seed,
                     register_groups=groups, workers=workers)
     num, den = _smc_columns(flow)
     per_pair = 3 * len(separations)

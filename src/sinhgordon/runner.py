@@ -33,7 +33,7 @@ from . import correlations as corr
 from . import gmc as gmc_mod
 from . import lz as lz_mod
 from . import spectral as spec_mod
-from .config import EXPERIMENTS, RunConfig, _number, load_config, with_overrides
+from .config import EXPERIMENTS, OPTIONS, RunConfig, _option, load_config, with_overrides
 from .errors import ConfigError, SinhGordonError
 from .gff import TimeGrid, dump_path, evolve_path, fluctuation_grid, stream_paths, \
     truncated_slice_cov
@@ -250,8 +250,8 @@ def _exp_lambda0(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     t0 = time.perf_counter()
     t_list, backend = cfg.opts["T_list"], cfg.opts["backend"]
     if backend == "smc":
-        settings = SmcSettings(n_particles=max(256, cfg.estimator.n_samples // 12),
-                               n_runs=12, c_half_width=cfg.estimator.c_window)
+        settings = SmcSettings.for_samples(cfg.estimator.n_samples, 12,
+                                           c_half_width=cfg.estimator.c_window)
         pairs = smc_log_partition(cfg.params, t_list, cfg.sampler.dt,
                                   cfg.sampler.n_modes, cfg.gmc.theta_cells, settings,
                                   cfg.estimator.seed, workers=workers)
@@ -294,10 +294,9 @@ def _exp_ground_state(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 def _exp_vertex(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     alpha, method, n_list = cfg.opts["alpha"], cfg.opts["method"], cfg.opts["n_list"]
     n_modes = cfg.sampler.n_modes   # after the --fast cap, so checked here, not at parse
-    if n_list is not None and (len(n_list) < 2 or not all(
-            1 <= a < b <= n_modes for a, b in zip(n_list, n_list[1:]))):
-        raise ConfigError(f"vertex n_list needs at least two increasing integers in "
-                          f"[1, {n_modes}] (sampler.n_modes), got {n_list!r}")
+    if n_list is not None and (len(n_list) < 2 or n_list[-1] > n_modes):
+        raise ConfigError(f"vertex n_list needs at least two entries, none above "
+                          f"{n_modes} (sampler.n_modes), got {n_list!r}")
     ins = corr.make_insertions([(alpha, cfg.opts["t"], cfg.opts["theta"])],
                                reduce_to_unit_radius(cfg.params))
     common = dict(dt=cfg.sampler.dt, n_modes=cfg.sampler.n_modes,
@@ -345,13 +344,22 @@ def _exp_two_point(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
                     "fingerprint": params_fingerprint(cfg.raw()), "wall_ms": wall})
 
 
+# The columns of a gap-fit CSV and the gap-fit options they stand for.
+_CURVE_COLUMNS = {"separation": "separations", "covariance": "covariances",
+                  "std_error": "std_errors"}
+
+
 def _read_curve(path: str) -> list[list[float]]:
-    """The separation, covariance and std_error columns of a gap-fit CSV."""
+    """The columns of a gap-fit CSV, each checked as its option in ``OPTIONS``."""
     try:
         with open(path, newline="") as fh:
             rows = list(csv.DictReader(fh))
-        return [[_number(float(row[col]), f"column {col}") for row in rows]
-                for col in ("separation", "covariance", "std_error")]
+        curve = []
+        for col, key in _CURVE_COLUMNS.items():
+            kind, _, *bound = OPTIONS["gap-fit"][key]
+            curve.append(_option([float(row[col]) for row in rows], kind, f"column {col}",
+                                 *bound))
+        return curve
     except KeyError as exc:
         raise ConfigError(f"gap-fit csv {path} has no column {exc}") from exc
     except (OSError, csv.Error, TypeError, ValueError, ConfigError) as exc:
@@ -368,8 +376,6 @@ def _exp_gap_fit(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     if not len(seps) == len(covs) == len(ses):
         raise ConfigError(f"gap-fit separations, covariances and std_errors differ in "
                           f"length: {len(seps)}, {len(covs)}, {len(ses)}")
-    if min(ses) <= 0:
-        raise ConfigError(f"gap-fit std_errors must be > 0, got {min(ses)!r}")
     fit = spec_mod.spectral_gap_fit(seps, list(zip(covs, ses)))
     out.record({"experiment": "gap-fit", "estimate": fit.value,
                 "std_error": fit.std_error, "r_squared": fit.r_squared,

@@ -44,6 +44,12 @@ class SmcSettings:
     n_runs: int = 12
     c_half_width: float = 8.0      # zero-mode window is [-w/gamma, +w/gamma]
 
+    @classmethod
+    def for_samples(cls, n_samples: int, n_runs: int, **kwargs) -> SmcSettings:
+        """``n_runs`` runs sharing ``n_samples`` particles, at least 256 in each;
+        ``kwargs`` sets the other fields."""
+        return cls(n_particles=max(256, n_samples // n_runs), n_runs=n_runs, **kwargs)
+
 
 @dataclass(frozen=True)
 class ShiftTask:

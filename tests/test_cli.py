@@ -14,8 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sinhgordon import runner
-from sinhgordon.config import OPTIONS, parse_config, with_overrides
+from sinhgordon.config import BLOCKS, OPTIONS, parse_config, with_overrides
 from sinhgordon.errors import ConfigError
+from sinhgordon.results import params_fingerprint
 from sinhgordon.runner import run
 
 
@@ -92,6 +93,31 @@ def test_fast_profile_caps():
     assert with_overrides(circle, fast=True).gmc == circle.gmc
 
 
+def _shipped_and_readme_configs():
+    root = Path(__file__).parents[1]
+    configs = {path.name: json.loads(path.read_text())
+               for path in sorted((root / "configs").glob("*.json"))}
+    schema = (root / "README.md").read_text().split("### Configuration schema", 1)[1]
+    configs["README"] = json.loads(schema.split("```json", 1)[1].split("```", 1)[0])
+    return sorted(configs.items())
+
+
+@pytest.mark.parametrize("overrides", [{}, {"fast": True, "seed": 7}],
+                         ids=["as-written", "fast-seed-7"])
+@pytest.mark.parametrize("name, raw", _shipped_and_readme_configs())
+def test_raw_round_trips(name, raw, overrides):
+    # raw() is the manifest's config and the fingerprint's payload: it parses
+    # back to the same run, and these configs spell out every key, so as
+    # written it is the file itself
+    cfg = with_overrides(parse_config(raw), **overrides)
+    again = parse_config(cfg.raw())
+    assert again == cfg
+    assert params_fingerprint(again.raw()) == params_fingerprint(cfg.raw())
+    if not overrides:
+        assert cfg.raw() == raw
+        assert params_fingerprint(cfg.raw()) == params_fingerprint(raw)
+
+
 def test_config_exit_code_two(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -102,6 +128,9 @@ def test_config_exit_code_two(tmp_path):
 
 
 @pytest.mark.parametrize("block, key, value", [
+    ("params", "gamma", True),
+    ("params", "mu", "1.0"),
+    ("params", "radius", "2"),
     ("sampler", "n_modes", "16"),
     ("sampler", "dt", True),
     ("sampler", "n_modes", 12.5),
@@ -208,8 +237,8 @@ def test_bad_experiment_options_exit_two(tmp_path, experiment, options):
 
 
 def _wrong_values(kind):
-    """Values of the wrong type for an option kind of OPTIONS; a nested list is
-    three deep, so it is wrong for the arrays of arrays too."""
+    """Values of the wrong type for a kind of OPTIONS or BLOCKS; a nested list
+    is three deep, so it is wrong for the arrays of arrays too."""
     wrong = [st.none(), st.just(float("nan")),
              st.lists(st.lists(st.lists(st.floats(-10, 10), min_size=1, max_size=2),
                                min_size=1, max_size=2), min_size=1, max_size=2)]
@@ -221,22 +250,33 @@ def _wrong_values(kind):
     return st.one_of(wrong)
 
 
+def _wrongly_typed_configs(data):
+    """One config per experiment with a wrongly typed option, and one per block
+    with a wrongly typed key."""
+    for experiment, table in OPTIONS.items():
+        if table:
+            key = data.draw(st.sampled_from(sorted(table)), label=experiment)
+            value = data.draw(_wrong_values(table[key][0]), label=key)
+            yield (experiment, key, value), base_config(experiment, {key: value})
+    for block, table in BLOCKS.items():
+        key = data.draw(st.sampled_from(sorted(table)), label=block)
+        value = data.draw(_wrong_values(table[key][0]), label=key)
+        cfg = base_config("lz")
+        cfg[block][key] = value
+        yield (block, key, value), cfg
+
+
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_wrongly_typed_option_is_rejected_before_dispatch(data):
-    # one wrongly typed option per experiment: exit 2 from the config parse,
-    # before the output directory exists
+    # exit 2 from the config parse, before the output directory exists
     with tempfile.TemporaryDirectory() as tmp:
-        for experiment, table in OPTIONS.items():
-            if not table:
-                continue
-            key = data.draw(st.sampled_from(sorted(table)), label=experiment)
-            value = data.draw(_wrong_values(table[key][0]), label=key)
-            path = write_config(Path(tmp), base_config(experiment, {key: value}))
+        for case, cfg in _wrongly_typed_configs(data):
+            path = write_config(Path(tmp), cfg)
             err = io.StringIO()
             with contextlib.redirect_stderr(err):
                 code = run(path, out_dir=str(Path(tmp) / "out"))
-            assert code == 2, (experiment, key, value)
+            assert code == 2, case
             assert "config error:" in err.getvalue() and "Traceback" not in err.getvalue()
             assert not (Path(tmp) / "out").exists()
 
