@@ -33,8 +33,12 @@ class CoincidentPoints(SinhGordonError):
     """Covariance kernel requested at a log-divergent coincident pair."""
 
 
-class EpsilonGridMismatch(SinhGordonError):
-    """Circle-average radius is not an integer multiple of the grid step."""
+class EpsilonGridMismatch(ConfigError):
+    """Circle-average radius is not an integer multiple of the grid step.
+
+    The radius and the step come from the run configuration, so the CLI
+    treats this as a configuration error (exit 2).
+    """
 
 
 class RegionOutsideGrid(SinhGordonError):

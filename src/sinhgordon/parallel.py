@@ -21,7 +21,6 @@ from __future__ import annotations
 import ctypes
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 
 import numpy as np
@@ -152,6 +151,7 @@ def map_chunks(fn, chunks, workers: int = 1):
     workers = resolve_workers(workers)
     if workers <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
+    from concurrent.futures import ThreadPoolExecutor  # loaded only where a pool runs
     with one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, chunks))
 

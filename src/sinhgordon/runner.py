@@ -13,11 +13,9 @@ import csv
 import json
 import math
 import os
-import platform
 import resource
 import sys
 import time
-import traceback
 from pathlib import Path
 
 # ``run`` holds OpenBLAS at one thread for every experiment, so a CLI process
@@ -29,20 +27,16 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np  # noqa: E402  (after the thread count is set)
 
-from . import correlations as corr
-from . import gmc as gmc_mod
-from . import lz as lz_mod
-from . import spectral as spec_mod
+# Only what parsing, dispatch and writing need loads here.  Each experiment
+# imports the estimator modules it calls (correlations, gmc, lz, propagator,
+# smc, spectral) in its own body, so a run loads only the code it runs.
 from .config import EXPERIMENTS, OPTIONS, RunConfig, _option, load_config, with_overrides
 from .errors import ConfigError, SinhGordonError
-from .gff import TimeGrid, dump_path, evolve_path, fluctuation_grid, stream_paths, \
+from .gff import TimeGrid, dump_path, evolve_path, stream_paths, theta_basis, \
     truncated_slice_cov
-from .gmc import Region, circle_spec, fourier_spec
 from .parallel import blas_threads, map_replicas, one_blas_thread, resolve_workers
 from .params import reduce_to_unit_radius
-from .propagator import CQuadrature, partition_curve
 from .results import _jsonable, params_fingerprint
-from .smc import SmcSettings, smc_log_partition
 
 
 class OutputWriter:
@@ -84,7 +78,8 @@ class OutputWriter:
             "workers": workers,
             "cores": _usable_cores(),
             "blas_threads": blas_threads(workers),
-            "python": platform.python_version(),
+            # the string platform.python_version() gives, without importing platform
+            "python": sys.version.split()[0],
             "numpy": np.__version__,
             "peak_rss_mb": _peak_rss_mb(),
         }
@@ -109,18 +104,21 @@ def _usable_cores() -> int:
 
 
 def _gmc_spec(cfg: RunConfig, sigma: int = +1):
+    from .gmc import circle_spec, fourier_spec
     if cfg.gmc.kind == "fourier":
         return fourier_spec(sigma, cfg.gmc.n)
     return circle_spec(sigma, cfg.gmc.epsilon)
 
 
-def _quad(cfg: RunConfig) -> CQuadrature:
+def _quad(cfg: RunConfig):
+    from .propagator import CQuadrature
     gamma = cfg.params.gamma
     return CQuadrature(-cfg.estimator.c_window / gamma, cfg.estimator.c_window / gamma,
                        cfg.estimator.c_nodes)
 
 
-def _region(cfg: RunConfig) -> Region:
+def _region(cfg: RunConfig):
+    from .gmc import Region
     t_min, t_max = cfg.opts["t_min"], cfg.opts["t_max"]
     if t_min > t_max:
         raise ConfigError(f"{cfg.experiment} option t_min {t_min} exceeds t_max {t_max}")
@@ -156,13 +154,17 @@ def _exp_validate(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     points = {(grid.index_of(t), th) for pair in probes for t, th in pair}
     stride = math.gcd(*(k for k, _ in points))
     coarse = TimeGrid(stride * grid.dt, grid.n_steps // stride)
+    # the (N, 1) basis of each probe angle, built once: the field there is
+    # fluctuation_grid(x, y, [theta]) without rebuilding the basis per row
+    basis = {th: theta_basis(n_modes, th) for _, th in points}
 
     def panel(rng, size):
         cols = {}
         for k, _, x, y in stream_paths(rng, size, n_modes, coarse):
             for kk, th in points:
                 if kk == k * stride:
-                    cols[kk, th] = fluctuation_grid(x, y, np.array([th]))[:, 0]
+                    cb, sb = basis[th]
+                    cols[kk, th] = (x @ cb + y @ sb)[:, 0]
         return cols
 
     field_at = map_replicas(panel, cfg.estimator.seed, n, VALIDATE_CHUNK, workers)
@@ -194,6 +196,7 @@ def _exp_sample(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 
 def _exp_gmc_mass(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
+    from . import gmc as gmc_mod
     t0 = time.perf_counter()
     region = _region(cfg)
     pu = reduce_to_unit_radius(cfg.params)
@@ -211,6 +214,7 @@ def _exp_gmc_mass(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 
 def _exp_moments(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
+    from . import gmc as gmc_mod
     p = cfg.opts["p"]
     if p == 0:
         raise ConfigError("moments option p must be nonzero")
@@ -222,6 +226,7 @@ def _exp_moments(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 
 def _exp_scaling_check(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
+    from . import gmc as gmc_mod
     rep = gmc_mod.scaling_check(_region(cfg), cfg.params, cfg.estimator.n_samples,
                                 cfg.estimator.seed, dt=cfg.sampler.dt,
                                 theta_cells=cfg.gmc.theta_cells,
@@ -230,6 +235,7 @@ def _exp_scaling_check(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 
 def _exp_partition(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
+    from .propagator import partition_curve
     t0 = time.perf_counter()
     t_list = [cfg.sampler.window] if cfg.opts["T_list"] is None else cfg.opts["T_list"]
     pts = partition_curve(t_list, reduce_to_unit_radius(cfg.params),
@@ -247,9 +253,11 @@ def _exp_partition(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 
 def _exp_lambda0(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
+    from .spectral import lambda0_fit
     t0 = time.perf_counter()
     t_list, backend = cfg.opts["T_list"], cfg.opts["backend"]
     if backend == "smc":
+        from .smc import SmcSettings, smc_log_partition
         settings = SmcSettings.for_samples(cfg.estimator.n_samples, 12,
                                            c_half_width=cfg.estimator.c_window)
         pairs = smc_log_partition(cfg.params, t_list, cfg.sampler.dt,
@@ -258,6 +266,7 @@ def _exp_lambda0(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
         curve = [{"t_half": t, "log_z": p[0], "log_z_se": p[1]}
                  for t, p in zip(t_list, pairs)]
     else:
+        from .propagator import partition_curve
         pts = partition_curve(t_list, reduce_to_unit_radius(cfg.params), _quad(cfg),
                               cfg.sampler.dt, _gmc_spec(cfg), cfg.estimator.n_samples,
                               cfg.estimator.seed, theta_cells=cfg.gmc.theta_cells,
@@ -267,7 +276,7 @@ def _exp_lambda0(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
                  for pt in pts]
     # T_list strictly increases (config.OPTIONS), so the smallest T comes first
     skip = 1 if cfg.opts["drop_smallest"] and len(t_list) > 3 else 0
-    fit = spec_mod.lambda0_fit(t_list[skip:], pairs[skip:])
+    fit = lambda0_fit(t_list[skip:], pairs[skip:])
     out.record({"experiment": "lambda0", "estimate": fit.value, "std_error": fit.std_error,
                 "fit_window": fit.fit_window, "r_squared": fit.r_squared,
                 "backend": backend, "curve": curve,
@@ -277,9 +286,10 @@ def _exp_lambda0(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 
 def _exp_ground_state(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
+    from .spectral import ground_state_profile
     t = max(1.0, cfg.sampler.window) if cfg.opts["T"] is None else cfg.opts["T"]
     bins_c, bins_x = cfg.opts["bins_c"], cfg.opts["bins_x"]
-    prof = spec_mod.ground_state_profile(
+    prof = ground_state_profile(
         t, cfg.params, dt=cfg.sampler.dt, n_modes=cfg.sampler.n_modes,
         theta_cells=cfg.gmc.theta_cells, quad=_quad(cfg), bins=(bins_c, bins_x),
         n_samples=cfg.estimator.n_samples, seed=cfg.estimator.seed, workers=workers)
@@ -292,6 +302,8 @@ def _exp_ground_state(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 
 def _exp_vertex(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
+    from . import correlations as corr
+    from .gmc import fourier_spec
     alpha, method, n_list = cfg.opts["alpha"], cfg.opts["method"], cfg.opts["n_list"]
     n_modes = cfg.sampler.n_modes   # after the --fast cap, so checked here, not at parse
     if n_list is not None and (len(n_list) < 2 or n_list[-1] > n_modes):
@@ -325,16 +337,17 @@ def _exp_vertex(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 
 def _exp_two_point(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
+    from .correlations import two_point_covariance
     t0 = time.perf_counter()
     a1, a2, th1, th2 = (cfg.opts[k] for k in ("alpha1", "alpha2", "theta1", "theta2"))
     a2 = a1 if a2 is None else a2
     th2 = th1 if th2 is None else th2
-    rows = corr.two_point_covariance((a1, th1), (a2, th2), cfg.opts["separations"],
-                                     cfg.sampler.window, cfg.params, dt=cfg.sampler.dt,
-                                     n_modes=cfg.sampler.n_modes,
-                                     theta_cells=cfg.gmc.theta_cells, quad=_quad(cfg),
-                                     n_samples=cfg.estimator.n_samples,
-                                     seed=cfg.estimator.seed, workers=workers)
+    rows = two_point_covariance((a1, th1), (a2, th2), cfg.opts["separations"],
+                                cfg.sampler.window, cfg.params, dt=cfg.sampler.dt,
+                                n_modes=cfg.sampler.n_modes,
+                                theta_cells=cfg.gmc.theta_cells, quad=_quad(cfg),
+                                n_samples=cfg.estimator.n_samples,
+                                seed=cfg.estimator.seed, workers=workers)
     out.csv("two_point.csv", ["separation", "covariance", "std_error"],
             [(r["separation"], r["covariance"], r["std_error"]) for r in rows])
     wall = round(1e3 * (time.perf_counter() - t0), 3)
@@ -367,6 +380,7 @@ def _read_curve(path: str) -> list[list[float]]:
 
 
 def _exp_gap_fit(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
+    from .spectral import spectral_gap_fit
     if cfg.opts["csv"]:
         seps, covs, ses = _read_curve(cfg.opts["csv"])
     else:
@@ -376,36 +390,39 @@ def _exp_gap_fit(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     if not len(seps) == len(covs) == len(ses):
         raise ConfigError(f"gap-fit separations, covariances and std_errors differ in "
                           f"length: {len(seps)}, {len(covs)}, {len(ses)}")
-    fit = spec_mod.spectral_gap_fit(seps, list(zip(covs, ses)))
+    fit = spectral_gap_fit(seps, list(zip(covs, ses)))
     out.record({"experiment": "gap-fit", "estimate": fit.value,
                 "std_error": fit.std_error, "r_squared": fit.r_squared,
                 "fit_window": fit.fit_window})
 
 
 def _exp_lz(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
+    from .lz import lz_one_point
     alpha = cfg.opts["alpha"]
-    res = lz_mod.lz_one_point(cfg.params, alpha, tol=cfg.opts["tol"])
+    res = lz_one_point(cfg.params, alpha, tol=cfg.opts["tol"])
     out.record({"experiment": "lz", "alpha": alpha, "value": res.value,
                 "error_bound": res.error_bound, "diagnostics": res.diagnostics})
 
 
 def _exp_mc_vs_lz(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
+    from .lz import mc_vs_lz_report
     alpha, r_values, estimates = (cfg.opts[k] for k in ("alpha", "R_values", "estimates"))
     if estimates is not None:
         if len(estimates) != len(r_values) or any(len(e) != 2 for e in estimates):
             raise ConfigError(f"mc-vs-lz estimates must be one [value, std_error] pair "
                               f"per R value {r_values}, got {estimates!r}")
     else:
+        from .correlations import scaling_one_point
         estimates = []
         for i, r in enumerate(r_values):
-            rep = corr.scaling_one_point(alpha, r, cfg.params,
-                                         t_half=cfg.sampler.window, dt=cfg.sampler.dt,
-                                         n_modes=cfg.sampler.n_modes,
-                                         theta_cells=cfg.gmc.theta_cells,
-                                         n_samples=cfg.estimator.n_samples,
-                                         seed=cfg.estimator.seed + i, workers=workers)
+            rep = scaling_one_point(alpha, r, cfg.params,
+                                    t_half=cfg.sampler.window, dt=cfg.sampler.dt,
+                                    n_modes=cfg.sampler.n_modes,
+                                    theta_cells=cfg.gmc.theta_cells,
+                                    n_samples=cfg.estimator.n_samples,
+                                    seed=cfg.estimator.seed + i, workers=workers)
             estimates.append([float(rep["lhs"]), float(rep["lhs_se"])])
-    report = lz_mod.mc_vs_lz_report(alpha, r_values, estimates, cfg.params)
+    report = mc_vs_lz_report(alpha, r_values, estimates, cfg.params)
     out.record({"experiment": "mc-vs-lz", **report})
 
 
@@ -440,6 +457,8 @@ def run(config_path: str, seed: int | None = None, workers: int | None = None,
         fast: bool = False, out_dir: str = "runs") -> int:
     """Execute one experiment; returns the process exit code."""
     try:
+        if workers is not None and workers < 1:
+            raise ConfigError(f"workers must be at least 1, got {workers}")
         cfg = with_overrides(load_config(config_path), seed=seed, fast=fast)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -466,6 +485,7 @@ def _execute(cfg: RunConfig, out: OutputWriter, workers: int) -> int:
         error = str(exc)
     except _FAULTS as exc:
         error = f"{type(exc).__name__}: {exc}"
+        import traceback
         tb = "".join(traceback.format_exception(exc))
     else:
         out.flush(cfg, time.perf_counter() - t0, workers)
@@ -483,7 +503,7 @@ def main(argv=None) -> int:
     ap.add_argument("--config", required=True, help="path to a JSON run configuration")
     ap.add_argument("--seed", type=int, default=None, help="override the config seed")
     ap.add_argument("--workers", type=int, default=None,
-                    help="worker threads (env SINHGORDON_WORKERS also honored)")
+                    help="worker threads, at least 1 (env SINHGORDON_WORKERS also honored)")
     ap.add_argument("--fast", action="store_true",
                     help="CI profile: at most 16 modes and 1000 replicas")
     ap.add_argument("--out-dir", default="runs", help="output directory root")

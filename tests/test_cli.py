@@ -489,6 +489,22 @@ def test_off_grid_time_is_a_typed_failure(tmp_path, capsys, experiment, options,
     assert not out.exists()
 
 
+def test_circle_epsilon_off_the_grid_exits_two_before_sampling(tmp_path, capsys,
+                                                                monkeypatch):
+    # a circle radius that is not a multiple of dt is a configuration error,
+    # found before any path is stepped
+    import sinhgordon.correlations as corr
+    monkeypatch.setattr(corr, "stream_paths", lambda *a, **k: pytest.fail("paths sampled"))
+    cfg = base_config("vertex", gmc={"regularization": {"kind": "circle", "epsilon": 0.01},
+                                     "theta_cells": 32},
+                      sampler={"n_modes": 12, "dt": 1 / 16, "window": 0.75})
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, cfg), fast=True, out_dir=str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: epsilon=0.01 is not a positive multiple of dt=0.0625"]
+    assert not out.exists()
+
+
 _HALF_HEIGHT_0515 = ("config error: half-height T=0.515 is not on the grid "
                      "(2T must be a multiple of dt=0.03125)")
 
@@ -585,6 +601,18 @@ def test_worker_env_override(monkeypatch):
     assert resolve_workers(None) == 1
 
 
+@pytest.mark.parametrize("workers", [0, -3])
+def test_workers_below_one_exit_two(tmp_path, capsys, monkeypatch, workers):
+    # an explicit count below 1 is refused, not replaced by the env value or 1
+    monkeypatch.setenv("SINHGORDON_WORKERS", "2")
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, base_config("lz")), workers=workers,
+               out_dir=str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: workers must be at least 1, got {workers}"]
+    assert not out.exists()
+
+
 def test_vertex_refinement_sequence(tmp_path):
     path = write_config(tmp_path, base_config(
         "vertex", {"alpha": 0.5, "n_list": [4, 8, 12]}, n_samples=600))
@@ -631,6 +659,39 @@ def test_scipy_stays_off_the_import_path():
                            "import sys, sinhgordon.runner; print('scipy' in sys.modules)"],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
+
+
+_ESTIMATOR_MODULES = [f"sinhgordon.{name}" for name in
+                      ("correlations", "gmc", "propagator", "smc", "spectral", "lz")]
+
+
+def _loaded_in_subprocess(code, names, cwd=None):
+    """Which of ``names`` are in sys.modules after ``code`` runs in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    script = (f"import json, sys\n{code}\n"
+              f"print(json.dumps(sorted(n for n in {names!r} if n in sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, cwd=cwd, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_runner_import_leaves_the_estimators_and_stdlib_extras_unloaded():
+    # the runner loads only what parsing, dispatch and writing need; numpy
+    # itself may load ``platform``, so only what the runner adds is counted
+    names = [*_ESTIMATOR_MODULES, "concurrent.futures", "traceback", "platform"]
+    by_numpy = _loaded_in_subprocess("import numpy", names)
+    assert set(_loaded_in_subprocess("import sinhgordon.runner", names)) <= set(by_numpy)
+    assert set(by_numpy) <= {"platform"}
+
+
+def test_validate_run_loads_no_estimator_module(tmp_path):
+    path = write_config(tmp_path, base_config("validate"))
+    code = ("from sinhgordon.runner import run\n"
+            f"assert run({path!r}, fast=True, out_dir='out') == 0")
+    assert _loaded_in_subprocess(code, _ESTIMATOR_MODULES, cwd=tmp_path) == []
+    manifest = json.loads((tmp_path / "out" / "validate" / "manifest.json").read_text())
+    assert manifest["python"] == platform.python_version()
 
 
 def test_package_import_loads_no_numpy():
