@@ -10,22 +10,20 @@ import importlib
 # module -> the public names it exports here
 _EXPORTS = {
     "params": ("ModelParams", "validate_params", "reduce_to_unit_radius"),
-    "gff": ("CircleField", "PathSample", "TimeGrid", "circle_average", "covariance_oracle",
-            "eval_field", "evolve_path", "harmonic_extension", "ou_step_coeffs",
-            "sample_circle_field"),
-    "gmc": ("GmcSpec", "Region", "circle_potential", "circle_spec", "fourier_spec",
-            "gmc_mass", "gmc_mass_weighted", "harmonic_number", "moment_estimator",
-            "renorm_constant", "scaling_check"),
+    "gff": ("CircleField", "PathSample", "TimeGrid", "covariance_oracle", "evolve_path",
+            "ou_step_coeffs", "sample_circle_field"),
+    "gmc": ("GmcSpec", "Region", "circle_spec", "fourier_spec", "harmonic_number",
+            "moment_estimator", "renorm_constant", "scaling_check"),
     "propagator": ("CQuadrature", "KernelEval", "default_c_quadrature", "feynman_kac",
                    "feynman_kac_circle_potential", "free_kernel", "mehler_factor",
                    "partition_curve"),
-    "correlations": ("InsertionSet", "ShiftData", "finite_T_expectation", "make_insertions",
-                     "scaling_one_point", "two_point_covariance", "vertex_direct",
-                     "vertex_girsanov", "vertex_plain"),
+    "correlations": ("InsertionSet", "ShiftData", "make_insertions", "scaling_one_point",
+                     "two_point_covariance", "vertex_direct", "vertex_girsanov",
+                     "vertex_plain"),
     "spectral": ("GroundStateProfile", "SpectralEstimate", "ground_state_profile",
                  "lambda0_fit", "lambda0_scaling_probe", "spectral_gap_fit"),
     "lz": ("LzResult", "lz_one_point", "mc_vs_lz_report"),
-    "results": ("EstimatorResult", "merge_results"),
+    "results": ("EstimatorResult",),
 }
 # submodules that are public names themselves
 _MODULES = ("correlations", "errors", "gff", "gmc", "lz", "parallel", "params", "propagator",

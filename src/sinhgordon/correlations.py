@@ -1,4 +1,4 @@
-"""Finite-cylinder expectations and vertex correlations.
+"""Vertex correlations on the finite cylinder.
 
 The finite cylinder [-T, T] x circle maps to process time [0, 2T]; all
 estimators below are ratio estimators in which numerator and normalization
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,7 +31,6 @@ from .params import ModelParams, reduce_to_unit_radius, validate_params
 from .parallel import map_replicas, seed_int, stateless_children
 from .propagator import CQuadrature, default_c_quadrature, fk_weights
 from .results import EstimatorResult, jackknife_func, jackknife_ratio, params_fingerprint
-from .smc import ShiftTask, SmcSettings, smc_flow
 
 
 # ---------------------------------------------------------------------------
@@ -140,33 +139,6 @@ class ShiftData:
 
 
 # ---------------------------------------------------------------------------
-# Window view passed to observables
-# ---------------------------------------------------------------------------
-
-@dataclass
-class WindowPaths:
-    """Batch of paths exposed in window coordinates (t in [-T, T])."""
-
-    grid: TimeGrid
-    t_half: float
-    brownian: np.ndarray            # (R, K+1)
-    mode_x: np.ndarray = field(repr=False, default=None)
-    mode_y: np.ndarray = field(repr=False, default=None)
-
-    def index(self, t_window: float) -> int:
-        return self.grid.index_of(t_window + self.t_half)
-
-    def zero(self, t_window: float) -> np.ndarray:
-        """Brownian value at a window time; add the c node yourself."""
-        return self.brownian[:, self.index(t_window)]
-
-    def field_at(self, t_window: float, theta: float, n_modes: int | None = None) -> np.ndarray:
-        k = self.index(t_window)
-        return fluctuation_grid(self.mode_x[:, k, :], self.mode_y[:, k, :],
-                                np.array([theta]), n_modes)[:, 0]
-
-
-# ---------------------------------------------------------------------------
 # Shared finite-cylinder engine
 # ---------------------------------------------------------------------------
 
@@ -212,16 +184,15 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
                      mirror: bool = False):
     """Per-path numerator/denominator columns for the finite cylinder.
 
-    Each task is a dict with "kind" in {"vertex", "girsanov", "observable"};
-    a vertex or girsanov task's zero-mode factor comes from its insertions.
-    Returns {"den": (R,), "num": list of (R,)}.  ``mirror=True`` negates the
-    field and the zero-mode axis (used by symmetry tests; it leaves the
-    denominator invariant and maps vertex weights alpha -> -alpha).
+    Each task is a dict with "kind" in {"vertex", "girsanov"}; its zero-mode
+    factor comes from its insertions.  Returns {"den": (R,), "num": list of
+    (R,)}.  ``mirror=True`` negates the field and the zero-mode axis (used by
+    symmetry tests; it leaves the denominator invariant and maps vertex
+    weights alpha -> -alpha).
 
     A chunk streams its paths through the slice-mass kernel, keeps running
     trapezoid sums and copies only the slices its vertex tasks read, so its
-    memory is O(R (N + T)) whatever the number of steps.  The slices are
-    stored only when an observable task needs the whole :class:`WindowPaths`.
+    memory is O(R (N + T)) whatever the number of steps.
     """
     pu = reduce_to_unit_radius(params)
     gamma, mu = pu.gamma, pu.mu
@@ -248,18 +219,15 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
         elif kind == "vertex":
             tap_rows |= _tap_rows(task["entries"], task["reg"], grid, n_modes)
             prepared.append({**task, "cfac": cfac(task["entries"])})
-        elif kind == "observable":
-            prepared.append(task)
         else:
             raise ValueError(f"unknown task kind {kind!r}")
-    store = any(task["kind"] == "observable" for task in tasks)
 
     def run(rng, size):
         kernel = SliceMass(gamma, harmonic_number(n_modes), dtheta, nodes, n_modes)
         m_plus, m_minus = np.zeros(size), np.zeros(size)
         shifted = {i: np.zeros((2, size)) for i, task in enumerate(prepared)
                    if task["kind"] == "girsanov"}
-        taps, stored = {}, []
+        taps = {}
         for k, b, x, y in stream_paths(rng, size, n_modes, grid):
             sp, sm = kernel(x, y, b)
             for i, acc in shifted.items():
@@ -273,25 +241,15 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
             m_minus += trap[k] * sm
             if k in tap_rows:
                 taps[k] = (b.copy(), x.copy(), y.copy())
-            if store:
-                stored.append((b.copy(), x.copy(), y.copy()))
         w = fk_weights(m_plus, m_minus, cs, mu, gamma)
         out = {"den": w @ cw}   # and one numerator column per task, keyed by its index
         for i, task in enumerate(prepared):
-            kind = task["kind"]
-            if kind == "vertex":
+            if task["kind"] == "vertex":
                 log_v = _insertion_field_values(taps, grid, task["entries"], task["reg"])
                 out[i] = np.exp(log_v) * (w @ task["cfac"])
-            elif kind == "girsanov":
+            else:
                 wg = fk_weights(shifted[i][0], shifted[i][1], cs, mu, gamma)
                 out[i] = math.exp(task["scalar"]) * (wg @ task["cfac"])
-            else:
-                f = task["f"]
-                win = WindowPaths(grid, t_half, *(np.stack(arrs, axis=1) for arrs in zip(*stored)))
-                acc = np.zeros(size)
-                for j, c in enumerate(cs):
-                    acc += cw[j] * w[:, j] * np.asarray(f(c, win), dtype=float)
-                out[i] = acc
         return out
 
     cols = map_replicas(run, seed, n_samples, batch, workers)
@@ -323,34 +281,6 @@ def _fingerprint(params: ModelParams, extra: dict) -> str:
 # ---------------------------------------------------------------------------
 # Public estimators
 # ---------------------------------------------------------------------------
-
-def finite_T_expectation(observable, t_half: float, params: ModelParams, *,
-                         dt: float = 1.0 / 32.0, n_modes: int = 64,
-                         theta_cells: int = 128, quad: CQuadrature | None = None,
-                         n_samples: int = 4096, seed=0, support=None,
-                         workers: int = 1) -> EstimatorResult:
-    """Expectation of a bounded window functional on the finite cylinder.
-
-    ``observable(c, win) -> (R,)`` sees one zero-mode node and the batch of
-    paths in window coordinates; ``support=(t1, t2)`` checks containment.
-    """
-    if support is not None:
-        t1, t2 = support
-        if t1 < -t_half or t2 > t_half:
-            raise WindowOutsideCylinder(f"support {support} outside [-{t_half}, {t_half}]")
-    pu = reduce_to_unit_radius(params)
-    if quad is None:
-        quad = default_c_quadrature(pu.gamma)
-    t0 = time.perf_counter()
-    res = _cylinder_engine(params, t_half, dt, n_modes, theta_cells, quad,
-                           n_samples, seed, [{"kind": "observable", "f": observable}],
-                           workers=workers)
-    est, se = jackknife_ratio(res["num"][0], res["den"])
-    return EstimatorResult(
-        mean=est, std_error=se, n_samples=n_samples, seed=seed_int(seed),
-        fingerprint=_fingerprint(params, {"op": "finite_T", "t_half": t_half}),
-        wall_ms=1e3 * (time.perf_counter() - t0))
-
 
 def _check_admissible(insertions: InsertionSet) -> None:
     if not insertions.admissible:
@@ -437,6 +367,7 @@ def vertex_direct(insertions: InsertionSet, regularization: GmcSpec | None,
     if regularization is not None and (regularization.kind != "fourier"
                                        or regularization.n_modes != n_modes):
         raise ValueError("smc backend uses the sampler's mode truncation")
+    from .smc import SmcSettings, smc_flow
     entries = _entries_to_process(insertions.entries, t_half, dt)
     t0 = time.perf_counter()
     flow = smc_flow(params, [t_half], dt, n_modes, theta_cells,
@@ -471,6 +402,7 @@ def vertex_girsanov(insertions: InsertionSet, t_half: float, params: ModelParams
                             workers=workers)[0]
     if backend != "smc":
         raise ValueError(f"unknown backend {backend!r}")
+    from .smc import ShiftTask, SmcSettings, smc_flow
     entries = _entries_to_process(insertions.entries, t_half, dt)
     shift = ShiftData(entries, kernel=n_modes)
     t0 = time.perf_counter()
@@ -604,6 +536,7 @@ def two_point_panel(pairs, separations, t_half: float, params: ModelParams, *,
     Returns {pair_index: [rows...]} with the same row format as
     :func:`two_point_covariance`.
     """
+    from .smc import SmcSettings, smc_flow
     separations = _checked_separations(separations, t_half)
     groups = [g for ins1, ins2 in pairs for s in separations
               for g in _pair_groups(ins1, ins2, s, t_half, dt)]

@@ -92,6 +92,3 @@ class WindowOutsideCylinder(SinhGordonError):
 class QuadratureFailure(SinhGordonError):
     """Requested quadrature tolerance could not be certified."""
 
-
-class FingerprintMismatch(SinhGordonError):
-    """Attempt to merge estimates produced under different parameters."""

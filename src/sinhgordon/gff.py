@@ -278,30 +278,6 @@ def fluctuation_grid(mode_x: np.ndarray, mode_y: np.ndarray, thetas: np.ndarray,
     return out.reshape(*lead, -1)
 
 
-def eval_field(path: PathSample, k: int, theta: float, n_modes_used: int | None = None) -> float:
-    """Full field value c + B_{t_k} + mode sum at angle theta."""
-    if not (0 <= k <= path.grid.n_steps):
-        raise IndexOutOfRange(f"time index {k} outside 0..{path.grid.n_steps}")
-    fluct = fluctuation_grid(path.mode_x[k], path.mode_y[k], np.array([theta]), n_modes_used)
-    return float(path.initial.zero_mode + path.brownian[k] + fluct[0])
-
-
-def harmonic_extension(initial: CircleField, t: float, theta) -> float | np.ndarray:
-    """Harmonic interpolation of the slice data into the half cylinder.
-
-    Returns sum_n e^{-n t} [x_n cos(n theta) + y_n sin(n theta)]/sqrt(n);
-    equals the fluctuation field at t = 0 and decays to 0 as t grows.
-    """
-    if t < 0.0:
-        raise NegativeTime(f"t must be >= 0, got {t}")
-    thetas = np.atleast_1d(np.asarray(theta, dtype=float))
-    n = np.arange(1, initial.n_modes + 1, dtype=float)
-    damp = np.exp(-n * t)
-    cb, sb = theta_basis(initial.n_modes, thetas)
-    out = (initial.xs * damp) @ cb + (initial.ys * damp) @ sb
-    return float(out[0]) if np.isscalar(theta) else out
-
-
 # ---------------------------------------------------------------------------
 # Closed-form covariance oracles (unit radius)
 # ---------------------------------------------------------------------------
@@ -367,14 +343,12 @@ class CircleAverage:
     at most 2 epsilon/dt + 1 slices.
     """
 
-    def __init__(self, epsilon: float, dt: float,
-                 quadrature_points: int = CIRCLE_QUADRATURE_POINTS):
+    def __init__(self, epsilon: float, dt: float):
         ratio = epsilon / dt
         if abs(ratio - round(ratio)) > 1e-9 or round(ratio) < 1:
             raise EpsilonGridMismatch(f"epsilon={epsilon} is not a positive multiple of dt={dt}")
-        if quadrature_points < 8:
-            raise ValueError("quadrature_points must be >= 8")
-        v = 2.0 * np.pi * (np.arange(quadrature_points) + 0.5) / quadrature_points
+        qp = CIRCLE_QUADRATURE_POINTS
+        v = 2.0 * np.pi * (np.arange(qp) + 0.5) / qp
         self.offsets = np.rint(epsilon * np.cos(v) / dt).astype(int)
         self.angles = epsilon * np.sin(v)
         self.reach = int(np.abs(self.offsets).max())
@@ -393,25 +367,6 @@ class CircleAverage:
             acc_x = acc_x + (x * cos_r + y * sin_r)
             acc_y = acc_y + (-x * sin_r + y * cos_r)
         return acc_x / self.offsets.size, acc_y / self.offsets.size
-
-
-def circle_average(path: PathSample, epsilon: float, k: int, theta: float,
-                   quadrature_points: int = CIRCLE_QUADRATURE_POINTS) -> float:
-    """Average of the field over a radius-epsilon circle in (t, theta).
-
-    The average applies to the mode field only; the Brownian zero mode enters
-    at the slice time.  Off-grid times are snapped to the nearest grid node,
-    so epsilon must be an integer multiple of dt and the circle must fit in
-    the sampled span.
-    """
-    circle = CircleAverage(epsilon, path.grid.dt, quadrature_points)
-    if not (0 <= k <= path.grid.n_steps):
-        raise IndexOutOfRange(f"time index {k} outside grid")
-    if not circle.covers(k, path.grid.n_steps):
-        raise IndexOutOfRange("averaging circle leaves the sampled span")
-    ax, ay = circle.modes(lambda r: (path.mode_x[r], path.mode_y[r]), k)
-    return float(path.initial.zero_mode + path.brownian[k]
-                 + fluctuation_grid(ax, ay, np.array([theta]))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -11,21 +11,12 @@ path's grid nodes.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyRegion, IncompatibleGrids, RegionOutsideGrid
-from .gff import (
-    CircleField,
-    CircleAverage,
-    PathSample,
-    TimeGrid,
-    fluctuation_grid,
-    stream_paths,
-    theta_basis,
-)
+from .gff import CircleAverage, TimeGrid, stream_paths, theta_basis
 from .parallel import seed_int, stateless_children
 from .params import ModelParams, reduce_to_unit_radius
 from .results import EstimatorResult, mean_and_se, params_fingerprint
@@ -155,11 +146,6 @@ def region_time_weights(grid: TimeGrid, t_min: float, t_max: float) -> np.ndarra
 # Slice-mass kernel: every chaos mass and slice potential goes through here
 # ---------------------------------------------------------------------------
 
-def chaos_exponent(fields, sigma: int, gamma: float, renorm: float):
-    """Renormalized exponent sigma*gamma*field - (gamma^2/2)*renorm of the density."""
-    return sigma * gamma * fields - 0.5 * gamma * gamma * renorm
-
-
 class SliceMass:
     """The one slice-mass kernel: the theta integral of the chaos density, both signs.
 
@@ -228,89 +214,8 @@ def _circle_average(spec: GmcSpec, grid: TimeGrid, weights: np.ndarray) -> Circl
     return circle
 
 
-def log_region_mass(brownian: np.ndarray, log_cells: np.ndarray, weights: np.ndarray,
-                    sigma_gamma: float, dtheta: float) -> float:
-    """Log of the Riemann mass via log-sum-exp; never NaN for finite inputs."""
-    pos = weights > 0
-    if not np.any(pos):
-        return -np.inf
-    lw = np.log(weights[pos] * dtheta)
-    terms = log_cells[pos] + sigma_gamma * brownian[pos, None] + lw[:, None]
-    hi = terms.max()
-    return float(hi + np.log(np.exp(terms - hi).sum()))
-
-
-def gmc_mass(path: PathSample, region: Region, spec: GmcSpec, params: ModelParams,
-             theta_cells: int = 128) -> float:
-    """Renormalized chaos mass of a region for one path (log-sum-exp accumulation)."""
-    return gmc_mass_weighted(path, region, spec, params, (), theta_cells)
-
-
-def gmc_mass_weighted(path: PathSample, region: Region, spec: GmcSpec,
-                      params: ModelParams, insertions, theta_cells: int = 128) -> float:
-    """Chaos mass weighted by prod_i |e^{-s+i theta} - e^{-t_i+i theta_i}|^{-gamma sigma alpha_i}.
-
-    ``insertions`` is an iterable of (alpha, t_i, theta_i); empty gives the
-    plain mass.  If an insertion falls on a cell midpoint the theta grid is
-    shifted by half a cell to keep the singular weight off its pole.
-    Accumulation is log-sum-exp.
-    """
-    ins = list(insertions)
-    weights = region_time_weights(path.grid, region.t_min, region.t_max)
-    if not np.any(weights > 0):
-        return 0.0
-    nodes, dtheta = theta_nodes(theta_cells, region.arc)
-    times = path.grid.times()
-    for _, t_i, th_i in ins:
-        on_grid_t = min(abs(times - t_i)) < 1e-12
-        if on_grid_t and np.any(np.abs(((nodes - th_i + np.pi) % (2 * np.pi)) - np.pi) < 1e-12):
-            nodes = nodes + dtheta / 2.0
-            break
-    if spec.kind == "fourier":
-        mx, my, n_used = path.mode_x, path.mode_y, spec.n_modes
-    else:
-        circle, n_used = _circle_average(spec, path.grid, weights), None
-        mx, my = np.full_like(path.mode_x, np.nan), np.full_like(path.mode_y, np.nan)
-        for k in np.flatnonzero(weights):
-            mx[k], my[k] = circle.modes(lambda r: (path.mode_x[r], path.mode_y[r]), k)
-    fields = fluctuation_grid(mx, my, nodes, n_used)
-    if ins:
-        fields = fields + sum(
-            alpha * (-np.log(np.abs(np.exp(-times[:, None] + 1j * nodes[None, :])
-                                    - np.exp(-t_i + 1j * th_i))))
-            for alpha, t_i, th_i in ins)
-    log_cells = chaos_exponent(fields, spec.sigma, params.gamma, spec.renorm_constant)
-    return float(np.exp(log_region_mass(path.brownian, log_cells, weights,
-                                        spec.sigma * params.gamma, dtheta)))
-
-
 # ---------------------------------------------------------------------------
-# Circle potential (1-d chaos on a slice)
-# ---------------------------------------------------------------------------
-
-def circle_potential(field: CircleField, sign: int, k_trunc: int, params: ModelParams,
-                     theta_cells: int = 128) -> float:
-    """Slice potential: integral over theta of e^{sign*gamma*phi^(k)} / renorm.
-
-    The renormalization constant is the stationary variance H_k of the
-    k-truncated field.  Convergence of the k -> infinity limit needs
-    gamma < sqrt(2); larger gamma only triggers a warning since the truncated
-    quantity is still well defined.
-    """
-    if params.gamma >= math.sqrt(2.0):
-        warnings.warn("circle potential used with gamma >= sqrt(2); "
-                      "the untruncated limit is not defined in this regime",
-                      RuntimeWarning, stacklevel=2)
-    if k_trunc > field.n_modes:
-        raise ValueError(f"k_trunc={k_trunc} exceeds field modes {field.n_modes}")
-    nodes, dtheta = theta_nodes(theta_cells)
-    kernel = SliceMass(params.gamma, harmonic_number(k_trunc), dtheta, nodes, k_trunc)
-    plus, minus = kernel(field.xs[None, :], field.ys[None, :])
-    return float((plus if sign > 0 else minus)[0])
-
-
-# ---------------------------------------------------------------------------
-# Batch mass sampler used by the statistical checks below (and by tests)
+# Batch mass sampler used by the statistical checks below
 # ---------------------------------------------------------------------------
 
 def sample_region_masses(region: Region, spec: GmcSpec, params: ModelParams,

@@ -65,8 +65,3 @@ def reduce_to_unit_radius(params: ModelParams) -> ModelParams:
         return params
     return validate_params(params.gamma, params.mu_scaled, 1.0)
 
-
-def from_reduced(gamma: float, mu_scaled: float, radius: float) -> ModelParams:
-    """Invert the reduction: recover the radius-R model from (gamma, mu_R)."""
-    q = gamma / 2.0 + 2.0 / gamma
-    return validate_params(gamma, mu_scaled * radius ** (-gamma * q), radius)

@@ -1,4 +1,4 @@
-"""Estimate records, stable merging, and error helpers."""
+"""Estimate records and error helpers."""
 
 from __future__ import annotations
 
@@ -8,8 +8,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .errors import FingerprintMismatch
 
 
 def params_fingerprint(payload: dict) -> str:
@@ -21,9 +19,7 @@ def params_fingerprint(payload: dict) -> str:
 def mean_and_se(values: np.ndarray) -> tuple[float, float]:
     """Sample mean and standard error (population-variance convention).
 
-    se = sqrt(sum (x - mean)^2) / n, i.e. M2-based with no Bessel term; this
-    makes pairwise merging exactly associative and self-merge shrink the
-    standard error by sqrt(2).
+    se = sqrt(sum (x - mean)^2) / n, i.e. M2-based with no Bessel term.
     """
     values = np.asarray(values, dtype=float)
     n = values.size
@@ -100,26 +96,3 @@ def _jsonable(obj):
         return repr(obj)
     return obj
 
-
-def merge_results(a: EstimatorResult, b: EstimatorResult) -> EstimatorResult:
-    """Numerically stable pairwise combination of two estimates.
-
-    Means and M2 values combine with the standard pairwise update; the
-    operation is associative to rounding and order-fixed by the caller.
-    """
-    if a.fingerprint != b.fingerprint:
-        raise FingerprintMismatch(
-            f"cannot merge estimates with fingerprints {a.fingerprint} != {b.fingerprint}")
-    na, nb = a.n_samples, b.n_samples
-    n = na + nb
-    delta = b.mean - a.mean
-    mean = a.mean + delta * nb / n
-    m2 = (a.std_error * na) ** 2 + (b.std_error * nb) ** 2 + delta ** 2 * na * nb / n
-    return EstimatorResult(
-        mean=mean,
-        std_error=math.sqrt(m2) / n,
-        n_samples=n,
-        seed=a.seed,
-        fingerprint=a.fingerprint,
-        wall_ms=a.wall_ms + b.wall_ms,
-    )

@@ -117,11 +117,17 @@ def _quad(cfg: RunConfig):
                        cfg.estimator.c_nodes)
 
 
-def _region(cfg: RunConfig):
+def _region(cfg: RunConfig, spec=None):
+    """The region of the ``t_min``/``t_max`` options; with a circle ``spec``, its
+    averaging circle must fit above t = 0 (the masses sample from t = 0)."""
     from .gmc import Region
     t_min, t_max = cfg.opts["t_min"], cfg.opts["t_max"]
     if t_min > t_max:
         raise ConfigError(f"{cfg.experiment} option t_min {t_min} exceeds t_max {t_max}")
+    if spec is not None and spec.kind == "circle" and t_min - spec.epsilon < -1e-12:
+        raise ConfigError(f"{cfg.experiment} option t_min {t_min} is below the circle "
+                          f"epsilon {spec.epsilon}: the averaging circle would reach "
+                          f"below t = 0")
     return Region(t_min, t_max)
 
 
@@ -198,9 +204,9 @@ def _exp_sample(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 def _exp_gmc_mass(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     from . import gmc as gmc_mod
     t0 = time.perf_counter()
-    region = _region(cfg)
-    pu = reduce_to_unit_radius(cfg.params)
     spec = _gmc_spec(cfg, cfg.opts["sigma"])
+    region = _region(cfg, spec)
+    pu = reduce_to_unit_radius(cfg.params)
     masses = gmc_mod.sample_region_masses(region, spec, pu, cfg.estimator.n_samples,
                                           cfg.estimator.seed, dt=cfg.sampler.dt,
                                           theta_cells=cfg.gmc.theta_cells)
@@ -218,7 +224,8 @@ def _exp_moments(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     p = cfg.opts["p"]
     if p == 0:
         raise ConfigError("moments option p must be nonzero")
-    res = gmc_mod.moment_estimator(_region(cfg), _gmc_spec(cfg, cfg.opts["sigma"]),
+    spec = _gmc_spec(cfg, cfg.opts["sigma"])
+    res = gmc_mod.moment_estimator(_region(cfg, spec), spec,
                                    reduce_to_unit_radius(cfg.params), p,
                                    cfg.estimator.n_samples, cfg.estimator.seed,
                                    dt=cfg.sampler.dt, theta_cells=cfg.gmc.theta_cells)

@@ -505,6 +505,26 @@ def test_circle_epsilon_off_the_grid_exits_two_before_sampling(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("experiment, options", [
+    ("gmc-mass", {"t_min": 0.0, "t_max": 0.5}),
+    ("moments", {"t_min": 0.0, "t_max": 0.5, "p": 1.0}),
+])
+def test_circle_margin_below_zero_exits_two(tmp_path, capsys, experiment, options):
+    # the averaging circle of a region starting at t_min < epsilon would reach
+    # below t = 0, where no path is sampled: a configuration error
+    cfg = base_config(experiment, options,
+                      gmc={"regularization": {"kind": "circle", "epsilon": 0.25},
+                           "theta_cells": 32})
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, cfg), fast=True, out_dir=str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        f"config error: {experiment} option t_min 0.0 is below the circle epsilon 0.25: "
+        "the averaging circle would reach below t = 0"]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 _HALF_HEIGHT_0515 = ("config error: half-height T=0.515 is not on the grid "
                      "(2T must be a multiple of dt=0.03125)")
 
@@ -694,6 +714,15 @@ def test_validate_run_loads_no_estimator_module(tmp_path):
     assert manifest["python"] == platform.python_version()
 
 
+def test_plain_vertex_run_leaves_smc_unloaded(tmp_path):
+    # correlations imports smc only in its particle branches
+    path = write_config(tmp_path, base_config("vertex", {"alpha": 0.5, "method": "both"}))
+    code = ("from sinhgordon.runner import run\n"
+            f"assert run({path!r}, fast=True, out_dir='out') == 0")
+    loaded = _loaded_in_subprocess(code, _ESTIMATOR_MODULES, cwd=tmp_path)
+    assert "sinhgordon.correlations" in loaded and "sinhgordon.smc" not in loaded
+
+
 def test_package_import_loads_no_numpy():
     # the runner must be able to set the OpenBLAS thread count before numpy loads
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
@@ -717,6 +746,55 @@ def test_package_names_resolve_to_their_modules():
     assert set(sinhgordon.__all__) <= set(dir(sinhgordon))
     with pytest.raises(AttributeError, match="no_such_name"):
         sinhgordon.no_such_name
+
+
+# Closed-form references that only the acceptance tests call, by design.
+_ORACLES = {"covariance_oracle", "free_kernel", "mehler_factor", "feynman_kac",
+            "feynman_kac_circle_potential", "lz_one_point_brute", "load_path"}
+
+
+def test_every_public_definition_has_a_caller():
+    # a public top-level definition of the package must be named outside its
+    # own body by the package (not ``__init__.py``), a script or perfbench
+    import ast
+
+    root = Path(__file__).parents[1]
+    modules = [p for p in sorted((root / "src" / "sinhgordon").glob("*.py"))
+               if p.name != "__init__.py"]
+    trees = {p: ast.parse(p.read_text()) for p in
+             [*modules, *(root / "scripts").glob("*.py"), *(root / "perfbench").glob("*.py")]}
+
+    def names(tree, skip=None):
+        found, stack = set(), [tree]
+        while stack:
+            node = stack.pop()
+            if node is skip:
+                continue
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name.rpartition(".")[2])
+            stack.extend(ast.iter_child_nodes(node))
+        return found
+
+    named = {p: names(tree) for p, tree in trees.items()}
+    unused = []
+    for path in modules:
+        elsewhere = set().union(*(found for p, found in named.items() if p != path))
+        for node in trees[path].body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, ast.Assign):
+                defined = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            for name in defined:
+                if (not name.startswith("_") and name not in _ORACLES
+                        and name not in elsewhere and name not in names(trees[path], node)):
+                    unused.append(f"{path.name}:{name}")
+    assert unused == []
 
 
 def test_vertex_both_streams_each_chunk_once(tmp_path, monkeypatch):

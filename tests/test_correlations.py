@@ -92,50 +92,6 @@ def test_scalar_log_single_and_pair():
 
 
 # ---------------------------------------------------------------------------
-# Finite-T expectations
-# ---------------------------------------------------------------------------
-
-def test_finite_t_constant_observable(unit_params):
-    res = sg.finite_T_expectation(lambda c, win: np.ones(win.brownian.shape[0]),
-                                  1.0, unit_params, dt=1 / 8, n_modes=12,
-                                  theta_cells=32, n_samples=256, seed=1)
-    assert res.mean == pytest.approx(1.0, abs=1e-12)
-    assert res.std_error == pytest.approx(0.0, abs=1e-12)
-
-
-def test_finite_t_free_limit():
-    p = sg.validate_params(1.0, 1e-9, 1.0)
-
-    def obs(c, win):
-        return np.tanh(win.field_at(0.0, 0.0))
-
-    res = sg.finite_T_expectation(obs, 1.0, p, dt=1 / 8, n_modes=32,
-                                  theta_cells=32, n_samples=4000, seed=2)
-    # free stationary field: tanh of a centered Gaussian with the truncated variance
-    rng = np.random.default_rng(3)
-    var = sum(1.0 / n for n in range(1, 33))
-    direct = np.tanh(math.sqrt(var) * rng.standard_normal(200000))
-    assert agree(res.mean, res.std_error, direct.mean(), direct.std() / math.sqrt(direct.size))
-
-
-def test_finite_t_window_checked(unit_params):
-    with pytest.raises(WindowOutsideCylinder):
-        sg.finite_T_expectation(lambda c, w: np.ones(1), 1.0, unit_params,
-                                support=(-2.0, 0.0), n_samples=16)
-
-
-def test_finite_t_convergence_in_t(unit_params):
-    def obs(c, win):
-        return np.cos(c + win.zero(0.0))
-
-    a = sg.finite_T_expectation(obs, 1.0, unit_params, dt=1 / 8, n_modes=24,
-                                theta_cells=48, n_samples=20000, seed=4)
-    b = sg.finite_T_expectation(obs, 1.5, unit_params, dt=1 / 8, n_modes=24,
-                                theta_cells=48, n_samples=20000, seed=5)
-    assert agree(a.mean, a.std_error, b.mean, b.std_error)
-
-
-# ---------------------------------------------------------------------------
 # Vertex estimators
 # ---------------------------------------------------------------------------
 

@@ -12,10 +12,9 @@ from sinhgordon.errors import (
     CoincidentPoints,
     EpsilonGridMismatch,
     GridSpanMismatch,
-    IndexOutOfRange,
-    NegativeTime,
 )
 from sinhgordon.gff import (
+    CircleAverage,
     CircleField,
     TimeGrid,
     dump_path,
@@ -245,31 +244,6 @@ def test_off_grid_span_and_time_raise_grid_span_mismatch():
 # Field evaluation
 # ---------------------------------------------------------------------------
 
-def test_eval_field_zero_path():
-    init = sg.sample_circle_field(4, ("fixed", np.zeros(4), np.zeros(4)))
-    path = sg.evolve_path(init, 1.3, TimeGrid(0.5, 2), seed=0)
-    path.brownian[:] = 0.0
-    path.mode_x[:] = 0.0
-    path.mode_y[:] = 0.0
-    assert sg.eval_field(path, 1, 2.0) == pytest.approx(1.3)
-
-
-def test_eval_field_single_mode():
-    xs = np.array([1.0, 0.0])
-    init = sg.sample_circle_field(2, ("fixed", xs, np.zeros(2)))
-    path = sg.evolve_path(init, 0.0, TimeGrid(0.5, 1), seed=0)
-    path.brownian[:] = 0.0
-    path.mode_x[0] = init.xs
-    assert sg.eval_field(path, 0, 0.0) == pytest.approx(1.0)
-
-
-def test_eval_field_index_checked():
-    init = sg.sample_circle_field(2, "stationary", seed=0)
-    path = sg.evolve_path(init, 0.0, TimeGrid(0.5, 2), seed=0)
-    with pytest.raises(IndexOutOfRange):
-        sg.eval_field(path, 5, 0.0)
-
-
 def test_eval_field_covariance_probe():
     # Cov(eval(0,0), eval(1,0)) with stationary start equals the slice kernel
     # (the Brownian part contributes min(0,1)=0).
@@ -289,17 +263,6 @@ def test_eval_field_covariance_probe():
 # ---------------------------------------------------------------------------
 # Harmonic extension
 # ---------------------------------------------------------------------------
-
-def test_harmonic_extension_boundary_and_decay():
-    field = sg.sample_circle_field(64, "stationary", seed=21)
-    theta = 1.1
-    at0 = sg.harmonic_extension(field, 0.0, theta)
-    direct = float(fluctuation_grid(field.xs, field.ys, np.array([theta]))[0])
-    assert at0 == pytest.approx(direct, rel=1e-12)
-    assert abs(sg.harmonic_extension(field, 50.0, theta)) < 1e-20
-    with pytest.raises(NegativeTime):
-        sg.harmonic_extension(field, -0.1, theta)
-
 
 def test_harmonic_extension_variance():
     rng = np.random.default_rng(3)
@@ -396,32 +359,24 @@ def test_dirichlet_y_from_paths():
 # ---------------------------------------------------------------------------
 
 def test_circle_average_epsilon_must_fit_grid():
-    init = sg.sample_circle_field(8, "stationary", seed=2)
-    path = sg.evolve_path(init, 0.0, TimeGrid(1 / 16, 32), seed=2)
     with pytest.raises(EpsilonGridMismatch):
-        sg.circle_average(path, 0.013, 16, 0.0)
+        CircleAverage(0.013, 1 / 16)
 
 
 def test_circle_average_zero_path():
-    init = sg.sample_circle_field(8, ("fixed", np.zeros(8), np.zeros(8)))
-    path = sg.evolve_path(init, 0.0, TimeGrid(1 / 16, 32), seed=2)
-    path.brownian[:] = 0.0
-    path.mode_x[:] = 0.0
-    path.mode_y[:] = 0.0
-    assert sg.circle_average(path, 1 / 8, 16, 1.0) == 0.0
+    zeros = np.zeros((3, 8))
+    ax, ay = CircleAverage(1 / 8, 1 / 16).modes(lambda r: (zeros, zeros), 16)
+    assert not ax.any() and not ay.any()
 
 
 def test_circle_average_small_radius_limit():
     # frozen-in-time field: average -> point value as epsilon shrinks, O(eps^2)
     init = sg.sample_circle_field(6, "stationary", seed=9)
-    path = sg.evolve_path(init, 0.0, TimeGrid(1 / 256, 512), seed=9)
-    for k in range(513):
-        path.mode_x[k] = init.xs
-        path.mode_y[k] = init.ys
-    path.brownian[:] = 0.0
-    point = sg.eval_field(path, 256, 0.0)
-    errs = [abs(sg.circle_average(path, eps, 256, 0.0, 64) - point)
-            for eps in (1 / 4, 1 / 8, 1 / 16)]
+    point = fluctuation_grid(init.xs, init.ys, np.array([0.0]))[0]
+    errs = []
+    for eps in (1 / 4, 1 / 8, 1 / 16):
+        ax, ay = CircleAverage(eps, 1 / 256).modes(lambda r: (init.xs, init.ys), 256)
+        errs.append(abs(fluctuation_grid(ax, ay, np.array([0.0]))[0] - point))
     assert errs[2] < errs[0]
     assert errs[2] < 0.25 * errs[0] * 1.5  # roughly quadratic shrinkage
 
@@ -432,7 +387,6 @@ def test_circle_average_variance_tracks_log():
     grid = TimeGrid(1 / 64, 64)
     n = 12000
     b, xs, ys = sample_path_batch(rng, n, 64, grid)
-    from sinhgordon.gff import CircleAverage
     gaps = []
     for eps in (1 / 4, 1 / 8, 1 / 16):
         ax, ay = CircleAverage(eps, grid.dt).modes(lambda r: (xs[:, r], ys[:, r]), 32)

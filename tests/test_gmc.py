@@ -6,13 +6,14 @@ from hypothesis import given, settings, strategies as st
 
 import sinhgordon as sg
 from sinhgordon.errors import EmptyRegion, RegionOutsideGrid
-from sinhgordon.gff import TimeGrid
 from sinhgordon.gmc import (
     Region,
+    SliceMass,
     circle_spec,
     expected_mass,
     fourier_spec,
     sample_region_masses,
+    theta_nodes,
 )
 
 from conftest import agree
@@ -37,16 +38,14 @@ def test_gmc_spec_renorm_constants():
 # Mass of a region: small-coupling limit, mean identity, sign symmetry
 # ---------------------------------------------------------------------------
 
-def _unit_path(n_modes=16, dt=1 / 16, k=16, seed=0, c=0.0):
-    init = sg.sample_circle_field(n_modes, "stationary", seed=seed)
-    return sg.evolve_path(init, c, TimeGrid(dt, k), seed=seed)
+def _masses(region, params, theta_cells=64, spec=None, n_samples=12, seed=5):
+    return sample_region_masses(region, spec or fourier_spec(+1, 16), params, n_samples,
+                                seed, dt=1 / 16, theta_cells=theta_cells)
 
 
 def test_mass_small_gamma_is_area():
-    p = sg.validate_params(1e-9, 1.0, 1.0)
-    path = _unit_path(seed=5)
-    m = sg.gmc_mass(path, Region(0.0, 1.0), fourier_spec(+1, 16), p, theta_cells=64)
-    assert m == pytest.approx(2 * math.pi, abs=1e-6)
+    masses = _masses(Region(0.0, 1.0), sg.validate_params(1e-9, 1.0, 1.0))
+    np.testing.assert_allclose(masses, 2 * math.pi, rtol=0.0, atol=1e-6)
 
 
 def test_mass_mean_identity_gamma_1(unit_params):
@@ -79,122 +78,51 @@ def test_mass_mean_gamma_half():
 
 
 def test_sign_symmetry_per_sample(unit_params):
-    path = _unit_path(seed=31)
-    neg = _unit_path(seed=31)
-    neg.brownian[:] = -neg.brownian
-    neg.mode_x[:] = -neg.mode_x
-    neg.mode_y[:] = -neg.mode_y
-    region = Region(0.25, 0.75)
-    m_minus = sg.gmc_mass(path, region, fourier_spec(-1, 16), unit_params, 64)
-    m_plus_negated = sg.gmc_mass(neg, region, fourier_spec(+1, 16), unit_params, 64)
-    assert m_minus == pytest.approx(m_plus_negated, rel=1e-12)
+    # the minus mass of (x, y, b) is the plus mass of the negated slice
+    rng = np.random.default_rng(31)
+    x, y, b = rng.standard_normal((5, 16)), rng.standard_normal((5, 16)), rng.standard_normal(5)
+    nodes, dtheta = theta_nodes(64)
+    kernel = SliceMass(unit_params.gamma, sg.harmonic_number(16), dtheta, nodes, 16)
+    minus = kernel(x, y, b)[1]
+    np.testing.assert_allclose(minus, kernel(-x, -y, -b)[0], rtol=1e-12, atol=0.0)
 
 
 def test_mass_nonnegative_and_region_checks(unit_params):
-    path = _unit_path(seed=8)
-    assert sg.gmc_mass(path, Region(0.5, 0.5), fourier_spec(+1, 16), unit_params, 64) == 0.0
-    m = sg.gmc_mass(path, Region(0.0, 1.0), fourier_spec(+1, 16), unit_params, 64)
-    assert m > 0.0
-    with pytest.raises(Exception):
-        sg.gmc_mass(path, Region(0.0, 9.0), fourier_spec(+1, 16), unit_params, 64)
+    assert np.all(_masses(Region(0.5, 0.5), unit_params) == 0.0)
+    assert np.all(_masses(Region(0.0, 1.0), unit_params) > 0.0)
+    # an averaging circle reaching below t = 0 is refused, not read as NaN
+    with pytest.raises(RegionOutsideGrid):
+        _masses(Region(0.0, 1.0), unit_params, spec=circle_spec(+1, 1 / 8))
 
 
 def test_arc_region_mass_additivity(unit_params):
-    path = _unit_path(seed=12)
-    full = sg.gmc_mass(path, Region(0.0, 1.0), fourier_spec(+1, 16), unit_params, 128)
-    left = sg.gmc_mass(path, Region(0.0, 1.0, arc=(0.0, math.pi)),
-                       fourier_spec(+1, 16), unit_params, 64)
-    right = sg.gmc_mass(path, Region(0.0, 1.0, arc=(math.pi, 2 * math.pi)),
-                        fourier_spec(+1, 16), unit_params, 64)
-    assert left + right == pytest.approx(full, rel=1e-9)
-
-
-def test_log_sum_exp_never_nan(unit_params):
-    path = _unit_path(seed=3)
-    path.brownian[:] += 300.0  # extreme but finite shift
-    m = sg.gmc_mass(path, Region(0.0, 1.0), fourier_spec(+1, 16), unit_params, 64)
-    assert math.isfinite(math.log(m))
+    # one seed, so the two half arcs (64 cells each) see the paths of the full circle
+    full = _masses(Region(0.0, 1.0), unit_params, 128, seed=12)
+    left = _masses(Region(0.0, 1.0, arc=(0.0, math.pi)), unit_params, seed=12)
+    right = _masses(Region(0.0, 1.0, arc=(math.pi, 2 * math.pi)), unit_params, seed=12)
+    np.testing.assert_allclose(left + right, full, rtol=1e-9, atol=0.0)
 
 
 # ---------------------------------------------------------------------------
-# Weighted mass
+# Circle potential: the slice-mass kernel on single slices
 # ---------------------------------------------------------------------------
 
-def test_weighted_mass_empty_and_zero_alpha(unit_params):
-    path = _unit_path(seed=14)
-    region = Region(0.25, 0.75)
-    base = sg.gmc_mass(path, region, fourier_spec(+1, 16), unit_params, 64)
-    same = sg.gmc_mass_weighted(path, region, fourier_spec(+1, 16), unit_params, [], 64)
-    zero = sg.gmc_mass_weighted(path, region, fourier_spec(+1, 16), unit_params,
-                                [(0.0, 0.5, 1.0)], 64)
-    assert same == base
-    assert zero == pytest.approx(base, rel=1e-12)
+def _slice_potential(gamma, n_modes, x, y):
+    nodes, dtheta = theta_nodes(64)
+    return SliceMass(gamma, sg.harmonic_number(n_modes), dtheta, nodes, n_modes)(x, y)[0]
 
-
-def test_weighted_mass_far_insertion_increases(unit_params):
-    # insertion deep below the region: |e^{-s+i th} - e^{-t1+i th1}| < 1 on the
-    # whole region, so a positive weight exponent raises the density pointwise
-    path = _unit_path(dt=1 / 16, k=16, seed=15)
-    region = Region(0.125, 0.375)
-    w = sg.gmc_mass_weighted(path, region, fourier_spec(+1, 16), unit_params,
-                             [(0.8, 3.2, 0.0)], 64)
-    base = sg.gmc_mass(path, region, fourier_spec(+1, 16), unit_params, 64)
-    assert w >= base
-
-
-def test_weighted_mass_pole_jitter(unit_params):
-    # insertion exactly on a cell midpoint must not produce inf/nan
-    path = _unit_path(dt=1 / 16, k=16, seed=16)
-    region = Region(0.0, 1.0)
-    nodes_theta = (2 * math.pi) * (0.5 + 0.0) / 64  # first midpoint
-    m = sg.gmc_mass_weighted(path, region, fourier_spec(+1, 16), unit_params,
-                             [(0.5, 0.5, nodes_theta)], 64)
-    assert math.isfinite(m) and m > 0
-
-
-def test_weighted_mass_circle_outside_span_raises(unit_params):
-    # the averaging circle leaves [0, 1] near both ends of the region: the
-    # weighted mass must refuse like the plain one instead of returning NaN
-    path = _unit_path(dt=1 / 16, k=16, seed=0)
-    spec = circle_spec(+1, 1 / 8)
-    with pytest.raises(RegionOutsideGrid):
-        sg.gmc_mass(path, Region(0.0, 1.0), spec, unit_params, 64)
-    with pytest.raises(RegionOutsideGrid):
-        sg.gmc_mass_weighted(path, Region(0.0, 1.0), spec, unit_params, [(0.5, 0.5, 0.3)], 64)
-
-
-# ---------------------------------------------------------------------------
-# Circle potential
-# ---------------------------------------------------------------------------
 
 def test_circle_potential_zero_field(unit_params):
-    field = sg.sample_circle_field(8, ("fixed", np.zeros(8), np.zeros(8)))
-    v = sg.circle_potential(field, +1, 8, unit_params, theta_cells=64)
-    assert v == pytest.approx(2 * math.pi * math.exp(-0.5 * sg.renorm_constant(8)), rel=1e-12)
+    v = _slice_potential(unit_params.gamma, 8, np.zeros((1, 8)), np.zeros((1, 8)))
+    assert v[0] == pytest.approx(2 * math.pi * math.exp(-0.5 * sg.renorm_constant(8)),
+                                 rel=1e-12)
 
 
 def test_circle_potential_unit_mean(unit_params):
-    vals = []
-    for s in range(4000):
-        field = sg.sample_circle_field(32, "stationary", seed=s)
-        vals.append(sg.circle_potential(field, +1, 32, unit_params, theta_cells=64))
-    vals = np.array(vals)
-    assert agree(vals.mean(), vals.std() / math.sqrt(len(vals)), 2 * math.pi, 0.0)
-
-
-def test_circle_potential_sign_symmetry(unit_params):
-    field = sg.sample_circle_field(16, "stationary", seed=77)
-    neg = sg.sample_circle_field(16, ("fixed", -field.xs, -field.ys))
-    v_minus = sg.circle_potential(field, -1, 16, unit_params, 64)
-    v_plus_neg = sg.circle_potential(neg, +1, 16, unit_params, 64)
-    assert v_minus == pytest.approx(v_plus_neg, rel=1e-12)
-
-
-def test_circle_potential_warns_large_gamma():
-    p = sg.validate_params(1.8, 1.0, 1.0)
-    field = sg.sample_circle_field(8, "stationary", seed=1)
-    with pytest.warns(RuntimeWarning):
-        sg.circle_potential(field, +1, 8, p, 32)
+    rng = np.random.default_rng(0)
+    x, y = rng.standard_normal((4000, 32)), rng.standard_normal((4000, 32))
+    vals = _slice_potential(unit_params.gamma, 32, x, y)
+    assert agree(vals.mean(), vals.std() / math.sqrt(vals.size), 2 * math.pi, 0.0)
 
 
 # ---------------------------------------------------------------------------

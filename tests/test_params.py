@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from sinhgordon import validate_params, reduce_to_unit_radius
 from sinhgordon.errors import NonPositive, OutOfRangeGamma
-from sinhgordon.params import from_reduced
 
 
 def test_reference_point():
@@ -49,9 +48,6 @@ def test_reduction_round_trip(gamma, mu, radius):
     unit = reduce_to_unit_radius(p)
     assert unit.radius == 1.0
     assert unit.mu == pytest.approx(p.mu_scaled, rel=1e-12)
-    back = from_reduced(gamma, unit.mu, radius)
-    assert back.mu == pytest.approx(mu, rel=1e-12)
-    assert back.radius == radius
 
 
 def test_q_minimum_on_grid():

@@ -19,8 +19,8 @@ from sinhgordon.correlations import ShiftData, _cylinder_engine, _entries_to_pro
     _pair_groups
 from sinhgordon.gff import CIRCLE_QUADRATURE_POINTS, TimeGrid, fluctuation_grid, \
     sample_path_batch, stream_paths
-from sinhgordon.gmc import SliceMass, chaos_exponent, circle_spec, fourier_spec, \
-    harmonic_number, region_time_weights, theta_nodes
+from sinhgordon.gmc import SliceMass, circle_spec, fourier_spec, harmonic_number, \
+    region_time_weights, theta_nodes
 from sinhgordon.parallel import seed_chunks
 from sinhgordon.params import reduce_to_unit_radius
 from sinhgordon.propagator import capped_exp, default_c_quadrature, fk_damping, fk_weights
@@ -37,8 +37,8 @@ def close(a, b):
 def two_exp_pair(brownian, fields, gamma, renorm, dtheta):
     """(S+, S-) with one exp per sign and cell, as before the fused kernel."""
     return tuple(np.exp(sigma * gamma * brownian)
-                 * np.exp(chaos_exponent(fields, sigma, gamma, renorm)).sum(axis=-1) * dtheta
-                 for sigma in (+1, -1))
+                 * np.exp(sigma * gamma * fields - 0.5 * gamma * gamma * renorm).sum(axis=-1)
+                 * dtheta for sigma in (+1, -1))
 
 
 def point_circle_field(xs, ys, grid, k, thetas, spec):
