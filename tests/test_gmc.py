@@ -90,7 +90,11 @@ def test_sign_symmetry_per_sample(unit_params):
 def test_mass_nonnegative_and_region_checks(unit_params):
     assert np.all(_masses(Region(0.5, 0.5), unit_params) == 0.0)
     assert np.all(_masses(Region(0.0, 1.0), unit_params) > 0.0)
-    # an averaging circle reaching below t = 0 is refused, not read as NaN
+
+
+def test_weighted_mass_circle_outside_span_raises(unit_params):
+    # the averaging circle leaves [0, 1] near both ends of the region: the
+    # streamed mass refuses it instead of returning NaN
     with pytest.raises(RegionOutsideGrid):
         _masses(Region(0.0, 1.0), unit_params, spec=circle_spec(+1, 1 / 8))
 
@@ -107,9 +111,10 @@ def test_arc_region_mass_additivity(unit_params):
 # Circle potential: the slice-mass kernel on single slices
 # ---------------------------------------------------------------------------
 
-def _slice_potential(gamma, n_modes, x, y):
+def _slice_potential(gamma, n_modes, x, y, sign=+1):
     nodes, dtheta = theta_nodes(64)
-    return SliceMass(gamma, sg.harmonic_number(n_modes), dtheta, nodes, n_modes)(x, y)[0]
+    plus, minus = SliceMass(gamma, sg.harmonic_number(n_modes), dtheta, nodes, n_modes)(x, y)
+    return plus if sign > 0 else minus
 
 
 def test_circle_potential_zero_field(unit_params):
@@ -123,6 +128,15 @@ def test_circle_potential_unit_mean(unit_params):
     x, y = rng.standard_normal((4000, 32)), rng.standard_normal((4000, 32))
     vals = _slice_potential(unit_params.gamma, 32, x, y)
     assert agree(vals.mean(), vals.std() / math.sqrt(vals.size), 2 * math.pi, 0.0)
+
+
+def test_circle_potential_sign_symmetry(unit_params):
+    # on one stationary slice, the minus potential is the plus potential of -field
+    rng = np.random.default_rng(77)
+    x, y = rng.standard_normal((1, 16)), rng.standard_normal((1, 16))
+    v_minus = _slice_potential(unit_params.gamma, 16, x, y, sign=-1)
+    v_plus_neg = _slice_potential(unit_params.gamma, 16, -x, -y)
+    assert v_minus[0] == pytest.approx(v_plus_neg[0], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
