@@ -6,7 +6,8 @@ class SinhGordonError(Exception):
 
 
 class ConfigError(SinhGordonError):
-    """Malformed or invalid run configuration."""
+    """Malformed or invalid run configuration; the CLI exits 2 on it and on
+    every subclass."""
 
 
 class OutOfRangeGamma(SinhGordonError):
@@ -45,12 +46,13 @@ class RegionOutsideGrid(SinhGordonError):
     """Integration region not contained in the sampled time span."""
 
 
-class EmptyRegion(SinhGordonError):
-    """Region with zero area."""
+class EmptyRegion(ConfigError):
+    """Region with zero area; its ends come from the run configuration."""
 
 
-class IncompatibleGrids(SinhGordonError):
-    """Region cannot be represented at both scales of a scaling check."""
+class IncompatibleGrids(ConfigError):
+    """Region cannot be represented at both scales of a scaling check with the
+    configured ``dt``."""
 
 
 class NonPositiveTime(SinhGordonError):
@@ -77,16 +79,17 @@ class SignalLost(SinhGordonError):
     """Covariances consistent with zero; no decay rate can be fitted."""
 
 
-class InadmissibleInsertions(SinhGordonError):
-    """Insertion set with a weight at or beyond the admissibility bound."""
+class InadmissibleInsertions(ConfigError):
+    """Insertion set with a configured weight at or beyond the admissibility bound."""
 
 
-class InadmissibleAlpha(SinhGordonError):
-    """Single vertex weight outside (-Q, Q)."""
+class InadmissibleAlpha(ConfigError):
+    """Configured single vertex weight outside (-Q, Q)."""
 
 
-class WindowOutsideCylinder(SinhGordonError):
-    """Observable window or insertion outside the finite cylinder."""
+class WindowOutsideCylinder(ConfigError):
+    """Configured observable window, separation or insertion outside the finite
+    cylinder."""
 
 
 class QuadratureFailure(SinhGordonError):

@@ -160,8 +160,9 @@ def map_replicas(run, seed, n: int, chunk_size: int, workers: int = 1) -> dict:
     """Run ``run(rng, size)`` over ``n`` replicas in chunks; join its columns in chunk order.
 
     Chunk i gets ``np.random.default_rng`` of the i-th child of ``seed``
-    (:func:`seed_chunks`).  ``run`` returns ``{name: array}`` with one row per
-    replica; each name is concatenated along axis 0.
+    (:func:`seed_chunks`).  ``run`` returns ``{name: array}``, with one row per
+    replica or, where the chunk reduces its replicas itself, one row per chunk;
+    each name is concatenated along axis 0.
     """
     parts = map_chunks(lambda chunk: run(np.random.default_rng(chunk[0]), chunk[1]),
                        seed_chunks(seed, n, chunk_size), workers)

@@ -43,19 +43,28 @@ class OutputWriter:
     """Records, CSVs and the manifest of one run, under ``out_dir``.
 
     The directory is made on the first write, so a run that fails before
-    writing anything leaves none behind.
+    writing anything leaves none behind.  Each record is appended to
+    ``records.jsonl`` as it is made, so a run that is stopped keeps the
+    estimates it has; the manifest is written last, so a directory without
+    one holds a run that did not finish.
     """
 
     def __init__(self, out_dir: str | Path):
         self.dir = Path(out_dir)
-        self._records = []
+        self.n_records = 0
 
     def path(self, name: str) -> Path:
         self.dir.mkdir(parents=True, exist_ok=True)
         return self.dir / name
 
     def record(self, rec: dict) -> None:
-        self._records.append(_jsonable(rec))
+        if not self.n_records:
+            # a manifest left by an earlier run in this directory would vouch
+            # for records it never saw
+            self.path("manifest.json").unlink(missing_ok=True)
+        with open(self.path("records.jsonl"), "a" if self.n_records else "w") as fh:
+            fh.write(json.dumps(_jsonable(rec), sort_keys=True) + "\n")
+        self.n_records += 1
 
     def csv(self, name: str, header, rows) -> Path:
         path = self.path(name)
@@ -67,14 +76,12 @@ class OutputWriter:
 
     def flush(self, cfg: RunConfig, wall_s: float, workers: int,
               traceback_text: str | None = None) -> None:
-        with open(self.path("records.jsonl"), "w") as fh:
-            for rec in self._records:
-                fh.write(json.dumps(rec, sort_keys=True) + "\n")
+        """Write the manifest, the last file of a run."""
         manifest = {
             "config": cfg.raw(),
             "fingerprint": params_fingerprint(cfg.raw()),
             "wall_seconds": round(wall_s, 3),
-            "n_records": len(self._records),
+            "n_records": self.n_records,
             "workers": workers,
             "cores": _usable_cores(),
             "blas_threads": blas_threads(workers),
@@ -147,9 +154,10 @@ def _exp_validate(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     probe rows has the same law at any step: the paths are stepped from probe
     row to probe row only, on the grid whose step is dt times the gcd of the
     probe rows.  Replicas run in chunks of ``VALIDATE_CHUNK`` through
-    ``map_replicas``, each keeping only the field at the probe points, so the
-    records do not depend on the worker count and the paths held do not grow
-    with ``n_samples``.
+    ``map_replicas``.  Each chunk reduces the field at the probe points to one
+    row of sums per probe pair, f1, f2, f1·f2 and (f1·f2)², and the rows are
+    added in chunk order, so the records do not depend on the worker count and
+    nothing held grows with ``n_samples``.
     """
     n = cfg.estimator.n_samples
     n_modes = cfg.sampler.n_modes
@@ -165,21 +173,27 @@ def _exp_validate(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     basis = {th: theta_basis(n_modes, th) for _, th in points}
 
     def panel(rng, size):
-        cols = {}
+        field_at = {}
         for k, _, x, y in stream_paths(rng, size, n_modes, coarse):
             for kk, th in points:
                 if kk == k * stride:
                     cb, sb = basis[th]
-                    cols[kk, th] = (x @ cb + y @ sb)[:, 0]
-        return cols
+                    field_at[kk, th] = (x @ cb + y @ sb)[:, 0]
+        sums = []
+        for (t1, th1), (t2, th2) in probes:
+            f1, f2 = field_at[grid.index_of(t1), th1], field_at[grid.index_of(t2), th2]
+            prod = f1 * f2
+            sums.append([f1.sum(), f2.sum(), prod.sum(), (prod * prod).sum()])
+        return {"sums": np.array([sums])}          # one row per chunk
 
-    field_at = map_replicas(panel, cfg.estimator.seed, n, VALIDATE_CHUNK, workers)
+    rows = map_replicas(panel, cfg.estimator.seed, n, VALIDATE_CHUNK, workers)["sums"]
+    means = sum(rows) / n                          # the chunks added in chunk order
     worst = 0.0
-    for (t1, th1), (t2, th2) in probes:
-        f1 = field_at[grid.index_of(t1), th1]
-        f2 = field_at[grid.index_of(t2), th2]
-        emp = float(np.mean(f1 * f2) - np.mean(f1) * np.mean(f2))
-        se = float(np.std(f1 * f2) / np.sqrt(n))
+    for ((t1, th1), (t2, th2)), (m1, m2, m12, m_sq) in zip(probes, means):
+        emp = float(m12 - m1 * m2)
+        # the population std of f1·f2 over sqrt(n); its variance is at least
+        # half of m_sq for Gaussian f1, f2, so the difference cannot cancel
+        se = float(np.sqrt(m_sq - m12 * m12) / np.sqrt(n))
         target = float(truncated_slice_cov(n_modes, t1 - t2, th1 - th2))
         pull = abs(emp - target) / max(se, 1e-12)
         worst = max(worst, pull)
@@ -496,7 +510,7 @@ def _execute(cfg: RunConfig, out: OutputWriter, workers: int) -> int:
         tb = "".join(traceback.format_exception(exc))
     else:
         out.flush(cfg, time.perf_counter() - t0, workers)
-        print(f"{cfg.experiment}: ok ({len(out._records)} records in {out.dir})")
+        print(f"{cfg.experiment}: ok ({out.n_records} records in {out.dir})")
         return 0
     print(f"runtime failure: {error}", file=sys.stderr)
     out.record({"experiment": cfg.experiment, "status": "failed", "error": error})

@@ -204,6 +204,11 @@ def test_non_object_blocks_exit_two(tmp_path, capsys):
     ("moments", {"p": 0}),
     ("ground-state", {"T": 0.0}),
     ("ground-state", {"T": -0.25}),
+    ("moments", {"t_min": 0.5, "t_max": 0.5}),
+    ("scaling-check", {"t_min": 0.5, "t_max": 0.625}),
+    ("vertex", {"alpha": 5.0, "method": "girsanov"}),
+    ("lz", {"alpha": 5.0}),
+    ("two-point", {"separations": [1.5]}),
 ], ids=["validate-typo", "sample-typo", "sample-string-c", "lambda0-string-T_list",
         "lambda0-string-entry", "two-point-string-alpha", "two-point-string-separations",
         "two-point-null-separation", "partition-scalar-T_list",
@@ -219,7 +224,9 @@ def test_non_object_blocks_exit_two(tmp_path, capsys):
         "lambda0-empty-T_list", "partition-empty-T_list", "two-point-empty-separations",
         "mc-vs-lz-empty-R_values", "gap-fit-negative-std_error",
         "gap-fit-csv-negative-std_error", "gap-fit-zero-std_error", "moments-zero-p", "ground-state-zero-T",
-        "ground-state-negative-T"])
+        "ground-state-negative-T", "moments-empty-region", "scaling-check-one-step-region",
+        "vertex-girsanov-inadmissible-alpha", "lz-inadmissible-alpha",
+        "two-point-separation-outside-window"])
 def test_bad_experiment_options_exit_two(tmp_path, experiment, options):
     # the csv cases name these files relative to the working directory
     (tmp_path / "no-column.csv").write_text("separation,covariance\n0.5,0.1\n1.0,0.05\n")
@@ -279,6 +286,74 @@ def test_wrongly_typed_option_is_rejected_before_dispatch(data):
             assert code == 2, case
             assert "config error:" in err.getvalue() and "Traceback" not in err.getvalue()
             assert not (Path(tmp) / "out").exists()
+
+
+# In-type edge values for one key of a shipped config: the ends of each
+# range, times off every shipped grid (0.3) or beyond the cylinder, a
+# reversed T_list, alpha at and beyond Q = 2.5 (gamma = 1), and a tolerance
+# the quadrature cannot certify.  None makes a run much longer than its
+# shipped profile at 200 samples.
+_BLOCK_EDGES = {
+    ("params", "gamma"): [1e-3, 1.99, 2.0],
+    ("params", "mu"): [1e-9, 1e3, 0.0],
+    ("params", "radius"): [0.5, 4.0, 0.0],
+    ("sampler", "n_modes"): [1, 2],
+    ("sampler", "dt"): [0.3, 0.5, 2.0],
+    ("sampler", "window"): [0.03125, 0.0625, 0.1],
+    ("gmc", "theta_cells"): [4, 5],
+    ("gmc", "regularization"): [{"kind": "fourier", "n": 1},
+                                {"kind": "circle", "epsilon": 0.0625},
+                                {"kind": "circle", "epsilon": 0.07}],
+    ("estimator", "n_samples"): [2, 3],
+    ("estimator", "seed"): [0, 2**40],
+    ("estimator", "c_window"): [1e-3, 0.5, 60.0],
+    ("estimator", "c_nodes"): [8, 9],
+}
+_OPTION_EDGES = {
+    "T_list": [[0.3], [0.0625], [0.5, 0.25], [1e-3]],
+    "separations": [[0.3], [2.0], [0.0625], [1e-3]],
+    "tol": [1e-3, 1e-16, 0.5],
+    "sigma": [-1], "backend": ["plain"], "drop_smallest": [False],
+}
+_NUMBER_EDGES = [0.0, -1.0, 0.3, 2.5, 5.0]
+_SHIPPED = {path.stem: json.loads(path.read_text())
+            for path in sorted((Path(__file__).parents[1] / "configs").glob("*.json"))}
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_shipped_configs_with_one_edge_value_exit_cleanly(data):
+    # every shipped config, one key moved to an edge, run at --fast on at
+    # most 200 samples: exit 0, 1 or 2 and never a traceback; a run that
+    # starts writes its manifest, a config error is one line, and a config
+    # the schema rejects exits 2
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, shipped in _SHIPPED.items():
+            cfg = json.loads(json.dumps(shipped))
+            cfg["estimator"]["n_samples"] = 200
+            keys = sorted(_BLOCK_EDGES) + [("options", key)
+                                           for key in OPTIONS[cfg["experiment"]["name"]]]
+            block, key = data.draw(st.sampled_from(keys), label=name)
+            edges = _BLOCK_EDGES.get((block, key)) or _OPTION_EDGES.get(key, _NUMBER_EDGES)
+            value = data.draw(st.sampled_from(edges), label=f"{block}.{key}")
+            (cfg["experiment"]["options"] if block == "options" else cfg[block])[key] = value
+            out = Path(tmp) / name
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run(write_config(Path(tmp), cfg), fast=True, out_dir=str(out))
+            case = (name, block, key, value, err.getvalue())
+            assert code in (0, 1, 2), case
+            assert "Traceback" not in err.getvalue(), case
+            manifest = out / cfg["experiment"]["name"] / "manifest.json"
+            if code == 2:
+                assert err.getvalue().startswith("config error:"), case
+                assert len(err.getvalue().splitlines()) == 1, case
+            else:
+                assert manifest.exists(), case
+            try:
+                with_overrides(parse_config(cfg), fast=True)
+            except ConfigError:
+                assert code == 2, case
 
 
 def test_negative_seed_override_exits_two(tmp_path, capsys):
@@ -599,6 +674,30 @@ def test_config_error_inside_an_experiment_leaves_no_output(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_records_are_written_as_they_are_made(tmp_path, monkeypatch):
+    # a validate run stopped at its second probe keeps the first probe's
+    # record; the manifest of an earlier run in the directory goes, since it
+    # is written last and only by a run that finished
+    out = tmp_path / "out"
+    path = write_config(tmp_path, base_config("validate"))
+    assert run(path, out_dir=str(out)) == 0
+    assert (out / "validate" / "manifest.json").exists()
+    calls, oracle = [], runner.truncated_slice_cov
+
+    def interrupted(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return oracle(*args)
+
+    monkeypatch.setattr(runner, "truncated_slice_cov", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run(path, out_dir=str(out))
+    recs = read_records(out, "validate")
+    assert len(recs) == 1 and recs[0]["probe"] == [[0.0, 0.0], [0.0, math.pi]]
+    assert not (out / "validate" / "manifest.json").exists()
+
+
 def test_manifest_records_versions_and_peak_rss(tmp_path):
     out = tmp_path / "out"
     assert run(write_config(tmp_path, base_config("lz")), out_dir=str(out)) == 0
@@ -865,9 +964,10 @@ def test_records_match_pinned(tmp_path, experiment):
 
 def test_validate_streams_the_sampled_paths(tmp_path):
     # the panel steps from probe row to probe row (0.25 apart) in replica
-    # chunks; its covariances must equal the ones read from the stored paths
-    # of sample_path_batch on that grid, chunk by chunk, from the seed_chunks
-    # children of the seed
+    # chunks; its covariances must equal the ones reduced from the stored
+    # paths of sample_path_batch on that grid, from the seed_chunks children of
+    # the seed: per chunk the sums of f1, f2, f1·f2 and (f1·f2)², added chunk
+    # after chunk in chunk order
     from sinhgordon.gff import TimeGrid, fluctuation_grid, sample_path_batch
     from sinhgordon.parallel import seed_chunks
 
@@ -881,17 +981,23 @@ def test_validate_streams_the_sampled_paths(tmp_path):
     paths = [sample_path_batch(np.random.default_rng(child), size, 12, grid)
              for child, size in chunks]
 
-    def field(t, th):
+    def field(chunk_paths, t, th):
+        _, xs, ys = chunk_paths
         k = grid.index_of(t)
-        return np.concatenate([fluctuation_grid(xs[:, k, :], ys[:, k, :], np.array([th]))[:, 0]
-                               for _, xs, ys in paths])
+        return fluctuation_grid(xs[:, k, :], ys[:, k, :], np.array([th]))[:, 0]
 
     assert len(recs) == 5
     for rec in recs:
         (t1, th1), (t2, th2) = rec["probe"]
-        f1, f2 = field(t1, th1), field(t2, th2)
-        assert rec["empirical"] == float(np.mean(f1 * f2) - np.mean(f1) * np.mean(f2))
-        assert rec["std_error"] == float(np.std(f1 * f2) / np.sqrt(n))
+        s1 = s2 = s12 = s_sq = 0.0
+        for chunk_paths in paths:
+            f1, f2 = field(chunk_paths, t1, th1), field(chunk_paths, t2, th2)
+            prod = f1 * f2
+            s1, s2 = s1 + f1.sum(), s2 + f2.sum()
+            s12, s_sq = s12 + prod.sum(), s_sq + (prod * prod).sum()
+        m1, m2, m12, m_sq = s1 / n, s2 / n, s12 / n, s_sq / n
+        assert rec["empirical"] == float(m12 - m1 * m2)
+        assert rec["std_error"] == float(np.sqrt(m_sq - m12 * m12) / np.sqrt(n))
 
 
 def test_validate_records_do_not_depend_on_workers(tmp_path):
@@ -903,15 +1009,27 @@ def test_validate_records_do_not_depend_on_workers(tmp_path):
 @pytest.mark.parametrize("n_samples", [300, 2000])
 def test_validate_streams_in_bounded_chunks(tmp_path, monkeypatch, n_samples):
     # the panel never steps more than one chunk of paths at a time, however
-    # many samples it is asked for, and covers every sample once
+    # many samples it is asked for, and covers every sample once; each chunk
+    # reduces its probe fields before it returns, so the joined arrays hold
+    # one row per chunk, never one row per sample
     batches, stream_paths = [], runner.stream_paths
+    joined, map_replicas = [], runner.map_replicas
 
     def counting(rng, n_paths, *args):
         batches.append(n_paths)
         return stream_paths(rng, n_paths, *args)
 
+    def capturing(*args, **kwargs):
+        joined.append(map_replicas(*args, **kwargs))
+        return joined[-1]
+
     monkeypatch.setattr(runner, "stream_paths", counting)
+    monkeypatch.setattr(runner, "map_replicas", capturing)
     path = write_config(tmp_path, base_config("validate", n_samples=n_samples))
     assert run(path, out_dir=str(tmp_path / "out")) == 0
     assert max(batches) <= runner.VALIDATE_CHUNK
     assert sum(batches) == n_samples
+    n_chunks = -(-n_samples // runner.VALIDATE_CHUNK)
+    assert len(joined) == 1 and joined[0]
+    assert all(len(rows) == n_chunks < n_samples for rows in joined[0].values())
+
