@@ -28,7 +28,7 @@ from .gff import CircleAverage, TimeGrid, fluctuation_grid, stream_paths, trunca
 from .gmc import GmcSpec, SliceMass, fourier_spec, harmonic_number, region_time_weights, \
     theta_nodes
 from .params import ModelParams, reduce_to_unit_radius, validate_params
-from .parallel import map_replicas, seed_int, stateless_children
+from .parallel import CHUNK, map_replicas, seed_int, stateless_children
 from .propagator import CQuadrature, default_c_quadrature, fk_weights
 from .results import EstimatorResult, jackknife_func, jackknife_ratio, params_fingerprint
 
@@ -75,25 +75,19 @@ class ShiftData:
     """Deterministic shift induced by removing vertex exponentials.
 
     ``insertions`` hold process-time coordinates (alpha, s_i, theta_i).  The
-    covariance kernel is either the closed form of the full field
-    (kernel="exact") or the mode-truncated sum actually sampled
-    (kernel=N as an int); the latter makes the change of measure exact in law
-    for the simulated process.
+    covariance kernel is the sum over the ``kernel`` modes actually sampled,
+    which makes the change of measure exact in law for the simulated process.
     """
 
     insertions: tuple[tuple[float, float, float], ...]
-    kernel: int | str = "exact"
+    kernel: int
 
     def _mode_cov(self, s, thetas, s_i: float, th_i: float):
         s = np.asarray(s, dtype=float)
         thetas = np.asarray(thetas, dtype=float)
-        if self.kernel == "exact":
-            z = np.exp(-s[:, None] + 1j * thetas[None, :])
-            sep = np.abs(z - np.exp(-s_i + 1j * th_i))
-            return -np.minimum(s[:, None], s_i) - np.log(sep)
         dt = np.abs(s[:, None] - s_i) + 0.0 * thetas[None, :]
         dth = (thetas[None, :] - th_i) + 0.0 * s[:, None]
-        return truncated_slice_cov(int(self.kernel), dt, dth)
+        return truncated_slice_cov(self.kernel, dt, dth)
 
     def boundary_h(self, thetas) -> np.ndarray:
         """Shift of the initial slice: sum_i alpha_i Cov(phi_0(theta), phi_{s_i}(theta_i))."""
@@ -180,8 +174,7 @@ def _insertion_field_values(taps, grid, entries_proc, reg: GmcSpec):
 
 def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int,
                      theta_cells: int, quad: CQuadrature, n_samples: int, seed,
-                     tasks, batch: int = 256, workers: int = 1,
-                     mirror: bool = False):
+                     tasks, workers: int = 1, mirror: bool = False):
     """Per-path numerator/denominator columns for the finite cylinder.
 
     Each task is a dict with "kind" in {"vertex", "girsanov"}; its zero-mode
@@ -252,7 +245,7 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
                 out[i] = math.exp(task["scalar"]) * (wg @ task["cfac"])
         return out
 
-    cols = map_replicas(run, seed, n_samples, batch, workers)
+    cols = map_replicas(run, seed, n_samples, CHUNK, workers)
     return {"den": cols["den"], "num": [cols[i] for i in range(len(tasks))]}
 
 
@@ -303,8 +296,7 @@ def _vertex_result(op: str, insertions: InsertionSet, t_half: float, params: Mod
 def vertex_plain(insertions: InsertionSet, estimators, t_half: float, params: ModelParams,
                  *, dt: float = 1.0 / 32.0, n_modes: int = 64, theta_cells: int = 128,
                  quad: CQuadrature | None = None, n_samples: int = 8192, seed=0,
-                 batch: int = 256, workers: int = 1,
-                 mirror: bool = False) -> list[EstimatorResult]:
+                 workers: int = 1, mirror: bool = False) -> list[EstimatorResult]:
     """Several plain-backend estimators of one vertex correlation from one path pass.
 
     ``estimators`` is a sequence of ``("direct", GmcSpec | None)`` and
@@ -334,7 +326,7 @@ def vertex_plain(insertions: InsertionSet, estimators, t_half: float, params: Mo
             raise ValueError(f"unknown vertex estimator {kind!r}")
     t0 = time.perf_counter()
     res = _cylinder_engine(params, t_half, dt, n_modes, theta_cells, quad, n_samples, seed,
-                           tasks, batch=batch, workers=workers, mirror=mirror)
+                           tasks, workers=workers, mirror=mirror)
     stats = [jackknife_ratio(num, res["den"]) for num in res["num"]]
     wall_ms = 1e3 * (time.perf_counter() - t0)
     return [_vertex_result(f"vertex_{kind}", insertions, t_half, params, est, se,
@@ -346,21 +338,23 @@ def vertex_direct(insertions: InsertionSet, regularization: GmcSpec | None,
                   t_half: float, params: ModelParams, *, dt: float = 1.0 / 32.0,
                   n_modes: int = 64, theta_cells: int = 128,
                   quad: CQuadrature | None = None, n_samples: int = 8192, seed=0,
-                  batch: int = 256, workers: int = 1, mirror: bool = False,
-                  backend: str = "plain", smc_runs: int = 12) -> EstimatorResult:
+                  workers: int = 1, mirror: bool = False, backend: str = "plain",
+                  smc_runs: int = 12, c_half_width: float = 8.0) -> EstimatorResult:
     """Renormalized-exponential estimator of a vertex correlation.
 
     Works for any insertion set; non-admissible weights give estimates that
     sink toward zero as the regularization is refined.  ``backend="plain"``
     is the free-path reweighting ratio estimator (fine for short cylinders),
-    a one-entry :func:`vertex_plain`; ``backend="smc"`` evaluates the same
-    insertions as genealogy registers of a particle flow, which stays
-    accurate on long cylinders.
+    a one-entry :func:`vertex_plain` that integrates the zero mode with
+    ``quad``; ``backend="smc"`` evaluates the same insertions as genealogy
+    registers of ``smc_runs`` particle flows over the zero-mode window
+    [-c_half_width/gamma, c_half_width/gamma], which stays accurate on long
+    cylinders.
     """
     if backend == "plain":
         return vertex_plain(insertions, [("direct", regularization)], t_half, params,
                             dt=dt, n_modes=n_modes, theta_cells=theta_cells, quad=quad,
-                            n_samples=n_samples, seed=seed, batch=batch, workers=workers,
+                            n_samples=n_samples, seed=seed, workers=workers,
                             mirror=mirror)[0]
     if backend != "smc":
         raise ValueError(f"unknown backend {backend!r}")
@@ -371,8 +365,8 @@ def vertex_direct(insertions: InsertionSet, regularization: GmcSpec | None,
     entries = _entries_to_process(insertions.entries, t_half, dt)
     t0 = time.perf_counter()
     flow = smc_flow(params, [t_half], dt, n_modes, theta_cells,
-                    SmcSettings.for_samples(n_samples, smc_runs), seed,
-                    register_groups=[entries], workers=workers)
+                    SmcSettings.for_samples(n_samples, smc_runs, c_half_width=c_half_width),
+                    seed, register_groups=[entries], workers=workers)
     num, den = _smc_columns(flow)
     est, se = jackknife_ratio(num[0], den)
     return _vertex_result("vertex_direct", insertions, t_half, params, est, se, n_samples,
@@ -383,79 +377,37 @@ def vertex_direct(insertions: InsertionSet, regularization: GmcSpec | None,
 def vertex_girsanov(insertions: InsertionSet, t_half: float, params: ModelParams, *,
                     dt: float = 1.0 / 32.0, n_modes: int = 64, theta_cells: int = 128,
                     quad: CQuadrature | None = None, n_samples: int = 8192, seed=0,
-                    batch: int = 256, workers: int = 1,
-                    backend: str = "plain", smc_runs: int = 12) -> EstimatorResult:
+                    workers: int = 1) -> EstimatorResult:
     """Shift-based estimator of the same vertex correlation.
 
     The vertex exponentials are removed exactly: the field acquires the
     deterministic shift of :class:`ShiftData` (with the mode-truncated kernel
     of the simulated process, so the identity is exact in law at any
     truncation), the chaos masses become insertion-weighted, and a scalar
-    factor carries the variance terms.  ``backend="plain"`` is a one-entry
-    :func:`vertex_plain`.
+    factor carries the variance terms.  A one-entry :func:`vertex_plain`.
     """
     _check_admissible(insertions)
-    if backend == "plain":
-        return vertex_plain(insertions, [("girsanov", None)], t_half, params, dt=dt,
-                            n_modes=n_modes, theta_cells=theta_cells, quad=quad,
-                            n_samples=n_samples, seed=seed, batch=batch,
-                            workers=workers)[0]
-    if backend != "smc":
-        raise ValueError(f"unknown backend {backend!r}")
-    from .smc import ShiftTask, SmcSettings, smc_flow
-    entries = _entries_to_process(insertions.entries, t_half, dt)
-    shift = ShiftData(entries, kernel=n_modes)
-    t0 = time.perf_counter()
-    settings = SmcSettings.for_samples(n_samples, smc_runs)
-    grid = TimeGrid.spanning(2.0 * t_half, dt)
-    nodes, _ = theta_nodes(theta_cells)
-    s_grid = shift.total_grid(grid.times(), nodes)
-    task = ShiftTask(shift_grid=s_grid, scalar_log=shift.scalar_log(),
-                     total_alpha=sum(a for a, _, _ in entries))
-    # numerator and denominator flows share run substreams (partial CRN)
-    child = stateless_children(seed, 1)[0]
-    num = smc_flow(params, [t_half], dt, n_modes, theta_cells, settings, child,
-                   shift=task, workers=workers)
-    den = smc_flow(params, [t_half], dt, n_modes, theta_cells, settings, child,
-                   workers=workers)
-    ref = max(num["log_z"][:, 0].max(), den["log_z"][:, 0].max())
-    est, se = jackknife_ratio(np.exp(num["log_z"][:, 0] - ref),
-                              np.exp(den["log_z"][:, 0] - ref))
-    return _vertex_result("vertex_girsanov", insertions, t_half, params, est, se,
-                          n_samples, seed, 1e3 * (time.perf_counter() - t0),
-                          {"scalar_log": shift.scalar_log(), "backend": backend})
+    return vertex_plain(insertions, [("girsanov", None)], t_half, params, dt=dt,
+                        n_modes=n_modes, theta_cells=theta_cells, quad=quad,
+                        n_samples=n_samples, seed=seed, workers=workers)[0]
 
 
 def two_point_covariance(ins1, ins2, separations, t_half: float, params: ModelParams, *,
                          dt: float = 1.0 / 16.0, n_modes: int = 64, theta_cells: int = 128,
-                         quad: CQuadrature | None = None, n_samples: int = 16384, seed=0,
-                         batch: int = 256, workers: int = 1,
-                         backend: str = "smc", smc_runs: int = 16) -> list[dict]:
+                         n_samples: int = 16384, seed=0, workers: int = 1,
+                         smc_runs: int = 16, c_half_width: float = 8.0) -> list[dict]:
     """Truncated two-point function of two vertices across separations.
 
     ``ins1`` and ``ins2`` are (alpha, theta); the insertions sit at window
-    times -sep/2 and +sep/2.  All separations and the three ratio components
-    share randomness (one particle population or one path set), so the
-    connected part benefits from cancellation; errors are delete-one
-    jackknife over replicas (runs for the particle backend, paths for the
-    plain one).
+    times -sep/2 and +sep/2.  A one-pair :func:`two_point_panel`: all
+    separations and the three ratio components share one particle
+    population, so the connected part benefits from cancellation; errors are
+    delete-one jackknife over runs.
     """
-    separations = _checked_separations(separations, t_half)
-    if backend == "smc":
-        return two_point_panel([(ins1, ins2)], separations, t_half, params, dt=dt,
-                               n_modes=n_modes, theta_cells=theta_cells,
-                               n_samples=n_samples, seed=seed, smc_runs=smc_runs,
-                               workers=workers)[0]
-    if backend != "plain":
-        raise ValueError(f"unknown backend {backend!r}")
-    if quad is None:
-        quad = default_c_quadrature(reduce_to_unit_radius(params).gamma)
-    reg = fourier_spec(+1, n_modes)
-    tasks = [{"kind": "vertex", "entries": entries, "reg": reg}
-             for s in separations for entries in _pair_groups(ins1, ins2, s, t_half, dt)]
-    res = _cylinder_engine(params, t_half, dt, n_modes, theta_cells, quad,
-                           n_samples, seed, tasks, batch=batch, workers=workers)
-    return _two_point_rows(separations, res["num"], res["den"])
+    return two_point_panel([(ins1, ins2)], separations, t_half, params, dt=dt,
+                           n_modes=n_modes, theta_cells=theta_cells, n_samples=n_samples,
+                           seed=seed, smc_runs=smc_runs, workers=workers,
+                           c_half_width=c_half_width)[0]
 
 
 def _two_point_rows(separations, num, den) -> list[dict]:
@@ -527,12 +479,13 @@ def refinement_report(resolutions, estimates) -> dict:
 def two_point_panel(pairs, separations, t_half: float, params: ModelParams, *,
                     dt: float = 1.0 / 32.0, n_modes: int = 48, theta_cells: int = 96,
                     n_samples: int = 65536, seed=0, smc_runs: int = 16,
-                    workers: int = 1) -> dict:
+                    workers: int = 1, c_half_width: float = 8.0) -> dict:
     """Two-point curves for several insertion pairs from one particle flow.
 
     ``pairs`` is a list of ((alpha1, theta1), (alpha2, theta2)); sharing the
     population across pairs and separations gives common random numbers
     everywhere, which is what makes rate comparisons between pairs sharp.
+    The zero-mode window is [-c_half_width/gamma, c_half_width/gamma].
     Returns {pair_index: [rows...]} with the same row format as
     :func:`two_point_covariance`.
     """
@@ -541,8 +494,8 @@ def two_point_panel(pairs, separations, t_half: float, params: ModelParams, *,
     groups = [g for ins1, ins2 in pairs for s in separations
               for g in _pair_groups(ins1, ins2, s, t_half, dt)]
     flow = smc_flow(params, [t_half], dt, n_modes, theta_cells,
-                    SmcSettings.for_samples(n_samples, smc_runs), seed,
-                    register_groups=groups, workers=workers)
+                    SmcSettings.for_samples(n_samples, smc_runs, c_half_width=c_half_width),
+                    seed, register_groups=groups, workers=workers)
     num, den = _smc_columns(flow)
     per_pair = 3 * len(separations)
     return {pi: _two_point_rows(separations, num[pi * per_pair:(pi + 1) * per_pair], den)
@@ -552,13 +505,14 @@ def two_point_panel(pairs, separations, t_half: float, params: ModelParams, *,
 def scaling_one_point(alpha: float, radius: float, params: ModelParams, *,
                       t_half: float = 1.5, dt: float = 1.0 / 32.0, n_modes: int = 64,
                       theta_cells: int = 128, n_samples: int = 8192, seed=0,
-                      workers: int = 1, backend: str = "smc") -> dict:
+                      workers: int = 1, c_half_width: float = 8.0) -> dict:
     """One-point function on the radius-R cylinder against the reduced model.
 
     The left side is computed through the time/angle substitution; the
     reduction converts the short-distance normalization, so the substituted
     estimate carries the factor R^{alpha^2/2}.  At R = 1 both sides are the
-    same computation, run once, and the ratio is exactly 1.
+    same computation, run once, and the ratio is exactly 1.  Both sides are
+    particle-flow estimates (:func:`vertex_direct` with ``backend="smc"``).
     """
     base = validate_params(params.gamma, params.mu, radius)
     if abs(alpha) >= base.q_const:
@@ -569,7 +523,7 @@ def scaling_one_point(alpha: float, radius: float, params: ModelParams, *,
     ins = make_insertions([(alpha, 0.0, 0.0)], unit)
     factor = radius ** (alpha * alpha / 2.0)
     common = dict(dt=dt, n_modes=n_modes, theta_cells=theta_cells, n_samples=n_samples,
-                  workers=workers, backend=backend)
+                  workers=workers, backend="smc", c_half_width=c_half_width)
     lhs_raw = vertex_direct(ins, None, t_half_reduced, unit, seed=child_a, **common)
     rhs = lhs_raw if radius == 1.0 else vertex_direct(ins, None, t_half_reduced, unit,
                                                       seed=child_b, **common)

@@ -92,6 +92,11 @@ class WindowOutsideCylinder(ConfigError):
     cylinder."""
 
 
+class RegisterOverflow(SinhGordonError):
+    """A particle flow's register mean beyond the float range: the zero-mode
+    window is too wide for the insertion weights."""
+
+
 class QuadratureFailure(SinhGordonError):
     """Requested quadrature tolerance could not be certified."""
 

@@ -218,9 +218,14 @@ def _circle_average(spec: GmcSpec, grid: TimeGrid, weights: np.ndarray) -> Circl
 # Batch mass sampler used by the statistical checks below
 # ---------------------------------------------------------------------------
 
+# Paths per batch.  The batches draw from one generator in turn, so the size
+# decides which draws go to which path and is part of every mass record.
+_BATCH = 512
+
+
 def sample_region_masses(region: Region, spec: GmcSpec, params: ModelParams,
                          n_samples: int, seed, dt: float = 1.0 / 64.0,
-                         theta_cells: int = 128, batch: int = 512) -> np.ndarray:
+                         theta_cells: int = 128) -> np.ndarray:
     """Stationary-start Monte Carlo draws of the mass of one region.
 
     Returns the (n_samples,) array of masses.  The circle regularization needs
@@ -228,9 +233,10 @@ def sample_region_masses(region: Region, spec: GmcSpec, params: ModelParams,
     t_max + epsilon, and t_min must be at least epsilon.
     """
     margin = spec.epsilon if spec.kind == "circle" else 0.0
-    t_lo = region.t_min - margin
-    if t_lo < -1e-12:
-        raise RegionOutsideGrid("circle margin extends below t=0; shift the region")
+    if region.t_min - margin < -1e-12:
+        what = f"region t_min {region.t_min}" + (f" less its circle margin {margin}"
+                                                  if margin else "")
+        raise RegionOutsideGrid(f"{what} lies below t=0; shift the region")
     grid = TimeGrid.spanning(region.t_max + margin, dt)
     weights = region_time_weights(grid, region.t_min, region.t_max)
     if not np.any(weights > 0):
@@ -245,7 +251,7 @@ def sample_region_masses(region: Region, spec: GmcSpec, params: ModelParams,
     out = np.empty(n_samples)
     done = 0
     while done < n_samples:
-        r = min(batch, n_samples - done)
+        r = min(_BATCH, n_samples - done)
         mass = np.zeros(r)
         recent = {}  # the last 2 * reach + 1 slices: what a circle average reads
         for k, b, x, y in stream_paths(rng, r, spec.path_modes, grid):

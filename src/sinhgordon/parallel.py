@@ -27,6 +27,10 @@ import numpy as np
 
 ENV_WORKERS = "SINHGORDON_WORKERS"
 
+# Replicas per chunk of every plain estimator and of the ``validate`` panel.
+# Chunk i draws from the i-th child seed, so the size is part of every record.
+CHUNK = 256
+
 
 def resolve_workers(explicit: int | None = None) -> int:
     if explicit is not None and explicit >= 1:

@@ -21,7 +21,7 @@ from .gff import CircleField, TimeGrid, stream_paths
 from .gmc import GmcSpec, SliceMass, harmonic_number, region_time_weights, theta_nodes
 from .gmc import mass_pair_slices  # noqa: F401  (re-exported)
 from .params import ModelParams
-from .parallel import map_replicas, seed_int
+from .parallel import CHUNK, map_replicas, seed_int
 from .results import EstimatorResult, jackknife_func, mean_and_se, params_fingerprint
 
 _EXP_CAP = 700.0  # exp argument cap; beyond this the FK weight underflows to 0
@@ -126,31 +126,24 @@ def free_kernel(t: float, f1: CircleField, f2: CircleField, n_modes: int,
 
 @dataclass(frozen=True)
 class CQuadrature:
-    """Deterministic quadrature over the zero-mode window."""
+    """Uniform trapezoid quadrature over the zero-mode window."""
 
     c_min: float
     c_max: float
     n_nodes: int = 65
-    rule: str = "uniform-trapezoid"
 
     def __post_init__(self):
         if self.c_min >= self.c_max:
             raise ValueError("c_min must be < c_max")
         if self.n_nodes < 8:
             raise ValueError("n_nodes must be >= 8")
-        if self.rule not in ("uniform-trapezoid", "gauss"):
-            raise ValueError(f"unknown rule {self.rule!r}")
 
     def nodes(self):
-        if self.rule == "uniform-trapezoid":
-            c = np.linspace(self.c_min, self.c_max, self.n_nodes)
-            w = np.full(self.n_nodes, (self.c_max - self.c_min) / (self.n_nodes - 1))
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            return c, w
-        x, w = np.polynomial.legendre.leggauss(self.n_nodes)
-        half = 0.5 * (self.c_max - self.c_min)
-        return self.c_min + half * (x + 1.0), half * w
+        c = np.linspace(self.c_min, self.c_max, self.n_nodes)
+        w = np.full(self.n_nodes, (self.c_max - self.c_min) / (self.n_nodes - 1))
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        return c, w
 
 
 def default_c_quadrature(gamma: float, half_width: float = 8.0, n_nodes: int = 65) -> CQuadrature:
@@ -192,7 +185,7 @@ def _fourier_only(spec: GmcSpec) -> None:
 
 def feynman_kac(observable, t: float, start, params: ModelParams, grid: TimeGrid,
                 spec: GmcSpec, n_samples: int, seed, theta_cells: int = 128,
-                batch: int = 256, workers: int = 1) -> EstimatorResult:
+                workers: int = 1) -> EstimatorResult:
     """Monte Carlo estimate of the damped semigroup applied to an observable.
 
     ``start`` is (c, CircleField); paths are conditioned on that slice.
@@ -222,7 +215,7 @@ def feynman_kac(observable, t: float, start, params: ModelParams, grid: TimeGrid
         w = fk_weights(m_plus, m_minus, np.array([c0]), mu, gamma)[:, 0]
         return {"vals": obs * w}
 
-    mean, se = mean_and_se(map_replicas(run, seed, n_samples, batch, workers)["vals"])
+    mean, se = mean_and_se(map_replicas(run, seed, n_samples, CHUNK, workers)["vals"])
     return EstimatorResult(
         mean=mean, std_error=se, n_samples=n_samples, seed=seed_int(seed),
         fingerprint=params_fingerprint({"op": "feynman_kac", "gamma": gamma, "mu": params.mu,
@@ -232,8 +225,7 @@ def feynman_kac(observable, t: float, start, params: ModelParams, grid: TimeGrid
 
 def feynman_kac_circle_potential(observable, t: float, start, params: ModelParams,
                                  grid: TimeGrid, k_trunc: int, n_theta: int,
-                                 n_samples: int, seed, batch: int = 256,
-                                 workers: int = 1) -> EstimatorResult:
+                                 n_samples: int, seed, workers: int = 1) -> EstimatorResult:
     """Same semigroup, with the damping written as a time integral of slice
     potentials instead of a two-dimensional mass."""
     if params.gamma >= math.sqrt(2.0):
@@ -263,7 +255,7 @@ def feynman_kac_circle_potential(observable, t: float, start, params: ModelParam
                 break
         return {"vals": obs * np.exp(-mu * integ)}
 
-    mean, se = mean_and_se(map_replicas(run, seed, n_samples, batch, workers)["vals"])
+    mean, se = mean_and_se(map_replicas(run, seed, n_samples, CHUNK, workers)["vals"])
     return EstimatorResult(
         mean=mean, std_error=se, n_samples=n_samples, seed=seed_int(seed),
         fingerprint=params_fingerprint({"op": "feynman_kac_circle", "gamma": gamma,
@@ -291,8 +283,7 @@ class PartitionPoint:
 
 def partition_curve(t_half_values, params: ModelParams, quad: CQuadrature,
                     dt: float, spec: GmcSpec, n_samples: int, seed,
-                    theta_cells: int = 128, batch: int = 256, workers: int = 1,
-                    keep_samples: bool = False) -> list[PartitionPoint]:
+                    theta_cells: int = 128, workers: int = 1, keep_samples: bool = False) -> list[PartitionPoint]:
     """Z estimates at several half-heights from one set of shared paths.
 
     The chaos masses of the nested spans [0, 2T] are cumulative sums over the
@@ -328,7 +319,7 @@ def partition_curve(t_half_values, params: ModelParams, quad: CQuadrature,
                 peak[:, j] = w.max(axis=1)
         return {"z": z_rows, "edge": edge, "peak": peak}
 
-    cols = map_replicas(run, seed, n_samples, batch, workers)
+    cols = map_replicas(run, seed, n_samples, CHUNK, workers)
     z, edge, peak = cols["z"], cols["edge"], cols["peak"]
     points = []
     for j, th in enumerate(t_half_values):

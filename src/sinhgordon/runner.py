@@ -34,7 +34,7 @@ from .config import EXPERIMENTS, OPTIONS, RunConfig, _option, load_config, with_
 from .errors import ConfigError, SinhGordonError
 from .gff import TimeGrid, dump_path, evolve_path, stream_paths, theta_basis, \
     truncated_slice_cov
-from .parallel import blas_threads, map_replicas, one_blas_thread, resolve_workers
+from .parallel import CHUNK, blas_threads, map_replicas, one_blas_thread, resolve_workers
 from .params import reduce_to_unit_radius
 from .results import _jsonable, params_fingerprint
 
@@ -129,6 +129,10 @@ def _region(cfg: RunConfig, spec=None):
     averaging circle must fit above t = 0 (the masses sample from t = 0)."""
     from .gmc import Region
     t_min, t_max = cfg.opts["t_min"], cfg.opts["t_max"]
+    if t_min < 0:
+        raise ConfigError(f"{cfg.experiment} option t_min must be at least 0, got {t_min}")
+    if t_max <= 0:
+        raise ConfigError(f"{cfg.experiment} option t_max must be greater than 0, got {t_max}")
     if t_min > t_max:
         raise ConfigError(f"{cfg.experiment} option t_min {t_min} exceeds t_max {t_max}")
     if spec is not None and spec.kind == "circle" and t_min - spec.epsilon < -1e-12:
@@ -142,10 +146,6 @@ def _region(cfg: RunConfig, spec=None):
 # Experiments
 # ---------------------------------------------------------------------------
 
-# Replicas per chunk of the validate panel: the plain engine's batch.
-VALIDATE_CHUNK = 256
-
-
 def _exp_validate(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     """Covariance panel: sampled field against the mode-truncated kernels.
 
@@ -153,7 +153,7 @@ def _exp_validate(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     are OU processes stepped with their exact transition, so the field at the
     probe rows has the same law at any step: the paths are stepped from probe
     row to probe row only, on the grid whose step is dt times the gcd of the
-    probe rows.  Replicas run in chunks of ``VALIDATE_CHUNK`` through
+    probe rows.  Replicas run in chunks of ``parallel.CHUNK`` through
     ``map_replicas``.  Each chunk reduces the field at the probe points to one
     row of sums per probe pair, f1, f2, f1·f2 and (f1·f2)², and the rows are
     added in chunk order, so the records do not depend on the worker count and
@@ -186,7 +186,7 @@ def _exp_validate(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
             sums.append([f1.sum(), f2.sum(), prod.sum(), (prod * prod).sum()])
         return {"sums": np.array([sums])}          # one row per chunk
 
-    rows = map_replicas(panel, cfg.estimator.seed, n, VALIDATE_CHUNK, workers)["sums"]
+    rows = map_replicas(panel, cfg.estimator.seed, n, CHUNK, workers)["sums"]
     means = sum(rows) / n                          # the chunks added in chunk order
     worst = 0.0
     for ((t1, th1), (t2, th2)), (m1, m2, m12, m_sq) in zip(probes, means):
@@ -277,6 +277,10 @@ def _exp_lambda0(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     from .spectral import lambda0_fit
     t0 = time.perf_counter()
     t_list, backend = cfg.opts["T_list"], cfg.opts["backend"]
+    TimeGrid.of_half_heights(t_list, cfg.sampler.dt)  # an off-grid T is reported first
+    if len(t_list) < 3:
+        raise ConfigError(f"lambda0 option T_list needs at least 3 entries for the fit, "
+                          f"got {t_list!r}")
     if backend == "smc":
         from .smc import SmcSettings, smc_log_partition
         settings = SmcSettings.for_samples(cfg.estimator.n_samples, 12,
@@ -366,9 +370,10 @@ def _exp_two_point(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     rows = two_point_covariance((a1, th1), (a2, th2), cfg.opts["separations"],
                                 cfg.sampler.window, cfg.params, dt=cfg.sampler.dt,
                                 n_modes=cfg.sampler.n_modes,
-                                theta_cells=cfg.gmc.theta_cells, quad=_quad(cfg),
+                                theta_cells=cfg.gmc.theta_cells,
                                 n_samples=cfg.estimator.n_samples,
-                                seed=cfg.estimator.seed, workers=workers)
+                                seed=cfg.estimator.seed, workers=workers,
+                                c_half_width=cfg.estimator.c_window)
     out.csv("two_point.csv", ["separation", "covariance", "std_error"],
             [(r["separation"], r["covariance"], r["std_error"]) for r in rows])
     wall = round(1e3 * (time.perf_counter() - t0), 3)
@@ -441,7 +446,8 @@ def _exp_mc_vs_lz(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
                                     n_modes=cfg.sampler.n_modes,
                                     theta_cells=cfg.gmc.theta_cells,
                                     n_samples=cfg.estimator.n_samples,
-                                    seed=cfg.estimator.seed + i, workers=workers)
+                                    seed=cfg.estimator.seed + i, workers=workers,
+                                    c_half_width=cfg.estimator.c_window)
             estimates.append([float(rep["lhs"]), float(rep["lhs_se"])])
     report = mc_vs_lz_report(alpha, r_values, estimates, cfg.params)
     out.record({"experiment": "mc-vs-lz", **report})
@@ -503,7 +509,7 @@ def _execute(cfg: RunConfig, out: OutputWriter, workers: int) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SinhGordonError as exc:
-        error = str(exc)
+        error = f"{type(exc).__name__}: {exc}"
     except _FAULTS as exc:
         error = f"{type(exc).__name__}: {exc}"
         import traceback

@@ -9,8 +9,7 @@ unbiased estimator of the corresponding normalizer.
 
 Two estimator styles are built on the flow:
 
-* normalizers at several cylinder heights (partition-function curve), with a
-  modified flow for the shift-based vertex estimator;
+* normalizers at several cylinder heights (partition-function curve);
 * weighted register means: vertex factors accumulated along the surviving
   genealogy, so products, one-points, and connected two-point functions all
   come from the same population and their common noise cancels.
@@ -24,11 +23,12 @@ Errors are delete-one jackknife over independent replicated runs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import WindowOutsideCylinder
+from .errors import RegisterOverflow, WindowOutsideCylinder
 from .gff import TimeGrid, stream_paths, theta_basis
 from .gmc import SliceMass, harmonic_number, theta_nodes
 from .params import ModelParams, reduce_to_unit_radius
@@ -36,6 +36,7 @@ from .parallel import map_replicas
 from .propagator import capped_exp
 
 _RESAMPLE_THRESHOLD = 0.5  # resample when the ESS falls below this fraction of the particles
+_LOG_MAX = math.log(sys.float_info.max)  # a register mean above e^_LOG_MAX is not a float
 
 
 @dataclass(frozen=True)
@@ -51,19 +52,6 @@ class SmcSettings:
         return cls(n_particles=max(256, n_samples // n_runs), n_runs=n_runs, **kwargs)
 
 
-@dataclass(frozen=True)
-class ShiftTask:
-    """Shifted-field flow for the change-of-measure vertex estimator.
-
-    The damping sees field + shift_grid; the constant scalar_log and the
-    zero-mode factor exp(total_alpha * c) multiply the normalizer.
-    """
-
-    shift_grid: np.ndarray         # (K+1, theta_cells)
-    scalar_log: float
-    total_alpha: float
-
-
 def _systematic_resample(weights: np.ndarray, u: float) -> np.ndarray:
     positions = (np.arange(weights.size) + u) / weights.size
     return np.searchsorted(np.cumsum(weights), positions).clip(0, weights.size - 1)
@@ -71,8 +59,7 @@ def _systematic_resample(weights: np.ndarray, u: float) -> np.ndarray:
 
 def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
              theta_cells: int, settings: SmcSettings, seed,
-             register_groups=(), shift: ShiftTask | None = None,
-             workers: int = 1) -> dict:
+             register_groups=(), workers: int = 1) -> dict:
     """Run replicated particle flows over the cylinder [0, 2*max(T)].
 
     ``register_groups`` is a sequence of insertion tuples ((alpha, s, theta),
@@ -91,9 +78,6 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
     marks = {k: j for j, k in enumerate(ends)}
     nodes, dtheta = theta_nodes(theta_cells)
     renorm = harmonic_number(n_modes)
-    # the shifted field's cell weights (e^{gamma s}, e^{-gamma s}), one row per slice
-    shift_exp = None if shift is None else (np.exp(gamma * shift.shift_grid),
-                                            np.exp(-gamma * shift.shift_grid))
     c_lo = -settings.c_half_width / gamma
     c_hi = +settings.c_half_width / gamma
     log_width = math.log(c_hi - c_lo)
@@ -113,8 +97,6 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
         log_z = log_width
         log_w = np.zeros(n)
         regs = [np.zeros(n) for _ in groups]
-        if shift is not None:
-            log_w = log_w + shift.scalar_log + shift.total_alpha * c
         exp_cp = capped_exp(gamma * c)
         exp_cm = capped_exp(-gamma * c)
         kernel = SliceMass(gamma, renorm, dtheta, nodes, n_modes)
@@ -122,8 +104,7 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
         means = np.full(len(groups), np.nan)
         # the particles' paths are the stream's buffers, so resampling writes into them
         for k, b, x, y in stream_paths(rng, n, n_modes, grid):
-            cells = None if shift_exp is None else (shift_exp[0][k], shift_exp[1][k])
-            s_cur = kernel.load(x, y).pair(b, cells)
+            s_cur = kernel(x, y, b)
             if k == 0:
                 s_prev = s_cur
                 continue
@@ -144,6 +125,11 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
                 w_sum = w.sum()
                 for gi in range(len(groups)):
                     rhi = regs[gi].max() if regs[gi].size else 0.0
+                    if rhi > _LOG_MAX:
+                        raise RegisterOverflow(
+                            f"register group {gi} {groups[gi]} reaches e^{rhi:.4g}, beyond "
+                            f"the float range: at gamma {gamma} the zero-mode window "
+                            f"[{c_lo:.4g}, {c_hi:.4g}] is too wide for its weights")
                     means[gi] = (w * np.exp(regs[gi] - rhi)).sum() / w_sum * math.exp(rhi)
             elif k < k_total:
                 hi = log_w.max()

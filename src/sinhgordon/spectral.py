@@ -18,7 +18,7 @@ from .errors import DegenerateFit, SignalLost
 from .gff import TimeGrid, stream_paths
 from .gmc import SliceMass, harmonic_number, region_time_weights, theta_nodes
 from .params import ModelParams, reduce_to_unit_radius
-from .parallel import map_replicas
+from .parallel import CHUNK, map_replicas
 from .propagator import CQuadrature, default_c_quadrature, fk_damping
 from .results import mean_and_se
 
@@ -156,7 +156,7 @@ def ground_state_profile(t: float, params: ModelParams, *, dt: float = 1.0 / 32.
                          n_modes: int = 64, theta_cells: int = 128,
                          quad: CQuadrature | None = None,
                          bins: tuple[int, int] = (12, 8), x_range: float = 3.0,
-                         n_samples: int = 20000, seed=0, batch: int = 256,
+                         n_samples: int = 20000, seed=0,
                          workers: int = 1) -> GroundStateProfile:
     """Conditional damping weight binned over the start slice (c, x_1).
 
@@ -188,7 +188,7 @@ def ground_state_profile(t: float, params: ModelParams, *, dt: float = 1.0 / 32.
         w = fk_damping(m_plus, m_minus, cs, mu, gamma)
         return {"c": cs, "x1": x1, "w": w}
 
-    cols = map_replicas(run, seed, n_samples, batch, workers)
+    cols = map_replicas(run, seed, n_samples, CHUNK, workers)
     cs, x1, w = cols["c"], cols["x1"], cols["w"]
 
     values = np.zeros((nc, nx))

@@ -209,6 +209,12 @@ def test_non_object_blocks_exit_two(tmp_path, capsys):
     ("vertex", {"alpha": 5.0, "method": "girsanov"}),
     ("lz", {"alpha": 5.0}),
     ("two-point", {"separations": [1.5]}),
+    ("lambda0", {"T_list": [0.0625]}),
+    ("lambda0", {"T_list": [0.0625, 0.125]}),
+    ("gmc-mass", {"t_min": -1.0}),
+    ("gmc-mass", {"t_max": 0.0}),
+    ("moments", {"t_min": -0.5}),
+    ("scaling-check", {"t_max": 0.0}),
 ], ids=["validate-typo", "sample-typo", "sample-string-c", "lambda0-string-T_list",
         "lambda0-string-entry", "two-point-string-alpha", "two-point-string-separations",
         "two-point-null-separation", "partition-scalar-T_list",
@@ -226,7 +232,9 @@ def test_non_object_blocks_exit_two(tmp_path, capsys):
         "gap-fit-csv-negative-std_error", "gap-fit-zero-std_error", "moments-zero-p", "ground-state-zero-T",
         "ground-state-negative-T", "moments-empty-region", "scaling-check-one-step-region",
         "vertex-girsanov-inadmissible-alpha", "lz-inadmissible-alpha",
-        "two-point-separation-outside-window"])
+        "two-point-separation-outside-window", "lambda0-one-T", "lambda0-two-T",
+        "gmc-mass-negative-t_min", "gmc-mass-zero-t_max", "moments-negative-t_min",
+        "scaling-check-zero-t_max"])
 def test_bad_experiment_options_exit_two(tmp_path, experiment, options):
     # the csv cases name these files relative to the working directory
     (tmp_path / "no-column.csv").write_text("separation,covariance\n0.5,0.1\n1.0,0.05\n")
@@ -667,6 +675,36 @@ def test_unexpected_exception_is_a_clean_failure(tmp_path, capsys, monkeypatch):
     assert "in broken" in manifest["traceback"]
 
 
+def test_register_overflow_is_a_typed_failure(tmp_path, capsys):
+    # at gamma 1e-3 the zero-mode window is +-8000, so a pair register reaches
+    # about e^8000: a runtime failure of a package type, not a Python OverflowError
+    cfg = base_config("two-point", {"separations": [0.25]}, n_samples=200,
+                      params={"gamma": 1e-3, "mu": 1.0, "radius": 1.0})
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, cfg), fast=True, out_dir=str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("runtime failure: RegisterOverflow: ") and "OverflowError:" not in err
+    assert read_records(out, "two-point")[-1]["error"].startswith("RegisterOverflow: ")
+    assert "traceback" not in json.loads((out / "two-point" / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("experiment, options", [
+    ("two-point", {"separations": [0.25, 0.5]}),
+    ("mc-vs-lz", {"R_values": [1.0]}),
+])
+def test_particle_flows_honour_c_window(tmp_path, experiment, options):
+    # estimator.c_window sets the zero-mode window of the particle flows
+    found = []
+    for c_window in (8.0, 4.0):
+        raw = base_config(experiment, options, n_samples=300)
+        raw["estimator"]["c_window"] = c_window
+        out = tmp_path / str(c_window)
+        assert run(write_config(tmp_path, raw), fast=True, out_dir=str(out)) == 0
+        found.append([{k: v for k, v in rec.items() if k not in ("fingerprint", "wall_ms")}
+                      for rec in read_records(out, experiment)])
+    assert found[0] != found[1]
+
+
 def test_config_error_inside_an_experiment_leaves_no_output(tmp_path, capsys):
     path = write_config(tmp_path, base_config("gap-fit", {"csv": str(tmp_path / "missing.csv")}))
     assert run(path, out_dir=str(tmp_path / "out")) == 2
@@ -976,7 +1014,7 @@ def test_validate_streams_the_sampled_paths(tmp_path):
     assert run(path, out_dir=str(tmp_path / "out")) == 0
     recs = [r for r in read_records(tmp_path / "out", "validate") if "probe" in r]
     grid = TimeGrid(0.25, 4)
-    chunks = seed_chunks(seed, n, runner.VALIDATE_CHUNK)
+    chunks = seed_chunks(seed, n, runner.CHUNK)
     assert [size for _, size in chunks] == [256, 256, 88]
     paths = [sample_path_batch(np.random.default_rng(child), size, 12, grid)
              for child, size in chunks]
@@ -1027,9 +1065,9 @@ def test_validate_streams_in_bounded_chunks(tmp_path, monkeypatch, n_samples):
     monkeypatch.setattr(runner, "map_replicas", capturing)
     path = write_config(tmp_path, base_config("validate", n_samples=n_samples))
     assert run(path, out_dir=str(tmp_path / "out")) == 0
-    assert max(batches) <= runner.VALIDATE_CHUNK
+    assert max(batches) <= runner.CHUNK
     assert sum(batches) == n_samples
-    n_chunks = -(-n_samples // runner.VALIDATE_CHUNK)
+    n_chunks = -(-n_samples // runner.CHUNK)
     assert len(joined) == 1 and joined[0]
     assert all(len(rows) == n_chunks < n_samples for rows in joined[0].values())
 

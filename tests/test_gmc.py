@@ -90,12 +90,14 @@ def test_sign_symmetry_per_sample(unit_params):
 def test_mass_nonnegative_and_region_checks(unit_params):
     assert np.all(_masses(Region(0.5, 0.5), unit_params) == 0.0)
     assert np.all(_masses(Region(0.0, 1.0), unit_params) > 0.0)
+    with pytest.raises(RegionOutsideGrid, match="^region t_min -0.5 lies below t=0"):
+        _masses(Region(-0.5, 1.0), unit_params)
 
 
 def test_weighted_mass_circle_outside_span_raises(unit_params):
     # the averaging circle leaves [0, 1] near both ends of the region: the
     # streamed mass refuses it instead of returning NaN
-    with pytest.raises(RegionOutsideGrid):
+    with pytest.raises(RegionOutsideGrid, match="circle margin 0.125 lies below t=0"):
         _masses(Region(0.0, 1.0), unit_params, spec=circle_spec(+1, 1 / 8))
 
 

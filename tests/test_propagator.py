@@ -257,10 +257,3 @@ def test_partition_c_symmetry():
     w_minus_neg = fk_weights(mm, mp, np.array([-1.5]), 1.0, 1.0)[:, 0]
     assert np.allclose(w_plus, w_minus_neg, rtol=1e-12)
     assert agree(w_plus.mean(), w_plus.std() / 63.2, w_minus.mean(), w_minus.std() / 63.2)
-
-
-def test_gauss_quadrature_rule_integrates_cubics():
-    q = sg.CQuadrature(-2.0, 3.0, 8, rule="gauss")
-    c, w = q.nodes()
-    assert w.sum() == pytest.approx(5.0, rel=1e-12)
-    assert (w * c ** 3).sum() == pytest.approx((3.0 ** 4 - (-2.0) ** 4) / 4.0, rel=1e-10)

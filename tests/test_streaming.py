@@ -15,13 +15,12 @@ import pytest
 
 import sinhgordon as sg
 from sinhgordon import smc
-from sinhgordon.correlations import ShiftData, _cylinder_engine, _entries_to_process, \
-    _pair_groups
+from sinhgordon.correlations import ShiftData, _cylinder_engine, _entries_to_process
 from sinhgordon.gff import CIRCLE_QUADRATURE_POINTS, TimeGrid, fluctuation_grid, \
     sample_path_batch, stream_paths
 from sinhgordon.gmc import SliceMass, circle_spec, fourier_spec, harmonic_number, \
     region_time_weights, theta_nodes
-from sinhgordon.parallel import seed_chunks
+from sinhgordon.parallel import CHUNK, seed_chunks
 from sinhgordon.params import reduce_to_unit_radius
 from sinhgordon.propagator import capped_exp, default_c_quadrature, fk_damping, fk_weights
 from sinhgordon.results import jackknife_func, jackknife_ratio, mean_and_se
@@ -75,18 +74,18 @@ def test_fused_kernel_matches_two_exp_formula():
 
 
 # ---------------------------------------------------------------------------
-# Finite-cylinder engine: vertex (Fourier, circle, n_list), girsanov, two-point
+# Finite-cylinder engine: vertex (Fourier, circle, n_list), girsanov
 # ---------------------------------------------------------------------------
 
 def reference_engine(params, t_half, dt, n_modes, theta_cells, quad, n_samples, seed,
-                     tasks, batch=256):
+                     tasks):
     gamma, mu = reduce_to_unit_radius(params).gamma, reduce_to_unit_radius(params).mu
     grid = TimeGrid(dt, int(round(2 * t_half / dt)))
     nodes, dth = theta_nodes(theta_cells)
     cs, cw = quad.nodes()
     trap = region_time_weights(grid, 0.0, grid.span)
     den, nums = [], [[] for _ in tasks]
-    for sub_seed, size in seed_chunks(seed, n_samples, batch):
+    for sub_seed, size in seed_chunks(seed, n_samples, CHUNK):
         b, xs, ys = sample_path_batch(np.random.default_rng(sub_seed), size, n_modes, grid)
         fields = fluctuation_grid(xs, ys, nodes)
         sp, sm = two_exp_pair(b, fields, gamma, harmonic_number(n_modes), dth)
@@ -120,9 +119,9 @@ def test_engine_vertex_girsanov_and_n_list_match_reference(unit_params):
               for reg in (fourier_spec(+1, 16), fourier_spec(+1, 4), fourier_spec(+1, 8),
                           circle_spec(+1, 0.125))]
     tasks = vertex + [{"kind": "girsanov", "shift": ShiftData(entries, kernel=16)}]
-    args = (unit_params, 0.5, 1 / 16, 16, 32, quad, 300, 41, tasks)
-    got = _cylinder_engine(*args, batch=128, workers=2)
-    den, nums = reference_engine(*args, batch=128)
+    args = (unit_params, 0.5, 1 / 16, 16, 32, quad, 600, 41, tasks)  # chunks 256, 256, 88
+    got = _cylinder_engine(*args, workers=2)
+    den, nums = reference_engine(*args)
     close(got["den"], den)
     for g, r in zip(got["num"], nums):
         close(g, r)
@@ -130,30 +129,11 @@ def test_engine_vertex_girsanov_and_n_list_match_reference(unit_params):
     ins = sg.make_insertions([(0.5, 0.0, 0.3), (-0.25, 0.25, 2.0)], unit_params)
     res = sg.vertex_plain(ins, [("direct", None), ("direct", circle_spec(+1, 0.125)),
                                 ("girsanov", None)], 0.5, unit_params, dt=1 / 16,
-                          n_modes=16, theta_cells=32, quad=quad, n_samples=300, seed=41,
-                          batch=128, workers=2)
+                          n_modes=16, theta_cells=32, quad=quad, n_samples=600, seed=41,
+                          workers=2)
     for r, col in zip(res, (nums[0], nums[3], nums[4])):
         est, se = jackknife_ratio(col, den)
         close([r.mean, r.std_error], [est, se])
-
-
-def test_plain_two_point_matches_reference(unit_params):
-    quad = default_c_quadrature(GAMMA, n_nodes=17)
-    seps = [0.25, 0.5]
-    rows = sg.two_point_covariance((0.5, 0.0), (0.5, 1.0), seps, 0.5, unit_params,
-                                   dt=1 / 16, n_modes=16, theta_cells=32, quad=quad,
-                                   n_samples=300, seed=42, backend="plain")
-    reg = fourier_spec(+1, 16)
-    tasks = [{"kind": "vertex", "entries": e, "reg": reg,
-              "total_alpha": sum(a for a, _, _ in e)}
-             for s in seps for e in _pair_groups((0.5, 0.0), (0.5, 1.0), s, 0.5, 1 / 16)]
-    den, nums = reference_engine(unit_params, 0.5, 1 / 16, 16, 32, quad, 300, 42, tasks)
-    for j, row in enumerate(rows):
-        u, v1, v2 = nums[3 * j:3 * j + 3]
-        cov, se = jackknife_func([u, v1, v2, den],
-                                 lambda su, s1, s2, sd: su / sd - (s1 / sd) * (s2 / sd))
-        close([row["covariance"], row["std_error"], row["product_moment"]],
-              [cov, se, jackknife_func([u, den], lambda su, sd: su / sd)[0]])
 
 
 def test_mirrored_engine_matches_negated_reference(unit_params):
@@ -176,13 +156,13 @@ def test_mirrored_engine_matches_negated_reference(unit_params):
 def test_partition_curve_matches_reference(unit_params):
     quad = default_c_quadrature(GAMMA, n_nodes=17)
     spec = fourier_spec(+1, 12)
-    pts = sg.partition_curve([0.25, 0.5], unit_params, quad, 1 / 16, spec, 300, 44,
-                             theta_cells=32, batch=128, workers=2, keep_samples=True)
+    pts = sg.partition_curve([0.25, 0.5], unit_params, quad, 1 / 16, spec, 600, 44,
+                             theta_cells=32, workers=2, keep_samples=True)
     grid = TimeGrid(1 / 16, 16)
     nodes, dth = theta_nodes(32)
     cs, cw = quad.nodes()
     z = []
-    for sub_seed, size in seed_chunks(44, 300, 128):
+    for sub_seed, size in seed_chunks(44, 600, CHUNK):
         b, xs, ys = sample_path_batch(np.random.default_rng(sub_seed), size, 12, grid)
         sp, sm = two_exp_pair(b, fluctuation_grid(xs, ys, nodes), GAMMA,
                               harmonic_number(12), dth)
@@ -206,12 +186,12 @@ def test_feynman_kac_matches_reference(unit_params):
     init = sg.sample_circle_field(16, "stationary", seed=45)
     grid = TimeGrid(1 / 16, 16)  # longer than t: the stream stops at t
     spec = fourier_spec(+1, 12)
-    res = sg.feynman_kac(obs, 0.75, (0.2, init), unit_params, grid, spec, 300, 46,
-                         theta_cells=32, batch=128, workers=2)
+    res = sg.feynman_kac(obs, 0.75, (0.2, init), unit_params, grid, spec, 600, 46,
+                         theta_cells=32, workers=2)
     nodes, dth = theta_nodes(32)
     w_t = region_time_weights(grid, 0.0, 0.75)
     vals = []
-    for sub_seed, size in seed_chunks(46, 300, 128):
+    for sub_seed, size in seed_chunks(46, 600, CHUNK):
         b, xs, ys = sample_path_batch(np.random.default_rng(sub_seed), size, 16, grid,
                                       initial=init)
         sp, sm = two_exp_pair(b, fluctuation_grid(xs, ys, nodes, 12), GAMMA,
@@ -226,11 +206,11 @@ def test_feynman_kac_circle_potential_matches_reference(unit_params):
     init = sg.sample_circle_field(16, "stationary", seed=47)
     grid = TimeGrid(1 / 16, 12)
     res = sg.feynman_kac_circle_potential(obs, 0.75, (0.2, init), unit_params, grid, 10, 32,
-                                          300, 48, batch=128)
+                                          600, 48)
     nodes, dth = theta_nodes(32)
     w_t = region_time_weights(grid, 0.0, 0.75)
     vals = []
-    for sub_seed, size in seed_chunks(48, 300, 128):
+    for sub_seed, size in seed_chunks(48, 600, CHUNK):
         b, xs, ys = sample_path_batch(np.random.default_rng(sub_seed), size, 16, grid,
                                       initial=init)
         vp, vm = two_exp_pair(0.0, fluctuation_grid(xs, ys, nodes, 10), GAMMA,
@@ -245,13 +225,12 @@ def test_feynman_kac_circle_potential_matches_reference(unit_params):
 def test_ground_state_profile_matches_reference(unit_params):
     quad = default_c_quadrature(GAMMA, n_nodes=17)
     prof = sg.ground_state_profile(0.5, unit_params, dt=1 / 16, n_modes=12, theta_cells=32,
-                                   quad=quad, bins=(4, 3), n_samples=400, seed=49, batch=128,
-                                   workers=2)
+                                   quad=quad, bins=(4, 3), n_samples=600, seed=49, workers=2)
     grid = TimeGrid(1 / 16, 8)
     nodes, dth = theta_nodes(32)
     trap = region_time_weights(grid, 0.0, 0.5)
     c, x1, w = [], [], []
-    for sub_seed, size in seed_chunks(49, 400, 128):
+    for sub_seed, size in seed_chunks(49, 600, CHUNK):
         rng = np.random.default_rng(sub_seed)
         cs = rng.uniform(quad.c_min, quad.c_max, size)
         b, xs, ys = sample_path_batch(rng, size, 12, grid)
@@ -272,15 +251,15 @@ def test_ground_state_profile_matches_reference(unit_params):
                          ids=["fourier", "circle"])
 def test_sample_region_masses_matches_reference(unit_params, spec):
     region = sg.Region(0.25, 0.75)
-    got = sg.gmc.sample_region_masses(region, spec, unit_params, 300, 50, dt=1 / 16,
-                                      theta_cells=32, batch=128)
+    got = sg.gmc.sample_region_masses(region, spec, unit_params, 1100, 50, dt=1 / 16,
+                                      theta_cells=32)
     margin = spec.epsilon if spec.kind == "circle" else 0.0
     grid = TimeGrid(1 / 16, int(round((0.75 + margin) * 16)))
     nodes, dth = theta_nodes(32)
     weights = region_time_weights(grid, 0.25, 0.75)
     rng = np.random.default_rng(50)
     want = []
-    for size in (128, 128, 44):
+    for size in (512, 512, 76):
         b, xs, ys = sample_path_batch(rng, size, spec.path_modes, grid)
         mass = np.zeros(size)
         for k in np.flatnonzero(weights):
@@ -295,11 +274,11 @@ def test_sample_region_masses_matches_reference(unit_params, spec):
 
 
 # ---------------------------------------------------------------------------
-# SMC flow with a shift task
+# SMC flow
 # ---------------------------------------------------------------------------
 
 class TwoExpMass(SliceMass):
-    """Slice masses from the stored field with two exps per cell and shift."""
+    """Slice masses from the stored field with two exps per cell."""
 
     def __init__(self, gamma, renorm, dtheta, thetas=None, n_modes=None):
         super().__init__(gamma, renorm, dtheta, thetas, n_modes)
@@ -309,22 +288,18 @@ class TwoExpMass(SliceMass):
         self.field = self.e.copy()
         return self
 
-    def pair(self, brownian=0.0, shift=None):
-        f = self.field if shift is None else self.field + np.log(shift[0]) / self.gamma
-        return two_exp_pair(brownian, f, self.gamma, self.renorm, self.dtheta)
+    def pair(self, brownian=0.0):
+        return two_exp_pair(brownian, self.field, self.gamma, self.renorm, self.dtheta)
 
 
 def test_smc_flow_with_shift_task_matches_two_exp_kernel(unit_params, monkeypatch):
-    nodes, _ = theta_nodes(32)
+    # the flow's normalizers and register means: fused kernel against the two-exp formula
     entries = ((0.5, 0.5, 0.0),)
-    sh = ShiftData(entries, kernel=12)
-    task = smc.ShiftTask(shift_grid=sh.total_grid(TimeGrid(1 / 16, 16).times(), nodes),
-                         scalar_log=sh.scalar_log(), total_alpha=0.5)
     settings = smc.SmcSettings(n_particles=64, n_runs=3)
     args = (unit_params, [0.25, 0.5], 1 / 16, 12, 32, settings, 51)
-    flows = [smc.smc_flow(*args, register_groups=[entries], shift=task)]
+    flows = [smc.smc_flow(*args, register_groups=[entries])]
     monkeypatch.setattr(smc, "SliceMass", TwoExpMass)
-    flows.append(smc.smc_flow(*args, register_groups=[entries], shift=task))
+    flows.append(smc.smc_flow(*args, register_groups=[entries]))
     close(flows[0]["log_z"], flows[1]["log_z"])
     close(flows[0]["group_means"], flows[1]["group_means"])
 
