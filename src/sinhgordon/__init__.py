@@ -13,7 +13,7 @@ _EXPORTS = {
     "gff": ("CircleField", "PathSample", "TimeGrid", "covariance_oracle", "evolve_path",
             "ou_step_coeffs", "sample_circle_field"),
     "gmc": ("GmcSpec", "Region", "circle_spec", "fourier_spec", "harmonic_number",
-            "moment_estimator", "renorm_constant", "scaling_check"),
+            "moment_estimator", "scaling_check"),
     "propagator": ("CQuadrature", "KernelEval", "default_c_quadrature", "feynman_kac",
                    "feynman_kac_circle_potential", "free_kernel", "mehler_factor",
                    "partition_curve"),

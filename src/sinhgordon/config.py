@@ -44,7 +44,7 @@ OPTIONS = {
     "gap-fit": {"csv": (str, None), "separations": ([float], None),
                 "covariances": ([float], None), "std_errors": ([float], None, 0.0)},
     "lz": {"alpha": (float, 0.5), "tol": (float, 1e-10, 0.0)},
-    "mc-vs-lz": {"alpha": (float, 0.5), "R_values": ([float], [1.0, 2.0, 4.0]),
+    "mc-vs-lz": {"alpha": (float, 0.5), "R_values": ([float], [1.0, 2.0, 4.0], 0.0),
                  "estimates": ([[float]], None)},
 }
 EXPERIMENTS = tuple(OPTIONS)

@@ -82,24 +82,14 @@ class ShiftData:
     insertions: tuple[tuple[float, float, float], ...]
     kernel: int
 
-    def _mode_cov(self, s, thetas, s_i: float, th_i: float):
-        s = np.asarray(s, dtype=float)
-        thetas = np.asarray(thetas, dtype=float)
-        dt = np.abs(s[:, None] - s_i) + 0.0 * thetas[None, :]
-        dth = (thetas[None, :] - th_i) + 0.0 * s[:, None]
-        return truncated_slice_cov(self.kernel, dt, dth)
-
-    def boundary_h(self, thetas) -> np.ndarray:
-        """Shift of the initial slice: sum_i alpha_i Cov(phi_0(theta), phi_{s_i}(theta_i))."""
-        return self.bulk(0.0, thetas)[0]
-
     def bulk(self, s, thetas) -> np.ndarray:
         """Mode-field shift on slices, shape (len(s), len(thetas)); decays as s grows."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
         total = np.zeros((s.size, thetas.size))
         for a, s_i, th_i in self.insertions:
-            total += a * self._mode_cov(s, thetas, s_i, th_i)
+            total += a * truncated_slice_cov(self.kernel, np.abs(s[:, None] - s_i),
+                                             thetas[None, :] - th_i)
         return total
 
     def drift(self, s) -> np.ndarray:
@@ -127,7 +117,7 @@ class ShiftData:
             for j in range(i + 1, len(ins)):
                 a_i, s_i, th_i = ins[i]
                 a_j, s_j, th_j = ins[j]
-                cov = float(self._mode_cov(np.array([s_i]), np.array([th_i]), s_j, th_j)[0, 0])
+                cov = float(truncated_slice_cov(self.kernel, abs(s_i - s_j), th_i - th_j))
                 total += a_i * a_j * (min(s_i, s_j) + cov)
         return total
 
@@ -338,40 +328,17 @@ def vertex_direct(insertions: InsertionSet, regularization: GmcSpec | None,
                   t_half: float, params: ModelParams, *, dt: float = 1.0 / 32.0,
                   n_modes: int = 64, theta_cells: int = 128,
                   quad: CQuadrature | None = None, n_samples: int = 8192, seed=0,
-                  workers: int = 1, mirror: bool = False, backend: str = "plain",
-                  smc_runs: int = 12, c_half_width: float = 8.0) -> EstimatorResult:
+                  workers: int = 1, mirror: bool = False) -> EstimatorResult:
     """Renormalized-exponential estimator of a vertex correlation.
 
     Works for any insertion set; non-admissible weights give estimates that
-    sink toward zero as the regularization is refined.  ``backend="plain"``
-    is the free-path reweighting ratio estimator (fine for short cylinders),
-    a one-entry :func:`vertex_plain` that integrates the zero mode with
-    ``quad``; ``backend="smc"`` evaluates the same insertions as genealogy
-    registers of ``smc_runs`` particle flows over the zero-mode window
-    [-c_half_width/gamma, c_half_width/gamma], which stays accurate on long
-    cylinders.
+    sink toward zero as the regularization is refined.  The free-path
+    reweighting ratio estimator (fine for short cylinders), a one-entry
+    :func:`vertex_plain` that integrates the zero mode with ``quad``.
     """
-    if backend == "plain":
-        return vertex_plain(insertions, [("direct", regularization)], t_half, params,
-                            dt=dt, n_modes=n_modes, theta_cells=theta_cells, quad=quad,
-                            n_samples=n_samples, seed=seed, workers=workers,
-                            mirror=mirror)[0]
-    if backend != "smc":
-        raise ValueError(f"unknown backend {backend!r}")
-    if regularization is not None and (regularization.kind != "fourier"
-                                       or regularization.n_modes != n_modes):
-        raise ValueError("smc backend uses the sampler's mode truncation")
-    from .smc import SmcSettings, smc_flow
-    entries = _entries_to_process(insertions.entries, t_half, dt)
-    t0 = time.perf_counter()
-    flow = smc_flow(params, [t_half], dt, n_modes, theta_cells,
-                    SmcSettings.for_samples(n_samples, smc_runs, c_half_width=c_half_width),
-                    seed, register_groups=[entries], workers=workers)
-    num, den = _smc_columns(flow)
-    est, se = jackknife_ratio(num[0], den)
-    return _vertex_result("vertex_direct", insertions, t_half, params, est, se, n_samples,
-                          seed, 1e3 * (time.perf_counter() - t0),
-                          {"admissible": insertions.admissible, "backend": backend})
+    return vertex_plain(insertions, [("direct", regularization)], t_half, params, dt=dt,
+                        n_modes=n_modes, theta_cells=theta_cells, quad=quad,
+                        n_samples=n_samples, seed=seed, workers=workers, mirror=mirror)[0]
 
 
 def vertex_girsanov(insertions: InsertionSet, t_half: float, params: ModelParams, *,
@@ -424,10 +391,21 @@ def _two_point_rows(separations, num, den) -> list[dict]:
     return rows
 
 
-def _smc_columns(flow: dict):
-    """Per-run columns Z_r m_{g,r} of every register group g, and Z_r, both over
-    the largest Z_r (Z at the flow's last height); sum_r Z_r m_{g,r} / sum_r Z_r
-    estimates the group's expectation."""
+def _register_columns(params: ModelParams, t_half: float, groups, *, dt: float,
+                      n_modes: int, theta_cells: int, n_samples: int, n_runs: int, seed,
+                      workers: int, c_half_width: float):
+    """Per-run columns of one particle flow over [-t_half, t_half] that carries
+    the register ``groups`` (insertion tuples in process coordinates).
+
+    Returns ([Z_r m_{g,r} for each group g], Z_r), every column over the
+    largest Z_r; sum_r Z_r m_{g,r} / sum_r Z_r estimates the group's
+    expectation.  ``n_runs`` runs share ``n_samples`` particles, and the
+    zero-mode window is [-c_half_width/gamma, c_half_width/gamma].
+    """
+    from .smc import SmcSettings, smc_flow
+    flow = smc_flow(params, [t_half], dt, n_modes, theta_cells,
+                    SmcSettings.for_samples(n_samples, n_runs, c_half_width=c_half_width),
+                    seed, register_groups=groups, workers=workers)
     ref = flow["log_z"][:, -1]
     scale = np.exp(ref - ref.max())
     means = flow["group_means"]
@@ -489,14 +467,13 @@ def two_point_panel(pairs, separations, t_half: float, params: ModelParams, *,
     Returns {pair_index: [rows...]} with the same row format as
     :func:`two_point_covariance`.
     """
-    from .smc import SmcSettings, smc_flow
     separations = _checked_separations(separations, t_half)
     groups = [g for ins1, ins2 in pairs for s in separations
               for g in _pair_groups(ins1, ins2, s, t_half, dt)]
-    flow = smc_flow(params, [t_half], dt, n_modes, theta_cells,
-                    SmcSettings.for_samples(n_samples, smc_runs, c_half_width=c_half_width),
-                    seed, register_groups=groups, workers=workers)
-    num, den = _smc_columns(flow)
+    num, den = _register_columns(params, t_half, groups, dt=dt, n_modes=n_modes,
+                                 theta_cells=theta_cells, n_samples=n_samples,
+                                 n_runs=smc_runs, seed=seed, workers=workers,
+                                 c_half_width=c_half_width)
     per_pair = 3 * len(separations)
     return {pi: _two_point_rows(separations, num[pi * per_pair:(pi + 1) * per_pair], den)
             for pi in range(len(pairs))}
@@ -512,7 +489,7 @@ def scaling_one_point(alpha: float, radius: float, params: ModelParams, *,
     reduction converts the short-distance normalization, so the substituted
     estimate carries the factor R^{alpha^2/2}.  At R = 1 both sides are the
     same computation, run once, and the ratio is exactly 1.  Both sides are
-    particle-flow estimates (:func:`vertex_direct` with ``backend="smc"``).
+    particle-flow estimates, 12 runs each, from the two children of ``seed``.
     """
     base = validate_params(params.gamma, params.mu, radius)
     if abs(alpha) >= base.q_const:
@@ -520,22 +497,25 @@ def scaling_one_point(alpha: float, radius: float, params: ModelParams, *,
     unit = reduce_to_unit_radius(base)
     t_half_reduced = t_half / radius
     child_a, child_b = stateless_children(seed, 2)
-    ins = make_insertions([(alpha, 0.0, 0.0)], unit)
+    entries = _entries_to_process(((float(alpha), 0.0, 0.0),), t_half_reduced, dt)
     factor = radius ** (alpha * alpha / 2.0)
-    common = dict(dt=dt, n_modes=n_modes, theta_cells=theta_cells, n_samples=n_samples,
-                  workers=workers, backend="smc", c_half_width=c_half_width)
-    lhs_raw = vertex_direct(ins, None, t_half_reduced, unit, seed=child_a, **common)
-    rhs = lhs_raw if radius == 1.0 else vertex_direct(ins, None, t_half_reduced, unit,
-                                                      seed=child_b, **common)
-    lhs_mean = factor * lhs_raw.mean
-    lhs_se = factor * lhs_raw.std_error
-    ratio = lhs_mean / rhs.mean
+
+    def one_point(child):
+        num, den = _register_columns(unit, t_half_reduced, [entries], dt=dt, n_modes=n_modes,
+                                     theta_cells=theta_cells, n_samples=n_samples, n_runs=12,
+                                     seed=child, workers=workers, c_half_width=c_half_width)
+        return jackknife_ratio(num[0], den)
+
+    raw_mean, raw_se = one_point(child_a)
+    rhs_mean, rhs_se = (raw_mean, raw_se) if radius == 1.0 else one_point(child_b)
+    lhs_mean, lhs_se = factor * raw_mean, factor * raw_se
+    ratio = lhs_mean / rhs_mean
     ratio_se = 0.0 if radius == 1.0 else abs(ratio) * math.sqrt(
-        (lhs_se / lhs_mean) ** 2 + (rhs.std_error / rhs.mean) ** 2)
+        (lhs_se / lhs_mean) ** 2 + (rhs_se / rhs_mean) ** 2)
     target = factor
     return {
         "alpha": alpha, "radius": radius, "target_ratio": target,
-        "lhs": lhs_mean, "lhs_se": lhs_se, "rhs": rhs.mean, "rhs_se": rhs.std_error,
+        "lhs": lhs_mean, "lhs_se": lhs_se, "rhs": rhs_mean, "rhs_se": rhs_se,
         "ratio": ratio, "ratio_se": ratio_se,
         "pass": abs(ratio - target) <= 3.0 * ratio_se if ratio_se > 0 else ratio == target,
     }

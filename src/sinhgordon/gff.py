@@ -138,22 +138,20 @@ def ou_step_coeffs(n, dt):
 
 
 def sample_circle_field(n_modes: int, mode="stationary", seed=None) -> CircleField:
-    """Draw a slice field.
+    """Draw a stationary slice field.
 
-    ``mode="stationary"`` draws all 2N coordinates i.i.d. standard normal and
-    sets the zero-mode placeholder to 0 (the constant c is supplied separately
-    when evolving).  ``mode=("fixed", xs, ys)`` wraps given coordinates.
+    ``mode`` must be ``"stationary"``: all 2N coordinates are drawn i.i.d.
+    standard normal and the zero-mode placeholder is 0 (the constant c is
+    supplied separately when evolving).
     """
     if n_modes < 1:
         raise ValueError("n_modes must be >= 1")
-    if mode == "stationary":
-        rng = np.random.default_rng(seed)
-        xs = rng.standard_normal(n_modes)
-        ys = rng.standard_normal(n_modes)
-        return CircleField(0.0, xs, ys)
-    if isinstance(mode, tuple) and len(mode) == 3 and mode[0] == "fixed":
-        return CircleField(0.0, np.array(mode[1], dtype=float), np.array(mode[2], dtype=float))
-    raise ValueError(f"unknown sampling mode: {mode!r}")
+    if mode != "stationary":
+        raise ValueError(f"unknown sampling mode: {mode!r}")
+    rng = np.random.default_rng(seed)
+    xs = rng.standard_normal(n_modes)
+    ys = rng.standard_normal(n_modes)
+    return CircleField(0.0, xs, ys)
 
 
 # Row-block budget of the stepper, in float64 elements (1 MB): a block of x or

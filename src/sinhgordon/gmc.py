@@ -33,30 +33,18 @@ def harmonic_number(n: int) -> float:
 
 @dataclass(frozen=True)
 class Region:
-    """Time strip [t_min, t_max] crossed with the full circle or an arc."""
+    """Time strip [t_min, t_max] crossed with the full circle."""
 
     t_min: float
     t_max: float
-    arc: tuple[float, float] | None = None  # [theta_a, theta_b), None = full circle
 
     def __post_init__(self):
         if self.t_min > self.t_max:
             raise ValueError("t_min must be <= t_max")
-        if self.arc is not None:
-            a, b = self.arc
-            if not (0.0 <= a < b <= 2.0 * np.pi):
-                raise ValueError("arc bounds must satisfy 0 <= a < b <= 2*pi")
-
-    @property
-    def theta_span(self) -> float:
-        return 2.0 * np.pi if self.arc is None else self.arc[1] - self.arc[0]
 
     def scaled(self, factor: float) -> "Region":
         """Region factor^{-1} * A used by the scaling reduction."""
-        arc = None
-        if self.arc is not None:
-            arc = (self.arc[0] / factor, self.arc[1] / factor)
-        return Region(self.t_min / factor, self.t_max / factor, arc)
+        return Region(self.t_min / factor, self.t_max / factor)
 
 
 @dataclass(frozen=True)
@@ -104,22 +92,16 @@ def circle_spec(sigma: int, epsilon: float) -> GmcSpec:
     return GmcSpec(sigma=sigma, kind="circle", epsilon=epsilon)
 
 
-def renorm_constant(n: int) -> float:
-    """Renormalization constant of the N-mode regularization (= H_N)."""
-    return harmonic_number(n)
-
-
 # ---------------------------------------------------------------------------
 # Grid machinery
 # ---------------------------------------------------------------------------
 
-def theta_nodes(theta_cells: int, arc: tuple[float, float] | None = None):
-    """Midpoint nodes and cell width over the circle or an arc."""
+def theta_nodes(theta_cells: int):
+    """Midpoint nodes and cell width over the circle."""
     if theta_cells < 4:
         raise ValueError("theta_cells must be >= 4")
-    a, b = (0.0, 2.0 * np.pi) if arc is None else arc
-    width = (b - a) / theta_cells
-    return a + width * (np.arange(theta_cells) + 0.5), width
+    width = 2.0 * np.pi / theta_cells
+    return width * (np.arange(theta_cells) + 0.5), width
 
 
 def region_time_weights(grid: TimeGrid, t_min: float, t_max: float) -> np.ndarray:
@@ -241,7 +223,7 @@ def sample_region_masses(region: Region, spec: GmcSpec, params: ModelParams,
     weights = region_time_weights(grid, region.t_min, region.t_max)
     if not np.any(weights > 0):
         return np.zeros(n_samples)
-    nodes, dtheta = theta_nodes(theta_cells, region.arc)
+    nodes, dtheta = theta_nodes(theta_cells)
     kernel = SliceMass(params.gamma, spec.renorm_constant, dtheta, nodes, spec.path_modes)
     sign = 0 if spec.sigma > 0 else 1
     circle = _circle_average(spec, grid, weights) if spec.kind == "circle" else None
@@ -268,10 +250,10 @@ def sample_region_masses(region: Region, spec: GmcSpec, params: ModelParams,
 
 
 def expected_mass(region: Region, params: ModelParams) -> float:
-    """Stationary mean of the unit-radius mass: |theta span| * int e^{g^2 t/2} dt."""
+    """Stationary mean of the unit-radius mass: 2 pi * int e^{g^2 t/2} dt."""
     g2 = params.gamma ** 2
-    return region.theta_span * (2.0 / g2) * (np.exp(0.5 * g2 * region.t_max)
-                                             - np.exp(0.5 * g2 * region.t_min))
+    return 2.0 * np.pi * (2.0 / g2) * (np.exp(0.5 * g2 * region.t_max)
+                                       - np.exp(0.5 * g2 * region.t_min))
 
 
 def scaling_check(region: Region, params: ModelParams, n_samples: int, seed,
@@ -327,7 +309,7 @@ def moment_estimator(region: Region, spec: GmcSpec, params: ModelParams, p: floa
     whether the s.e./mean ratio keeps shrinking across doubling batch sizes
     (stable) or not (unstable, expected near and beyond p = 4/gamma^2).
     """
-    if region.t_max - region.t_min <= 0 or region.theta_span <= 0:
+    if region.t_max - region.t_min <= 0:
         raise EmptyRegion("moment estimation needs a region of positive area")
     if p == 0:
         raise ValueError("p must be nonzero")

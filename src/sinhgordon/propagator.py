@@ -146,10 +146,10 @@ class CQuadrature:
         return c, w
 
 
-def default_c_quadrature(gamma: float, half_width: float = 8.0, n_nodes: int = 65) -> CQuadrature:
+def default_c_quadrature(gamma: float, n_nodes: int = 65) -> CQuadrature:
     """Window [-8/gamma, 8/gamma]: the double-exponential damping makes the
     tail negligible there; the boundary diagnostic checks this at run time."""
-    return CQuadrature(-half_width / gamma, half_width / gamma, n_nodes)
+    return CQuadrature(-8.0 / gamma, 8.0 / gamma, n_nodes)
 
 
 # ---------------------------------------------------------------------------

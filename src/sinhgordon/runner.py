@@ -34,7 +34,8 @@ from .config import EXPERIMENTS, OPTIONS, RunConfig, _option, load_config, with_
 from .errors import ConfigError, SinhGordonError
 from .gff import TimeGrid, dump_path, evolve_path, stream_paths, theta_basis, \
     truncated_slice_cov
-from .parallel import CHUNK, blas_threads, map_replicas, one_blas_thread, resolve_workers
+from .parallel import CHUNK, blas_threads, map_replicas, one_blas_thread, resolve_workers, \
+    stateless_children
 from .params import reduce_to_unit_radius
 from .results import _jsonable, params_fingerprint
 
@@ -124,6 +125,18 @@ def _quad(cfg: RunConfig):
                        cfg.estimator.c_nodes)
 
 
+def _partition_points(cfg: RunConfig, t_list, workers: int):
+    """Z at each half-height of ``t_list``, weighted with the sampler's Fourier
+    truncation like every Feynman-Kac weight (``gmc.regularization`` does not
+    apply: a circle average over [0, t] would need slices before 0)."""
+    from .gmc import fourier_spec
+    from .propagator import partition_curve
+    return partition_curve(t_list, reduce_to_unit_radius(cfg.params), _quad(cfg),
+                           cfg.sampler.dt, fourier_spec(+1, cfg.sampler.n_modes),
+                           cfg.estimator.n_samples, cfg.estimator.seed,
+                           theta_cells=cfg.gmc.theta_cells, workers=workers)
+
+
 def _region(cfg: RunConfig, spec=None):
     """The region of the ``t_min``/``t_max`` options; with a circle ``spec``, its
     averaging circle must fit above t = 0 (the masses sample from t = 0)."""
@@ -206,9 +219,11 @@ def _exp_validate(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 def _exp_sample(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     from .gff import sample_circle_field
-    init = sample_circle_field(cfg.sampler.n_modes, "stationary", cfg.estimator.seed)
+    # the start and the steps draw from two streams, so the steps are independent of it
+    start_seed, step_seed = stateless_children(cfg.estimator.seed, 2)
+    init = sample_circle_field(cfg.sampler.n_modes, "stationary", start_seed)
     grid = TimeGrid.spanning(2 * cfg.sampler.window, cfg.sampler.dt)
-    path = evolve_path(init, cfg.opts["c"], grid, seed=cfg.estimator.seed)
+    path = evolve_path(init, cfg.opts["c"], grid, seed=step_seed)
     with open(out.path("path.bin"), "wb") as fh:
         dump_path(path, fh)
     out.record({"experiment": "sample", "n_modes": path.n_modes,
@@ -256,14 +271,9 @@ def _exp_scaling_check(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 
 def _exp_partition(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
-    from .propagator import partition_curve
     t0 = time.perf_counter()
     t_list = [cfg.sampler.window] if cfg.opts["T_list"] is None else cfg.opts["T_list"]
-    pts = partition_curve(t_list, reduce_to_unit_radius(cfg.params),
-                          _quad(cfg), cfg.sampler.dt, _gmc_spec(cfg),
-                          cfg.estimator.n_samples, cfg.estimator.seed,
-                          theta_cells=cfg.gmc.theta_cells, workers=workers)
-    for pt in pts:
+    for pt in _partition_points(cfg, t_list, workers):
         out.record({"experiment": "partition", "t_half": pt.t_half, "estimate": pt.z,
                     "std_error": pt.z_se, "log_z": pt.log_z, "log_z_se": pt.log_z_se,
                     "boundary_fraction": pt.boundary_fraction,
@@ -291,11 +301,7 @@ def _exp_lambda0(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
         curve = [{"t_half": t, "log_z": p[0], "log_z_se": p[1]}
                  for t, p in zip(t_list, pairs)]
     else:
-        from .propagator import partition_curve
-        pts = partition_curve(t_list, reduce_to_unit_radius(cfg.params), _quad(cfg),
-                              cfg.sampler.dt, _gmc_spec(cfg), cfg.estimator.n_samples,
-                              cfg.estimator.seed, theta_cells=cfg.gmc.theta_cells,
-                              workers=workers)
+        pts = _partition_points(cfg, t_list, workers)
         pairs = [(pt.log_z, pt.log_z_se) for pt in pts]
         curve = [{"t_half": pt.t_half, "log_z": pt.log_z, "log_z_se": pt.log_z_se}
                  for pt in pts]

@@ -215,6 +215,8 @@ def test_non_object_blocks_exit_two(tmp_path, capsys):
     ("gmc-mass", {"t_max": 0.0}),
     ("moments", {"t_min": -0.5}),
     ("scaling-check", {"t_max": 0.0}),
+    ("mc-vs-lz", {"R_values": [0.0, 1.0]}),
+    ("mc-vs-lz", {"R_values": [-2.0, 1.0]}),
 ], ids=["validate-typo", "sample-typo", "sample-string-c", "lambda0-string-T_list",
         "lambda0-string-entry", "two-point-string-alpha", "two-point-string-separations",
         "two-point-null-separation", "partition-scalar-T_list",
@@ -234,7 +236,7 @@ def test_non_object_blocks_exit_two(tmp_path, capsys):
         "vertex-girsanov-inadmissible-alpha", "lz-inadmissible-alpha",
         "two-point-separation-outside-window", "lambda0-one-T", "lambda0-two-T",
         "gmc-mass-negative-t_min", "gmc-mass-zero-t_max", "moments-negative-t_min",
-        "scaling-check-zero-t_max"])
+        "scaling-check-zero-t_max", "mc-vs-lz-zero-R", "mc-vs-lz-negative-R"])
 def test_bad_experiment_options_exit_two(tmp_path, experiment, options):
     # the csv cases name these files relative to the working directory
     (tmp_path / "no-column.csv").write_text("separation,covariance\n0.5,0.1\n1.0,0.05\n")
@@ -404,6 +406,24 @@ def test_sample_experiment_dumps_path(tmp_path):
     assert (tmp_path / "out" / "sample" / "path.bin").exists()
 
 
+def test_sample_steps_from_their_own_stream(tmp_path):
+    # the start and the steps draw from the two children of the seed, so the
+    # first Brownian increment is not the start's first x coordinate
+    from sinhgordon.gff import TimeGrid, evolve_path, load_path, sample_circle_field
+    from sinhgordon.parallel import stateless_children
+    path = write_config(tmp_path, base_config("sample", {"c": 0.5}))
+    assert run(path, out_dir=str(tmp_path / "out")) == 0
+    with open(tmp_path / "out" / "sample" / "path.bin", "rb") as fh:
+        got = load_path(fh)
+    start, steps = stateless_children(5, 2)
+    want = evolve_path(sample_circle_field(12, "stationary", start), 0.5,
+                       TimeGrid.spanning(1.5, 1 / 8), seed=steps)
+    for name in ("brownian", "mode_x", "mode_y"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    np.testing.assert_array_equal(got.initial.xs, want.initial.xs)
+    assert got.brownian[1] / math.sqrt(1 / 8) != got.initial.xs[0]
+
+
 def test_partition_and_lambda0(tmp_path):
     path = write_config(tmp_path, base_config(
         "partition", {"T_list": [0.5, 0.75]}, n_samples=600))
@@ -416,6 +436,38 @@ def test_partition_and_lambda0(tmp_path):
     assert run(path2, out_dir=str(tmp_path / "out2")) == 0
     rec = read_records(tmp_path / "out2", "lambda0")[0]
     assert rec["estimate"] > 0
+
+
+def _records_without(out_dir, experiment, *keys):
+    return [{k: v for k, v in rec.items() if k not in keys}
+            for rec in read_records(out_dir, experiment)]
+
+
+def test_partition_weights_use_the_sampler_truncation(tmp_path):
+    # a circle gmc.regularization does not apply to the Feynman-Kac weights:
+    # the run is the one of the Fourier config at sampler.n_modes
+    options = {"T_list": [0.5, 0.75]}
+    circle = write_config(tmp_path, base_config(
+        "partition", options, gmc={"regularization": {"kind": "circle", "epsilon": 0.125},
+                                   "theta_cells": 32}), "circle.json")
+    fourier = write_config(tmp_path, base_config("partition", options), "fourier.json")
+    assert run(circle, out_dir=str(tmp_path / "circle")) == 0
+    assert run(fourier, out_dir=str(tmp_path / "fourier")) == 0
+    keys = ("wall_ms", "fingerprint")
+    assert (_records_without(tmp_path / "circle", "partition", *keys)
+            == _records_without(tmp_path / "fourier", "partition", *keys))
+
+
+def test_plain_lambda0_ignores_the_regularization_modes(tmp_path):
+    options = {"T_list": [0.5, 0.75, 1.0], "backend": "plain"}
+    for n in (12, 4):
+        path = write_config(tmp_path, base_config(
+            "lambda0", options, gmc={"regularization": {"kind": "fourier", "n": n},
+                                     "theta_cells": 32}), f"n{n}.json")
+        assert run(path, out_dir=str(tmp_path / f"n{n}")) == 0
+    keys = ("wall_ms", "fingerprint")
+    assert (_records_without(tmp_path / "n12", "lambda0", *keys)
+            == _records_without(tmp_path / "n4", "lambda0", *keys))
 
 
 def test_lambda0_drop_smallest_false_keeps_the_smallest_t(tmp_path):
@@ -892,16 +944,61 @@ _ORACLES = {"covariance_oracle", "free_kernel", "mehler_factor", "feynman_kac",
 
 def test_every_public_definition_has_a_caller():
     # a public top-level definition of the package must be named outside its
-    # own body by the package (not ``__init__.py``), a script or perfbench
+    # own body by the package (not ``__init__.py``), a script or perfbench.  A
+    # name counts only where it resolves to its module: ``from .gmc import x``,
+    # ``gmc.x`` through a module alias, ``sg.x`` through the package exports,
+    # or a bare ``x`` in its own module
     import ast
 
-    root = Path(__file__).parents[1]
-    modules = [p for p in sorted((root / "src" / "sinhgordon").glob("*.py"))
-               if p.name != "__init__.py"]
-    trees = {p: ast.parse(p.read_text()) for p in
-             [*modules, *(root / "scripts").glob("*.py"), *(root / "perfbench").glob("*.py")]}
+    import sinhgordon
 
-    def names(tree, skip=None):
+    root = Path(__file__).parents[1]
+    modules = {p.stem: p for p in sorted((root / "src" / "sinhgordon").glob("*.py"))
+               if p.name != "__init__.py"}
+    trees = {p: ast.parse(p.read_text()) for p in
+             [*modules.values(), *(root / "scripts").glob("*.py"),
+              *(root / "perfbench").glob("*.py")]}
+
+    def resolved(module, name):
+        # the package ("") exports each name of _EXPORTS from its module
+        return (sinhgordon._ORIGIN.get(name, ""), name) if module == "" else (module, name)
+
+    def references(tree):
+        """The (module, name) pairs a file names through an import or a module alias."""
+        aliases, found = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.partition(".")[0] == "sinhgordon":
+                        aliases[a.asname or "sinhgordon"] = (a.name.partition(".")[2]
+                                                             if a.asname else "")
+            elif isinstance(node, ast.ImportFrom):
+                if node.level:
+                    module = node.module or ""
+                elif (node.module or "").partition(".")[0] == "sinhgordon":
+                    module = node.module.partition(".")[2]
+                else:
+                    continue
+                for a in node.names:
+                    if module == "" and a.name in sinhgordon._MODULES:
+                        aliases[a.asname or a.name] = a.name
+                    else:
+                        found.add(resolved(module, a.name))
+
+        def module_of(expr):
+            if isinstance(expr, ast.Name):
+                return aliases.get(expr.id)
+            if (isinstance(expr, ast.Attribute) and module_of(expr.value) == ""
+                    and expr.attr in sinhgordon._MODULES):
+                return expr.attr
+            return None
+
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and module_of(node.value) is not None:
+                found.add(resolved(module_of(node.value), node.attr))
+        return found
+
+    def bare_names(tree, skip):
         found, stack = set(), [tree]
         while stack:
             node = stack.pop()
@@ -909,17 +1006,12 @@ def test_every_public_definition_has_a_caller():
                 continue
             if isinstance(node, ast.Name):
                 found.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                found.add(node.attr)
-            elif isinstance(node, ast.alias):
-                found.add(node.name.rpartition(".")[2])
             stack.extend(ast.iter_child_nodes(node))
         return found
 
-    named = {p: names(tree) for p, tree in trees.items()}
+    referenced = set().union(*(references(tree) for tree in trees.values()))
     unused = []
-    for path in modules:
-        elsewhere = set().union(*(found for p, found in named.items() if p != path))
+    for module, path in modules.items():
         for node in trees[path].body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 defined = [node.name]
@@ -929,8 +1021,9 @@ def test_every_public_definition_has_a_caller():
                 continue
             for name in defined:
                 if (not name.startswith("_") and name not in _ORACLES
-                        and name not in elsewhere and name not in names(trees[path], node)):
-                    unused.append(f"{path.name}:{name}")
+                        and (module, name) not in referenced
+                        and name not in bare_names(trees[path], node)):
+                    unused.append(f"{module}:{name}")
     assert unused == []
 
 

@@ -8,6 +8,7 @@ from sinhgordon.correlations import (
     ShiftData,
     _cylinder_engine,
     _entries_to_process,
+    _register_columns,
 )
 from sinhgordon.errors import (
     GridSpanMismatch,
@@ -17,7 +18,7 @@ from sinhgordon.errors import (
 )
 from sinhgordon.gmc import circle_spec, fourier_spec
 from sinhgordon.propagator import default_c_quadrature
-from sinhgordon.results import jackknife_func
+from sinhgordon.results import jackknife_func, jackknife_ratio
 
 from conftest import agree
 
@@ -40,7 +41,7 @@ def test_shift_boundary_matches_oracle_sum(unit_params):
     entries = ((0.5, 1.0, 0.3), (-0.25, 1.5, 2.0))
     shift = ShiftData(entries, kernel=256)
     thetas = np.linspace(0, 2 * math.pi, 9, endpoint=False)
-    h = shift.boundary_h(thetas)
+    h = shift.bulk(0.0, thetas)[0]
     for j, th in enumerate(thetas):
         manual = sum(a * sg.covariance_oracle("slice", 0.0, th, s_i, th_i)
                      for a, s_i, th_i in entries)
@@ -66,9 +67,6 @@ def test_shift_drift_and_decay():
     assert drift[-1] == pytest.approx(0.5 * 1.0 + 0.25 * 2.0)
     far = shift.bulk(40.0, np.array([0.0]))[0, 0]
     assert abs(far) < 1e-12
-    h = shift.boundary_h(np.array([0.5]))
-    at0 = shift.bulk(0.0, np.array([0.5]))[0, 0]
-    assert h[0] == at0
 
 
 def test_shift_truncated_kernel_consistency():
@@ -146,12 +144,16 @@ def test_vertex_direct_vs_girsanov_statistical(unit_params):
 
 
 def test_vertex_smc_matches_plain(unit_params):
+    # the particle-flow register of the same insertion agrees with the plain estimator
     ins = sg.make_insertions([(0.5, 0.0, 0.0)], unit_params)
     a = sg.vertex_direct(ins, None, 1.0, unit_params, dt=1 / 16, n_modes=32,
-                         theta_cells=64, n_samples=12000, seed=9, backend="plain")
-    b = sg.vertex_direct(ins, None, 1.0, unit_params, dt=1 / 16, n_modes=32,
-                         theta_cells=64, n_samples=12000, seed=10, backend="smc")
-    assert agree(a.mean, a.std_error, b.mean, b.std_error)
+                         theta_cells=64, n_samples=12000, seed=9)
+    entries = _entries_to_process(ins.entries, 1.0, 1 / 16)
+    num, den = _register_columns(unit_params, 1.0, [entries], dt=1 / 16, n_modes=32,
+                                 theta_cells=64, n_samples=12000, n_runs=12, seed=10,
+                                 workers=1, c_half_width=8.0)
+    b_mean, b_se = jackknife_ratio(num[0], den)
+    assert agree(a.mean, a.std_error, b_mean, b_se)
 
 
 def test_vertex_negation_coupling_exact(unit_params):
@@ -291,13 +293,13 @@ def test_scaling_one_point_takes_a_seed_sequence(unit_params):
 def test_scaling_one_point_runs_r1_once(unit_params, monkeypatch, radius, calls):
     import sinhgordon.correlations as corr
     seen = []
-    real = corr.vertex_direct
+    real = corr._register_columns
 
     def counted(*args, **kwargs):
         seen.append(kwargs["seed"])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(corr, "vertex_direct", counted)
+    monkeypatch.setattr(corr, "_register_columns", counted)
     rep = sg.scaling_one_point(0.5, radius, unit_params, t_half=1.0, dt=1 / 8, n_modes=8,
                                theta_cells=16, n_samples=300, seed=22)
     assert len(seen) == calls

@@ -161,7 +161,7 @@ def test_sample_circle_field_stationary_moments():
 
 
 def test_sample_circle_field_fixed_zero():
-    field = sg.sample_circle_field(4, ("fixed", np.zeros(4), np.zeros(4)))
+    field = sg.CircleField(0.0, np.zeros(4), np.zeros(4))
     for theta in (0.0, 1.0, 2.5):
         assert fluctuation_grid(field.xs, field.ys, np.array([theta]))[0] == 0.0
 
