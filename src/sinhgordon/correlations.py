@@ -126,40 +126,30 @@ class ShiftData:
 # Shared finite-cylinder engine
 # ---------------------------------------------------------------------------
 
-def _tap_rows(entries, reg: GmcSpec, grid: TimeGrid, n_modes: int) -> set[int]:
-    """Rows whose slices a vertex task reads: the insertion rows and their averaging circles."""
+def _field_reads(entries, reg: GmcSpec, grid: TimeGrid, n_modes: int):
+    """Where each insertion reads the field: ``(row, [(row, theta), ...])`` per entry.
+
+    A Fourier insertion reads phi_N at its own row and angle.  A circle
+    insertion averages the field, with all the path's modes, over the points
+    (row + off, theta + a) of the circle's quadrature: rotating the mode pairs
+    by a, as ``CircleAverage.modes`` does, gives the field at theta + a.
+    """
     circle = None
     if reg.kind == "circle":
         circle = CircleAverage(reg.epsilon, grid.dt)
     elif reg.n_modes > n_modes:
         raise IndexOutOfRange(f"requested {reg.n_modes} modes, path has {n_modes}")
-    rows = set()
-    for _, s_i, _ in entries:
+    reads = []
+    for _, s_i, th_i in entries:
         k = grid.index_of(s_i)
-        rows.add(k)
-        if circle is not None:
-            if not circle.covers(k, grid.n_steps):
-                raise WindowOutsideCylinder("averaging circle leaves the window")
-            rows.update(int(k + off) for off in circle.offsets)
-    return rows
-
-
-def _insertion_field_values(taps, grid, entries_proc, reg: GmcSpec):
-    """log prod_i e^{alpha_i (B_{s_i} + phi_reg(s_i, theta_i)) - (alpha_i^2/2) renorm}.
-
-    ``taps`` maps the rows of :func:`_tap_rows` to their slices (b, x, y).
-    """
-    log_v = 0.0
-    for a, s_i, th_i in entries_proc:
-        k = grid.index_of(s_i)
-        b, x, y = taps[k]
-        if reg.kind == "circle":
-            circle = CircleAverage(reg.epsilon, grid.dt)
-            x, y = circle.modes(lambda r: taps[r][1:], k)
-        n_used = reg.n_modes if reg.kind == "fourier" else None
-        val = fluctuation_grid(x, y, np.array([th_i]), n_used)[:, 0]
-        log_v = log_v + a * (b + val) - 0.5 * a * a * reg.renorm_constant
-    return log_v
+        if circle is None:
+            reads.append((k, [(k, th_i)]))
+            continue
+        if not circle.covers(k, grid.n_steps):
+            raise WindowOutsideCylinder("averaging circle leaves the window")
+        reads.append((k, [(k + int(off), th_i + ang)
+                          for off, ang in zip(circle.offsets, circle.angles)]))
+    return reads
 
 
 def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int,
@@ -173,9 +163,12 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
     symmetry tests; it leaves the denominator invariant and maps vertex
     weights alpha -> -alpha).
 
-    A chunk streams its paths through the slice-mass kernel, keeps running
-    trapezoid sums and copies only the slices its vertex tasks read, so its
-    memory is O(R (N + T)) whatever the number of steps.
+    A chunk streams its paths through the slice-mass kernel and keeps running
+    trapezoid sums.  A vertex task copies no slice: as its rows pass, it
+    reads B at each insertion's row and the field values the insertion needs
+    (:func:`_field_reads`), one (R,) column each.  So a chunk holds the
+    stepper's slice and noise block, the kernel's two (R, T) buffers and the
+    (R, C) weights, whatever the number of steps.
     """
     pu = reduce_to_unit_radius(params)
     gamma, mu = pu.gamma, pu.mu
@@ -189,8 +182,10 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
     def cfac(entries):  # the zero-mode factor exp(total alpha * c) at the c nodes
         return cw * np.exp(sum(a for a, _, _ in entries) * cs)
 
-    prepared, tap_rows = [], set()
-    for task in tasks:
+    # row -> what the vertex tasks read there, keyed (task, entry)
+    centres, points = {}, {}
+    prepared = []
+    for i, task in enumerate(tasks):
         kind = task["kind"]
         if kind == "girsanov":
             if mirror:
@@ -200,8 +195,15 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
             prepared.append({**task, "cells": (np.exp(gamma * s_grid), np.exp(-gamma * s_grid)),
                              "scalar": sh.scalar_log(), "cfac": cfac(sh.insertions)})
         elif kind == "vertex":
-            tap_rows |= _tap_rows(task["entries"], task["reg"], grid, n_modes)
-            prepared.append({**task, "cfac": cfac(task["entries"])})
+            reg = task["reg"]
+            reads = _field_reads(task["entries"], reg, grid, n_modes)
+            n_used = reg.n_modes if reg.kind == "fourier" else None
+            for j, (k, where) in enumerate(reads):
+                centres.setdefault(k, []).append((i, j))
+                for row, th in where:
+                    points.setdefault(row, []).append(((i, j), np.array([th]), n_used))
+            prepared.append({**task, "cfac": cfac(task["entries"]),
+                             "taps": [len(where) for _, where in reads]})
         else:
             raise ValueError(f"unknown task kind {kind!r}")
 
@@ -210,7 +212,7 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
         m_plus, m_minus = np.zeros(size), np.zeros(size)
         shifted = {i: np.zeros((2, size)) for i, task in enumerate(prepared)
                    if task["kind"] == "girsanov"}
-        taps = {}
+        brownian, field = {}, {}  # B at each insertion's row; its field values, summed
         for k, b, x, y in stream_paths(rng, size, n_modes, grid):
             sp, sm = kernel(x, y, b)
             for i, acc in shifted.items():
@@ -222,13 +224,20 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
                 b, x, y, sp, sm = -b, -x, -y, sm, sp
             m_plus += trap[k] * sp
             m_minus += trap[k] * sm
-            if k in tap_rows:
-                taps[k] = (b.copy(), x.copy(), y.copy())
+            for key in centres.get(k, ()):
+                brownian[key] = b.copy()
+            for key, th, n_used in points.get(k, ()):
+                val = fluctuation_grid(x, y, th, n_used)[:, 0]
+                field[key] = field[key] + val if key in field else val
         w = fk_weights(m_plus, m_minus, cs, mu, gamma)
         out = {"den": w @ cw}   # and one numerator column per task, keyed by its index
         for i, task in enumerate(prepared):
             if task["kind"] == "vertex":
-                log_v = _insertion_field_values(taps, grid, task["entries"], task["reg"])
+                # log prod_j e^{alpha_j (B_j + phi_reg(s_j, theta_j)) - (alpha_j^2/2) renorm}
+                renorm, log_v = task["reg"].renorm_constant, 0.0
+                for j, (a, _, _) in enumerate(task["entries"]):
+                    val = field[i, j] / task["taps"][j]
+                    log_v = log_v + a * (brownian[i, j] + val) - 0.5 * a * a * renorm
                 out[i] = np.exp(log_v) * (w @ task["cfac"])
             else:
                 wg = fk_weights(shifted[i][0], shifted[i][1], cs, mu, gamma)

@@ -10,6 +10,7 @@ path's grid nodes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -128,12 +129,23 @@ def region_time_weights(grid: TimeGrid, t_min: float, t_max: float) -> np.ndarra
 # Slice-mass kernel: every chaos mass and slice potential goes through here
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=16)
+def _shared_basis(n_modes: int, thetas: bytes):
+    """The read-only (N, T) basis pair of ``theta_basis``, built once per modes and nodes."""
+    pair = theta_basis(n_modes, np.frombuffer(thetas))
+    for m in pair:
+        m.flags.writeable = False
+    return pair
+
+
 class SliceMass:
     """The one slice-mass kernel: the theta integral of the chaos density, both signs.
 
     S+-[k] = e^{-gamma^2 renorm/2} * dtheta * e^{+-gamma B_k} * sum_theta e^{+-gamma phi_k}.
-    The field goes into a reused buffer and is exponentiated in place once;
-    the minus sign takes the reciprocal.  A shifted field phi + s weights the
+    The field is synthesized into a reused buffer and exponentiated in place
+    once; the minus sign takes the reciprocal into a second buffer, which
+    also holds the sine half of the synthesis.  The basis is shared by every
+    kernel of the same modes and nodes.  A shifted field phi + s weights the
     cells with precomputed ``(e^{gamma s}, e^{-gamma s})``, with no further exp.
     """
 
@@ -142,19 +154,20 @@ class SliceMass:
         self.gamma = gamma
         self.scale = math.exp(-0.5 * gamma * gamma * renorm) * dtheta
         self.n_modes = n_modes
-        self.basis = None if thetas is None else theta_basis(n_modes, thetas)
-        self.e = self.inv = self._tmp = None
+        self.basis = None if thetas is None else _shared_basis(
+            n_modes, np.ascontiguousarray(thetas, dtype=float).tobytes())
+        self.e = self.inv = None
 
     def load(self, x: np.ndarray, y: np.ndarray) -> "SliceMass":
         """Load a slice from (R, N) mode coefficients; the first ``n_modes`` are used."""
         n = self.n_modes
         cb, sb = self.basis
         shape = (*x.shape[:-1], cb.shape[1])
-        if self._tmp is None or self._tmp.shape != shape:
-            self.e, self.inv, self._tmp = (np.empty(shape) for _ in range(3))
+        if self.e is None or self.e.shape != shape:
+            self.e, self.inv = np.empty(shape), np.empty(shape)
         np.matmul(x[..., :n], cb, out=self.e)
-        np.matmul(y[..., :n], sb, out=self._tmp)
-        self.e += self._tmp
+        np.matmul(y[..., :n], sb, out=self.inv)
+        self.e += self.inv
         return self._exponentiate()
 
     def load_field(self, fields: np.ndarray) -> "SliceMass":
@@ -235,15 +248,18 @@ def sample_region_masses(region: Region, spec: GmcSpec, params: ModelParams,
     while done < n_samples:
         r = min(_BATCH, n_samples - done)
         mass = np.zeros(r)
-        recent = {}  # the last 2 * reach + 1 slices: what a circle average reads
+        recent = {}  # circle only: the last 2 * reach + 1 slices, what its average reads
         for k, b, x, y in stream_paths(rng, r, spec.path_modes, grid):
-            recent[k] = (b.copy(), x.copy(), y.copy())
-            recent.pop(k - 2 * reach - 1, None)
+            if circle is not None:
+                recent[k] = (b.copy(), x.copy(), y.copy())
+                recent.pop(k - 2 * reach - 1, None)
             j = k - reach
-            if j >= 0 and weights[j] > 0:
-                modes = recent[j][1:] if circle is None else circle.modes(
-                    lambda i: recent[i][1:], j)
-                mass += weights[j] * kernel(*modes, recent[j][0])[sign]
+            if j < 0 or weights[j] <= 0:
+                continue
+            if circle is not None:
+                b = recent[j][0]
+                x, y = circle.modes(lambda i: recent[i][1:], j)
+            mass += weights[j] * kernel(x, y, b)[sign]
         out[done:done + r] = mass
         done += r
     return out

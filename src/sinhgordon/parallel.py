@@ -7,7 +7,9 @@ output is identical for any worker count.  Every plain estimator, the SMC
 runs (one run per chunk) and the ``validate`` panel go through it.  One
 sampler stays outside because it draws from one generator across its
 batches, so its draws depend on the batch order: ``gmc.sample_region_masses``.
-Workers are threads: the heavy kernels (matmul, exp) release the GIL.
+Workers are threads: the heavy kernels (matmul, exp) release the GIL.  The pool
+is plain ``threading``, with the calling thread as one of the workers, so no
+executor module is loaded and no idle thread waits.
 
 While a pool runs, numpy's bundled OpenBLAS is held at one thread, so N
 workers keep N cores busy instead of N times the BLAS thread count
@@ -151,13 +153,48 @@ def one_blas_thread():
 
 
 def map_chunks(fn, chunks, workers: int = 1):
-    """Apply ``fn`` to every chunk, preserving chunk order in the result."""
+    """Apply ``fn`` to every chunk, preserving chunk order in the result.
+
+    With more than one worker and chunk, the calling thread runs chunks
+    alongside ``workers - 1`` helper threads; each takes the next chunk index
+    under a lock, so chunks start in order.  Once a chunk has raised, no new
+    chunk starts; the running ones finish, and the error of the lowest failed
+    index is raised, as the serial path would raise it.  OpenBLAS is held at
+    one thread meanwhile.
+    """
     workers = resolve_workers(workers)
     if workers <= 1 or len(chunks) <= 1:
         return [fn(c) for c in chunks]
-    from concurrent.futures import ThreadPoolExecutor  # loaded only where a pool runs
-    with one_blas_thread(), ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, chunks))
+    results = [None] * len(chunks)
+    errors = {}
+    lock = threading.Lock()
+    order = iter(range(len(chunks)))
+
+    def work():
+        while True:
+            with lock:
+                i = None if errors else next(order, None)
+            if i is None:
+                return
+            try:
+                results[i] = fn(chunks[i])
+            except BaseException as exc:  # noqa: BLE001 - raised in the calling thread
+                with lock:
+                    errors[i] = exc
+
+    with one_blas_thread():
+        helpers = [threading.Thread(target=work)
+                   for _ in range(min(workers, len(chunks)) - 1)]
+        for t in helpers:
+            t.start()
+        try:
+            work()
+        finally:
+            for t in helpers:
+                t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def map_replicas(run, seed, n: int, chunk_size: int, workers: int = 1) -> dict:

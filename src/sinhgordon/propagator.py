@@ -157,15 +157,22 @@ def default_c_quadrature(gamma: float, n_nodes: int = 65) -> CQuadrature:
 # ---------------------------------------------------------------------------
 
 def fk_damping(mass_plus, mass_minus, c, mu, gamma):
-    """FK damping e^{-mu(e^{gc} M+ + e^{-gc} M-)}; masses broadcast against c.
+    """FK damping e^{-mu(e^{gc} M+ + e^{-gc} M-)}; array masses broadcast against c.
 
     Computed through logs with a cap so extreme masses underflow to weight 0
-    instead of producing NaN.
+    instead of producing NaN.  The work is done in place in the two
+    broadcast-shaped buffers of the exponents, in the operation order of
+    ``capped_exp``, so no further temporaries of that shape are made.
     """
     with np.errstate(divide="ignore"):
-        log_p = np.log(mass_plus) + gamma * c
-        log_m = np.log(mass_minus) - gamma * c
-    return np.exp(-mu * (capped_exp(log_p) + capped_exp(log_m)))
+        plus = np.log(mass_plus) + gamma * c
+        minus = np.log(mass_minus) - gamma * c
+    for buf in (plus, minus):
+        np.minimum(buf, _EXP_CAP, out=buf)
+        np.exp(buf, out=buf)
+    plus += minus
+    plus *= -mu
+    return np.exp(plus, out=plus)
 
 
 def fk_weights(mass_plus, mass_minus, cs, mu, gamma):

@@ -358,7 +358,11 @@ def _exp_vertex(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
         return
     estimators = []
     if method in ("direct", "both"):
-        estimators.append(("direct", _gmc_spec(cfg) if cfg.gmc.kind == "circle" else None))
+        # the direct insertion is cut at gmc.regularization.n of the sampled modes
+        if cfg.gmc.kind == "fourier" and cfg.gmc.n > n_modes:
+            raise ConfigError(f"vertex gmc.regularization.n {cfg.gmc.n} exceeds "
+                              f"{n_modes} (sampler.n_modes)")
+        estimators.append(("direct", _gmc_spec(cfg)))
     if method in ("girsanov", "both"):
         estimators.append(("girsanov", None))
     # one path pass serves every estimator (common random numbers)

@@ -862,6 +862,40 @@ def test_vertex_n_list_checked_before_sampling(tmp_path, capsys, monkeypatch, n_
     assert "n_list" in capsys.readouterr().err
 
 
+def test_vertex_direct_is_cut_at_the_regularization_modes(tmp_path):
+    # gmc.regularization.n sets the direct insertion's truncation: n 4 is the
+    # n_list entry 4 of the same paths, not the n 12 estimate
+    def direct(n, name):
+        raw = base_config("vertex", {"alpha": 0.5, "method": "direct"},
+                          gmc={"regularization": {"kind": "fourier", "n": n},
+                               "theta_cells": 32})
+        assert run(write_config(tmp_path, raw, f"{name}.json"),
+                   out_dir=str(tmp_path / name)) == 0
+        return read_records(tmp_path / name, "vertex")
+    n12, n4 = direct(12, "n12"), direct(4, "n4")
+    assert n12[0]["estimate"] != n4[0]["estimate"]
+    raw = base_config("vertex", {"alpha": 0.5, "n_list": [4, 12]})
+    assert run(write_config(tmp_path, raw, "list.json"), out_dir=str(tmp_path / "list")) == 0
+    seq = read_records(tmp_path / "list", "vertex")[0]["sequence"]
+    for rec, row in zip((n4[0], n12[0]), seq):
+        assert (rec["estimate"], rec["std_error"]) == (row["estimate"], row["std_error"])
+
+
+@pytest.mark.parametrize("n, fast", [(16, False), (40, True)],
+                         ids=["above-modes", "above-fast-cap"])
+def test_vertex_regularization_above_the_modes_exits_two(tmp_path, capsys, monkeypatch, n, fast):
+    # --fast caps the regularization's 40 at 16, still above the sampler's 12
+    import sinhgordon.correlations as corr
+    monkeypatch.setattr(corr, "stream_paths", lambda *a, **k: pytest.fail("paths sampled"))
+    cfg = base_config("vertex", {"alpha": 0.5, "method": "both"},
+                      gmc={"regularization": {"kind": "fourier", "n": n}, "theta_cells": 32})
+    out = tmp_path / "o"
+    assert run(write_config(tmp_path, cfg), fast=fast, out_dir=str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: vertex gmc.regularization.n 16 exceeds 12 (sampler.n_modes)"]
+    assert not out.exists()
+
+
 def test_scipy_stays_off_the_import_path():
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     proc = subprocess.run([sys.executable, "-c",
@@ -910,6 +944,16 @@ def test_plain_vertex_run_leaves_smc_unloaded(tmp_path):
             f"assert run({path!r}, fast=True, out_dir='out') == 0")
     loaded = _loaded_in_subprocess(code, _ESTIMATOR_MODULES, cwd=tmp_path)
     assert "sinhgordon.correlations" in loaded and "sinhgordon.smc" not in loaded
+
+
+def test_threaded_vertex_run_leaves_the_executor_unloaded(tmp_path):
+    # map_chunks runs its pool on plain threads
+    path = write_config(tmp_path, base_config("vertex", {"alpha": 0.5, "method": "both"}))
+    code = ("from sinhgordon.runner import run\n"
+            f"assert run({path!r}, fast=True, workers=2, out_dir='out') == 0")
+    assert _loaded_in_subprocess(code, ["concurrent.futures"], cwd=tmp_path) == []
+    manifest = json.loads((tmp_path / "out" / "vertex" / "manifest.json").read_text())
+    assert manifest["workers"] == 2
 
 
 def test_package_import_loads_no_numpy():

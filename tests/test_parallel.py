@@ -78,6 +78,27 @@ def test_restored_when_a_chunk_raises(two_blas_threads):
     assert _BLAS.threads() == two_blas_threads
 
 
+def test_the_lowest_failed_chunk_is_raised():
+    # chunk 3 fails first; chunk 1, already running, fails after it: the error
+    # raised is chunk 1's, as on the serial path, and no chunk starts after both
+    three_failed = threading.Event()
+    started = []
+
+    def fn(c):
+        started.append(c)
+        if c == 1:
+            assert three_failed.wait(timeout=60)
+            raise ValueError("chunk 1")
+        if c == 3:
+            three_failed.set()
+            raise ValueError("chunk 3")
+        return c
+
+    with pytest.raises(ValueError, match="chunk 1"):
+        map_chunks(fn, list(range(8)), workers=2)
+    assert sorted(started) == [0, 1, 2, 3]
+
+
 @pytest.mark.parametrize("workers, chunks", [(1, 4), (2, 1)])
 def test_serial_path_leaves_the_count(two_blas_threads, workers, chunks):
     seen = map_chunks(lambda c: _BLAS.threads(), list(range(chunks)), workers=workers)

@@ -327,3 +327,11 @@ def test_engine_chunk_memory_does_not_grow_with_steps(unit_params):
     _chunk_peak(unit_params, 32)  # first-call allocations are not the chunk's
     short, long = _chunk_peak(unit_params, 32), _chunk_peak(unit_params, 256)
     assert long <= 1.5 * short, (short, long)
+
+
+def test_engine_chunk_holds_only_its_working_set(unit_params):
+    # a 256-path chunk at 64 modes and 128 cells: the slice and the noise
+    # block, the kernel's two (R, T) buffers and the (R, C) weights, no copied
+    # slices and no third slice buffer
+    _chunk_peak(unit_params, 32)
+    assert _chunk_peak(unit_params, 32) <= 1.75 * 2**20
