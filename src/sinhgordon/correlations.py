@@ -25,8 +25,7 @@ from .errors import (
     WindowOutsideCylinder,
 )
 from .gff import CircleAverage, TimeGrid, fluctuation_grid, stream_paths, truncated_slice_cov
-from .gmc import GmcSpec, SliceMass, fourier_spec, harmonic_number, region_time_weights, \
-    theta_nodes
+from .gmc import GmcSpec, SliceMass, Trapezoid, fourier_spec, harmonic_number, theta_nodes
 from .params import ModelParams, reduce_to_unit_radius, validate_params
 from .parallel import CHUNK, map_replicas, seed_int, stateless_children
 from .propagator import CQuadrature, default_c_quadrature, fk_weights
@@ -104,6 +103,16 @@ class ShiftData:
         """Full field shift drift(s) + bulk(s, theta) on a (time, theta) grid."""
         return self.drift(s)[:, None] + self.bulk(s, thetas)
 
+    def row(self, s: float, basis) -> np.ndarray:
+        """drift(s) + bulk(s, theta) at one s from the mode offsets sum_i alpha_i
+        e^{-n|s - s_i|} (cos n theta_i, sin n theta_i) / sqrt(n) on a ``theta_basis``."""
+        n = np.arange(1, self.kernel + 1)
+        dx = dy = np.zeros(self.kernel)
+        for a, s_i, th_i in self.insertions:
+            amp = a * np.exp(-n * abs(s - s_i)) / np.sqrt(n)
+            dx, dy = dx + amp * np.cos(n * th_i), dy + amp * np.sin(n * th_i)
+        return self.drift(s) + dx @ basis[0][:self.kernel] + dy @ basis[1][:self.kernel]
+
     def scalar_log(self) -> float:
         """Log of the constant produced by the change of measure.
 
@@ -163,12 +172,13 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
     symmetry tests; it leaves the denominator invariant and maps vertex
     weights alpha -> -alpha).
 
-    A chunk streams its paths through the slice-mass kernel and keeps running
-    trapezoid sums.  A vertex task copies no slice: as its rows pass, it
-    reads B at each insertion's row and the field values the insertion needs
-    (:func:`_field_reads`), one (R,) column each.  So a chunk holds the
-    stepper's slice and noise block, the kernel's two (R, T) buffers and the
-    (R, C) weights, whatever the number of steps.
+    A chunk integrates its masses in one :class:`gmc.Trapezoid`, and a girsanov
+    task its shifted masses in its own, with row k's shift built as the stream
+    reaches it (:meth:`ShiftData.row`).  A vertex task copies no slice: as its
+    rows pass, it reads B at each insertion's row and the field values the
+    insertion needs (:func:`_field_reads`), one (R,) column each.  So a chunk
+    holds the stepper's slice and noise block, the kernel's two (R, T) buffers
+    and the (R, C) weights, whatever the number of steps.
     """
     pu = reduce_to_unit_radius(params)
     gamma, mu = pu.gamma, pu.mu
@@ -177,7 +187,6 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
     cs, cw = quad.nodes()
     if mirror:
         cs = -cs
-    trap = region_time_weights(grid, 0.0, grid.span)
 
     def cfac(entries):  # the zero-mode factor exp(total alpha * c) at the c nodes
         return cw * np.exp(sum(a for a, _, _ in entries) * cs)
@@ -190,10 +199,7 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
         if kind == "girsanov":
             if mirror:
                 raise ValueError("the girsanov shift is not defined for mirrored paths")
-            sh: ShiftData = task["shift"]
-            s_grid = sh.total_grid(grid.times(), nodes)
-            prepared.append({**task, "cells": (np.exp(gamma * s_grid), np.exp(-gamma * s_grid)),
-                             "scalar": sh.scalar_log(), "cfac": cfac(sh.insertions)})
+            prepared.append({**task, "cfac": cfac(task["shift"].insertions)})
         elif kind == "vertex":
             reg = task["reg"]
             reads = _field_reads(task["entries"], reg, grid, n_modes)
@@ -209,27 +215,24 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
 
     def run(rng, size):
         kernel = SliceMass(gamma, harmonic_number(n_modes), dtheta, nodes, n_modes)
-        m_plus, m_minus = np.zeros(size), np.zeros(size)
-        shifted = {i: np.zeros((2, size)) for i, task in enumerate(prepared)
+        mass = Trapezoid(grid.dt)
+        shifted = {i: Trapezoid(grid.dt) for i, task in enumerate(prepared)
                    if task["kind"] == "girsanov"}
         brownian, field = {}, {}  # B at each insertion's row; its field values, summed
         for k, b, x, y in stream_paths(rng, size, n_modes, grid):
             sp, sm = kernel(x, y, b)
             for i, acc in shifted.items():
-                esp, esm = prepared[i]["cells"]
-                gp, gm = kernel.pair(b, (esp[k], esm[k]))
-                acc[0] += trap[k] * gp
-                acc[1] += trap[k] * gm
+                s = prepared[i]["shift"].row(k * grid.dt, kernel.basis)
+                acc.add(*kernel.pair(b, (np.exp(gamma * s), np.exp(-gamma * s))))
             if mirror:  # the negated field swaps the two masses exactly
                 b, x, y, sp, sm = -b, -x, -y, sm, sp
-            m_plus += trap[k] * sp
-            m_minus += trap[k] * sm
+            mass.add(sp, sm)
             for key in centres.get(k, ()):
                 brownian[key] = b.copy()
             for key, th, n_used in points.get(k, ()):
                 val = fluctuation_grid(x, y, th, n_used)[:, 0]
                 field[key] = field[key] + val if key in field else val
-        w = fk_weights(m_plus, m_minus, cs, mu, gamma)
+        w = fk_weights(*mass.integral(), cs, mu, gamma)
         out = {"den": w @ cw}   # and one numerator column per task, keyed by its index
         for i, task in enumerate(prepared):
             if task["kind"] == "vertex":
@@ -240,8 +243,8 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
                     log_v = log_v + a * (brownian[i, j] + val) - 0.5 * a * a * renorm
                 out[i] = np.exp(log_v) * (w @ task["cfac"])
             else:
-                wg = fk_weights(shifted[i][0], shifted[i][1], cs, mu, gamma)
-                out[i] = math.exp(task["scalar"]) * (wg @ task["cfac"])
+                wg = fk_weights(*shifted[i].integral(), cs, mu, gamma)
+                out[i] = math.exp(task["shift"].scalar_log()) * (wg @ task["cfac"])
         return out
 
     cols = map_replicas(run, seed, n_samples, CHUNK, workers)
@@ -488,40 +491,47 @@ def two_point_panel(pairs, separations, t_half: float, params: ModelParams, *,
             for pi in range(len(pairs))}
 
 
+def _reduced_one_point(alpha: float, radius: float, params: ModelParams, seed, *,
+                       t_half: float, dt: float, **flow):
+    """(mean, s.e.) of <V_alpha(0)> in the unit-radius reduction of the radius-R
+    model on [-t_half/R, t_half/R]: one particle flow of 12 runs from ``seed``."""
+    base = validate_params(params.gamma, params.mu, radius)
+    if abs(alpha) >= base.q_const:
+        raise InadmissibleAlpha(f"|alpha| must be < {base.q_const}")
+    entries = _entries_to_process(((float(alpha), 0.0, 0.0),), t_half / radius, dt)
+    num, den = _register_columns(reduce_to_unit_radius(base), t_half / radius, [entries],
+                                 dt=dt, n_runs=12, seed=seed, **flow)
+    return jackknife_ratio(num[0], den)
+
+
+def rescaled_one_point(alpha: float, radius: float, params: ModelParams, *, seed,
+                       **flow) -> tuple[float, float]:
+    """(mean, s.e.) of the radius-R one-point function: the reduced estimate from
+    the first child of ``seed`` times R^{alpha^2/2}; ``flow`` as :func:`scaling_one_point`."""
+    factor = radius ** (alpha * alpha / 2.0)
+    mean, se = _reduced_one_point(alpha, radius, params, stateless_children(seed, 2)[0], **flow)
+    return factor * mean, factor * se
+
+
 def scaling_one_point(alpha: float, radius: float, params: ModelParams, *,
                       t_half: float = 1.5, dt: float = 1.0 / 32.0, n_modes: int = 64,
                       theta_cells: int = 128, n_samples: int = 8192, seed=0,
                       workers: int = 1, c_half_width: float = 8.0) -> dict:
     """One-point function on the radius-R cylinder against the reduced model.
 
-    The left side is computed through the time/angle substitution; the
-    reduction converts the short-distance normalization, so the substituted
-    estimate carries the factor R^{alpha^2/2}.  At R = 1 both sides are the
-    same computation, run once, and the ratio is exactly 1.  Both sides are
-    particle-flow estimates, 12 runs each, from the two children of ``seed``.
+    The left side is :func:`rescaled_one_point`, the right side the reduced
+    estimate from the second child of ``seed``.  At R = 1 both sides are the
+    same computation, run once, and the ratio is exactly 1.
     """
-    base = validate_params(params.gamma, params.mu, radius)
-    if abs(alpha) >= base.q_const:
-        raise InadmissibleAlpha(f"|alpha| must be < {base.q_const}")
-    unit = reduce_to_unit_radius(base)
-    t_half_reduced = t_half / radius
-    child_a, child_b = stateless_children(seed, 2)
-    entries = _entries_to_process(((float(alpha), 0.0, 0.0),), t_half_reduced, dt)
-    factor = radius ** (alpha * alpha / 2.0)
-
-    def one_point(child):
-        num, den = _register_columns(unit, t_half_reduced, [entries], dt=dt, n_modes=n_modes,
-                                     theta_cells=theta_cells, n_samples=n_samples, n_runs=12,
-                                     seed=child, workers=workers, c_half_width=c_half_width)
-        return jackknife_ratio(num[0], den)
-
-    raw_mean, raw_se = one_point(child_a)
-    rhs_mean, rhs_se = (raw_mean, raw_se) if radius == 1.0 else one_point(child_b)
-    lhs_mean, lhs_se = factor * raw_mean, factor * raw_se
+    flow = dict(t_half=t_half, dt=dt, n_modes=n_modes, theta_cells=theta_cells,
+                n_samples=n_samples, workers=workers, c_half_width=c_half_width)
+    lhs_mean, lhs_se = rescaled_one_point(alpha, radius, params, seed=seed, **flow)
+    rhs_mean, rhs_se = (lhs_mean, lhs_se) if radius == 1.0 else _reduced_one_point(
+        alpha, radius, params, stateless_children(seed, 2)[1], **flow)
     ratio = lhs_mean / rhs_mean
     ratio_se = 0.0 if radius == 1.0 else abs(ratio) * math.sqrt(
         (lhs_se / lhs_mean) ** 2 + (rhs_se / rhs_mean) ** 2)
-    target = factor
+    target = radius ** (alpha * alpha / 2.0)
     return {
         "alpha": alpha, "radius": radius, "target_ratio": target,
         "lhs": lhs_mean, "lhs_se": lhs_se, "rhs": rhs_mean, "rhs_se": rhs_se,

@@ -105,26 +105,6 @@ def theta_nodes(theta_cells: int):
     return width * (np.arange(theta_cells) + 0.5), width
 
 
-def region_time_weights(grid: TimeGrid, t_min: float, t_max: float) -> np.ndarray:
-    """Trapezoid weights (K+1,) for integrating over [t_min, t_max].
-
-    Region endpoints must sit on grid nodes.  A degenerate region returns all
-    zeros.
-    """
-    if t_min < -1e-12 or t_max > grid.span * (1 + 1e-12) + 1e-12:
-        raise RegionOutsideGrid(
-            f"region [{t_min}, {t_max}] outside sampled span [0, {grid.span}]")
-    w = np.zeros(grid.n_steps + 1)
-    if t_max - t_min <= 0.0:
-        return w
-    ka = grid.index_of(t_min)
-    kb = grid.index_of(t_max)
-    if kb > ka:
-        w[ka:kb + 1] = grid.dt
-        w[ka] = w[kb] = grid.dt / 2.0
-    return w
-
-
 # ---------------------------------------------------------------------------
 # Slice-mass kernel: every chaos mass and slice potential goes through here
 # ---------------------------------------------------------------------------
@@ -195,18 +175,48 @@ class SliceMass:
         return self.load(x, y).pair(brownian)
 
 
+class Trapezoid:
+    """The one trapezoid rule in slice time: running integrals of (R,) columns.
+
+    :meth:`add` takes one row's columns, from the region's first row on, into
+    the open sum o = (dt/2) S_first + dt S_{first+1} + ... + dt S_{k-1}, added
+    left to right.  :meth:`integral` over [t_first, t_k] is o + (dt/2) S_k and
+    :meth:`step` dt (S_{k-1} + S_k) / 2, both 0 at the first row; :meth:`take`
+    reorders the paths when a particle flow resamples.
+    """
+
+    def __init__(self, dt: float):
+        self.dt, self.open, self.prev, self.last = dt, None, None, None
+
+    def add(self, *cols) -> "Trapezoid":
+        if self.last is None:
+            self.open = [np.zeros(np.shape(c)) for c in cols]
+        else:
+            w = self.dt / 2.0 if self.prev is None else self.dt
+            for o, s in zip(self.open, self.last):
+                o += w * s
+        self.prev, self.last = self.last, cols
+        return self
+
+    def integral(self) -> tuple:
+        if self.prev is None:
+            return tuple(np.zeros_like(o) for o in self.open)
+        return tuple(o + self.dt / 2.0 * s for o, s in zip(self.open, self.last))
+
+    def step(self) -> tuple:
+        if self.prev is None:
+            return tuple(np.zeros_like(o) for o in self.open)
+        return tuple(0.5 * self.dt * (p + s) for p, s in zip(self.prev, self.last))
+
+    def take(self, idx) -> None:
+        self.open, self.last = [o[idx] for o in self.open], [s[idx] for s in self.last]
+        if self.prev is not None:
+            self.prev = [p[idx] for p in self.prev]
+
+
 def mass_pair_slices(brownian, fields, gamma, renorm, dtheta):
     """Slice masses for both signs, (S+, S-), of stored (..., T) fields: :class:`SliceMass`."""
     return SliceMass(gamma, renorm, dtheta).load_field(fields).pair(brownian)
-
-
-def _circle_average(spec: GmcSpec, grid: TimeGrid, weights: np.ndarray) -> CircleAverage:
-    """The circle average of ``spec``, checked to fit around every row ``weights`` uses."""
-    circle = CircleAverage(spec.epsilon, grid.dt)
-    rows = np.flatnonzero(weights)
-    if not (circle.covers(rows[0], grid.n_steps) and circle.covers(rows[-1], grid.n_steps)):
-        raise RegionOutsideGrid("averaging circle leaves the sampled span inside the region")
-    return circle
 
 
 # ---------------------------------------------------------------------------
@@ -233,13 +243,16 @@ def sample_region_masses(region: Region, spec: GmcSpec, params: ModelParams,
                                                   if margin else "")
         raise RegionOutsideGrid(f"{what} lies below t=0; shift the region")
     grid = TimeGrid.spanning(region.t_max + margin, dt)
-    weights = region_time_weights(grid, region.t_min, region.t_max)
-    if not np.any(weights > 0):
+    if region.t_max - region.t_min <= 0.0:
         return np.zeros(n_samples)
+    first, last = grid.index_of(region.t_min), grid.index_of(region.t_max)
     nodes, dtheta = theta_nodes(theta_cells)
     kernel = SliceMass(params.gamma, spec.renorm_constant, dtheta, nodes, spec.path_modes)
     sign = 0 if spec.sigma > 0 else 1
-    circle = _circle_average(spec, grid, weights) if spec.kind == "circle" else None
+    circle = CircleAverage(spec.epsilon, grid.dt) if spec.kind == "circle" else None
+    if circle is not None and not (circle.covers(first, grid.n_steps)
+                                   and circle.covers(last, grid.n_steps)):
+        raise RegionOutsideGrid("averaging circle leaves the sampled span inside the region")
     reach = 0 if circle is None else circle.reach
 
     rng = np.random.default_rng(seed)
@@ -247,20 +260,20 @@ def sample_region_masses(region: Region, spec: GmcSpec, params: ModelParams,
     done = 0
     while done < n_samples:
         r = min(_BATCH, n_samples - done)
-        mass = np.zeros(r)
+        mass = Trapezoid(grid.dt)
         recent = {}  # circle only: the last 2 * reach + 1 slices, what its average reads
         for k, b, x, y in stream_paths(rng, r, spec.path_modes, grid):
             if circle is not None:
                 recent[k] = (b.copy(), x.copy(), y.copy())
                 recent.pop(k - 2 * reach - 1, None)
             j = k - reach
-            if j < 0 or weights[j] <= 0:
+            if not first <= j <= last:
                 continue
             if circle is not None:
                 b = recent[j][0]
                 x, y = circle.modes(lambda i: recent[i][1:], j)
-            mass += weights[j] * kernel(x, y, b)[sign]
-        out[done:done + r] = mass
+            mass.add(kernel(x, y, b)[sign])
+        out[done:done + r] = mass.integral()[0]
         done += r
     return out
 

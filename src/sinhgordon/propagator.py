@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NonPositiveTime, RegionOutsideGrid, TailTolNotMet
 from .gff import CircleField, TimeGrid, stream_paths
-from .gmc import GmcSpec, SliceMass, harmonic_number, region_time_weights, theta_nodes
+from .gmc import GmcSpec, SliceMass, Trapezoid, harmonic_number, theta_nodes
 from .gmc import mass_pair_slices  # noqa: F401  (re-exported)
 from .params import ModelParams
 from .parallel import CHUNK, map_replicas, seed_int
@@ -204,23 +204,18 @@ def feynman_kac(observable, t: float, start, params: ModelParams, grid: TimeGrid
     _fourier_only(spec)
     c0, init = start
     gamma, mu = params.gamma, params.mu_scaled
-    weights_t = region_time_weights(grid, 0.0, t)
     nodes, dtheta = theta_nodes(theta_cells)
     t0 = time.perf_counter()
 
     def run(rng, size):
-        m_plus, m_minus = np.zeros(size), np.zeros(size)
+        mass = Trapezoid(grid.dt)
         kernel = SliceMass(gamma, spec.renorm_constant, dtheta, nodes, spec.path_modes)
         for k, b, x, y in stream_paths(rng, size, init.n_modes, grid, initial=init):
-            if weights_t[k] > 0:
-                sp, sm = kernel(x, y, b)
-                m_plus += weights_t[k] * sp
-                m_minus += weights_t[k] * sm
+            mass.add(*kernel(x, y, b))
             if k == k_end:
                 obs = np.ones(size) if observable is None else observable(c0 + b, x, y)
                 break
-        w = fk_weights(m_plus, m_minus, np.array([c0]), mu, gamma)[:, 0]
-        return {"vals": obs * w}
+        return {"vals": obs * fk_weights(*mass.integral(), np.array([c0]), mu, gamma)[:, 0]}
 
     mean, se = mean_and_se(map_replicas(run, seed, n_samples, CHUNK, workers)["vals"])
     return EstimatorResult(
@@ -244,23 +239,21 @@ def feynman_kac_circle_potential(observable, t: float, start, params: ModelParam
     if k_trunc > init.n_modes:
         raise ValueError("k_trunc exceeds field mode count")
     gamma, mu = params.gamma, params.mu_scaled
-    weights_t = region_time_weights(grid, 0.0, t)
     nodes, dtheta = theta_nodes(n_theta)
     renorm = harmonic_number(k_trunc)
     t0 = time.perf_counter()
 
     def run(rng, size):
-        integ = np.zeros(size)
+        integ = Trapezoid(grid.dt)
         kernel = SliceMass(gamma, renorm, dtheta, nodes, k_trunc)
         for k, b, x, y in stream_paths(rng, size, init.n_modes, grid, initial=init):
-            if weights_t[k] > 0:
-                v_plus, v_minus = kernel(x, y)
-                integ += weights_t[k] * (capped_exp(gamma * (c0 + b)) * v_plus
-                                         + capped_exp(-gamma * (c0 + b)) * v_minus)
+            v_plus, v_minus = kernel(x, y)
+            integ.add(capped_exp(gamma * (c0 + b)) * v_plus
+                      + capped_exp(-gamma * (c0 + b)) * v_minus)
             if k == k_end:
                 obs = np.ones(size) if observable is None else observable(c0 + b, x, y)
                 break
-        return {"vals": obs * np.exp(-mu * integ)}
+        return {"vals": obs * np.exp(-mu * integ.integral()[0])}
 
     mean, se = mean_and_se(map_replicas(run, seed, n_samples, CHUNK, workers)["vals"])
     return EstimatorResult(
@@ -285,17 +278,18 @@ class PartitionPoint:
     log_z_se: float
     boundary_fraction: float
     truncation_warning: bool
-    samples: np.ndarray | None = field(default=None, repr=False)
+    samples: np.ndarray = field(repr=False)   # the (n_samples,) per-path Z column
 
 
 def partition_curve(t_half_values, params: ModelParams, quad: CQuadrature,
                     dt: float, spec: GmcSpec, n_samples: int, seed,
-                    theta_cells: int = 128, workers: int = 1, keep_samples: bool = False) -> list[PartitionPoint]:
+                    theta_cells: int = 128, workers: int = 1) -> list[PartitionPoint]:
     """Z estimates at several half-heights from one set of shared paths.
 
-    The chaos masses of the nested spans [0, 2T] are cumulative sums over the
-    same paths, so the curve is per-sample coupled: larger T means more mass
-    and a pointwise smaller weight.
+    The chaos masses of the nested spans [0, 2T] are one running trapezoid
+    integral over the same paths, read at each span's end row, so the curve
+    is per-sample coupled: larger T means more mass and a pointwise smaller
+    weight.  Each point keeps its per-path Z column as ``samples``.
     """
     t_half_values = sorted(float(v) for v in t_half_values)
     grid, ends = TimeGrid.of_half_heights(t_half_values, dt)
@@ -308,21 +302,14 @@ def partition_curve(t_half_values, params: ModelParams, quad: CQuadrature,
         z_rows = np.empty((size, len(ends)))
         edge = np.zeros((size, len(ends), 2))
         peak = np.zeros((size, len(ends)))
-        # running trapezoid masses of [0, t_k]: sum_{j<=k} S_j dt - dt (S_k + S_0) / 2
-        run_p, run_m = np.zeros(size), np.zeros(size)
+        mass = Trapezoid(grid.dt)
         kernel = SliceMass(gamma, spec.renorm_constant, dtheta, nodes, spec.path_modes)
         for k, b, x, y in stream_paths(rng, size, spec.path_modes, grid):
-            sp, sm = kernel(x, y, b)
-            if k == 0:
-                sp0, sm0 = sp, sm
-            run_p += sp * dt
-            run_m += sm * dt
+            mass.add(*kernel(x, y, b))
             for j in [j for j, k_end in enumerate(ends) if k_end == k]:
-                w = fk_weights(run_p - 0.5 * dt * (sp + sp0), run_m - 0.5 * dt * (sm + sm0),
-                               cs, mu, gamma)
+                w = fk_weights(*mass.integral(), cs, mu, gamma)
                 z_rows[:, j] = w @ cw
-                edge[:, j, 0] = w[:, 0]
-                edge[:, j, 1] = w[:, -1]
+                edge[:, j] = w[:, [0, -1]]
                 peak[:, j] = w.max(axis=1)
         return {"z": z_rows, "edge": edge, "peak": peak}
 
@@ -336,6 +323,5 @@ def partition_curve(t_half_values, params: ModelParams, quad: CQuadrature,
         frac = float(max(edge[:, j, 0].mean(), edge[:, j, 1].mean()) / max(peak[:, j].mean(), 1e-300))
         points.append(PartitionPoint(
             t_half=th, z=mean, z_se=se, log_z=log_z, log_z_se=log_se,
-            boundary_fraction=frac, truncation_warning=frac > 1e-6,
-            samples=z[:, j].copy() if keep_samples else None))
+            boundary_fraction=frac, truncation_warning=frac > 1e-6, samples=z[:, j]))
     return points

@@ -448,17 +448,14 @@ def _exp_mc_vs_lz(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
             raise ConfigError(f"mc-vs-lz estimates must be one [value, std_error] pair "
                               f"per R value {r_values}, got {estimates!r}")
     else:
-        from .correlations import scaling_one_point
-        estimates = []
-        for i, r in enumerate(r_values):
-            rep = scaling_one_point(alpha, r, cfg.params,
-                                    t_half=cfg.sampler.window, dt=cfg.sampler.dt,
-                                    n_modes=cfg.sampler.n_modes,
-                                    theta_cells=cfg.gmc.theta_cells,
-                                    n_samples=cfg.estimator.n_samples,
-                                    seed=cfg.estimator.seed + i, workers=workers,
-                                    c_half_width=cfg.estimator.c_window)
-            estimates.append([float(rep["lhs"]), float(rep["lhs_se"])])
+        from .correlations import rescaled_one_point
+        estimates = [
+            [float(v) for v in rescaled_one_point(
+                alpha, r, cfg.params, t_half=cfg.sampler.window, dt=cfg.sampler.dt,
+                n_modes=cfg.sampler.n_modes, theta_cells=cfg.gmc.theta_cells,
+                n_samples=cfg.estimator.n_samples, seed=cfg.estimator.seed + i,
+                workers=workers, c_half_width=cfg.estimator.c_window)]
+            for i, r in enumerate(r_values)]
     report = mc_vs_lz_report(alpha, r_values, estimates, cfg.params)
     out.record({"experiment": "mc-vs-lz", **report})
 

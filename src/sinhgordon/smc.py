@@ -29,8 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RegisterOverflow, WindowOutsideCylinder
-from .gff import TimeGrid, stream_paths, theta_basis
-from .gmc import SliceMass, harmonic_number, theta_nodes
+from .gff import TimeGrid, fluctuation_grid, stream_paths
+from .gmc import SliceMass, Trapezoid, harmonic_number, theta_nodes
 from .params import ModelParams, reduce_to_unit_radius
 from .parallel import map_replicas
 from .propagator import capped_exp
@@ -62,6 +62,8 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
              register_groups=(), workers: int = 1) -> dict:
     """Run replicated particle flows over the cylinder [0, 2*max(T)].
 
+    A step takes mu (e^{gamma c} dM+ + e^{-gamma c} dM-) from a particle's log weight,
+    dM+- the step's increments of its masses (a :class:`gmc.Trapezoid`).
     ``register_groups`` is a sequence of insertion tuples ((alpha, s, theta),
     ...) in process coordinates; each particle accumulates the log vertex
     factors of a group along its genealogy.
@@ -97,31 +99,23 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
         log_z = log_width
         log_w = np.zeros(n)
         regs = [np.zeros(n) for _ in groups]
-        exp_cp = capped_exp(gamma * c)
-        exp_cm = capped_exp(-gamma * c)
+        exp_cp, exp_cm = capped_exp(gamma * c), capped_exp(-gamma * c)
         kernel = SliceMass(gamma, renorm, dtheta, nodes, n_modes)
+        mass = Trapezoid(grid.dt)
         log_z_rows = np.full(len(t_half_values), np.nan)
         means = np.full(len(groups), np.nan)
         # the particles' paths are the stream's buffers, so resampling writes into them
         for k, b, x, y in stream_paths(rng, n, n_modes, grid):
-            s_cur = kernel(x, y, b)
-            if k == 0:
-                s_prev = s_cur
-                continue
-            log_w = log_w - mu * (exp_cp * 0.5 * dt * (s_prev[0] + s_cur[0])
-                                  + exp_cm * 0.5 * dt * (s_prev[1] + s_cur[1]))
-            s_prev = s_cur
-            if k in ins_by_step:
-                for gi, a, th_i in ins_by_step[k]:
-                    cbi, sbi = theta_basis(n_modes, np.array([th_i]))
-                    phi = (x @ cbi + y @ sbi)[:, 0]
-                    regs[gi] = regs[gi] + a * (c + b + phi) - 0.5 * a * a * renorm
+            inc_p, inc_m = mass.add(*kernel(x, y, b)).step()
+            log_w = log_w - mu * (exp_cp * inc_p + exp_cm * inc_m)
+            for gi, a, th_i in ins_by_step.get(k, ()):
+                phi = fluctuation_grid(x, y, np.array([th_i]))[:, 0]
+                regs[gi] = regs[gi] + a * (c + b + phi) - 0.5 * a * a * renorm
+            hi = log_w.max()
+            w = np.exp(log_w - hi)
             if k in marks:
-                hi = log_w.max()
-                log_z_rows[marks[k]] = log_z + hi + math.log(np.exp(log_w - hi).mean())
+                log_z_rows[marks[k]] = log_z + hi + math.log(w.mean())
             if k == k_total:
-                hi = log_w.max()
-                w = np.exp(log_w - hi)
                 w_sum = w.sum()
                 for gi in range(len(groups)):
                     rhi = regs[gi].max() if regs[gi].size else 0.0
@@ -131,9 +125,7 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
                             f"the float range: at gamma {gamma} the zero-mode window "
                             f"[{c_lo:.4g}, {c_hi:.4g}] is too wide for its weights")
                     means[gi] = (w * np.exp(regs[gi] - rhi)).sum() / w_sum * math.exp(rhi)
-            elif k < k_total:
-                hi = log_w.max()
-                w = np.exp(log_w - hi)
+            else:
                 ess = w.sum() ** 2 / (w ** 2).sum()
                 if ess < _RESAMPLE_THRESHOLD * n:
                     log_z += hi + math.log(w.mean())
@@ -142,7 +134,7 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
                     for path in (b, x, y):
                         path[:] = path[idx]
                     exp_cp, exp_cm = exp_cp[idx], exp_cm[idx]
-                    s_prev = [s_prev[0][idx], s_prev[1][idx]]
+                    mass.take(idx)
                     regs = [r[idx] for r in regs]
                     log_w = np.zeros(n)
         return {"log_z": log_z_rows[None], "group_means": means[None]}

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateFit, SignalLost
 from .gff import TimeGrid, stream_paths
-from .gmc import SliceMass, harmonic_number, region_time_weights, theta_nodes
+from .gmc import SliceMass, Trapezoid, harmonic_number, theta_nodes
 from .params import ModelParams, reduce_to_unit_radius
 from .parallel import CHUNK, map_replicas
 from .propagator import CQuadrature, default_c_quadrature, fk_damping
@@ -170,22 +170,19 @@ def ground_state_profile(t: float, params: ModelParams, *, dt: float = 1.0 / 32.
         quad = default_c_quadrature(gamma)
     grid = TimeGrid.spanning(t, dt)
     nodes, dtheta = theta_nodes(theta_cells)
-    trap = region_time_weights(grid, 0.0, grid.span)
     nc, nx = bins
     c_edges = np.linspace(quad.c_min, quad.c_max, nc + 1)
     x_edges = np.linspace(-x_range, x_range, nx + 1)
 
     def run(rng, size):
         cs = rng.uniform(quad.c_min, quad.c_max, size)
-        m_plus, m_minus = np.zeros(size), np.zeros(size)
+        mass = Trapezoid(grid.dt)
         kernel = SliceMass(gamma, harmonic_number(n_modes), dtheta, nodes, n_modes)
         for k, b, x, y in stream_paths(rng, size, n_modes, grid):
             if k == 0:
                 x1 = x[:, 0].copy()
-            sp, sm = kernel(x, y, b)
-            m_plus += trap[k] * sp
-            m_minus += trap[k] * sm
-        w = fk_damping(m_plus, m_minus, cs, mu, gamma)
+            mass.add(*kernel(x, y, b))
+        w = fk_damping(*mass.integral(), cs, mu, gamma)
         return {"c": cs, "x1": x1, "w": w}
 
     cols = map_replicas(run, seed, n_samples, CHUNK, workers)

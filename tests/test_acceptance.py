@@ -232,12 +232,12 @@ def test_criterion_08_partition_and_lambda0():
     t_list = [1.0, 1.5, 2.0, 3.0]
     # exact per-sample couplings (plain estimator)
     pts = partition_curve(t_list, P1, quad, 1 / 16, fourier_spec(+1, 64), 512, 801,
-                          theta_cells=128, keep_samples=True)
+                          theta_cells=128)
     mono_t = all(np.all(pts[j + 1].samples <= pts[j].samples + 1e-15)
                  for j in range(len(pts) - 1))
     p2 = sg.validate_params(1.0, 2.0, 1.0)
     pts_mu2 = partition_curve([1.0], p2, quad, 1 / 16, fourier_spec(+1, 64), 512, 801,
-                              theta_cells=128, keep_samples=True)
+                              theta_cells=128)
     mono_mu = np.all(pts_mu2[0].samples <= pts[0].samples + 1e-15)
 
     # lambda0 from the particle-flow normalizers

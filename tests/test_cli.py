@@ -981,9 +981,11 @@ def test_package_names_resolve_to_their_modules():
         sinhgordon.no_such_name
 
 
-# Closed-form references that only the acceptance tests call, by design.
+# Closed-form references that only the acceptance tests call, by design, and
+# the two-sided one-point scaling check of criterion 11 (mc-vs-lz reads one side).
 _ORACLES = {"covariance_oracle", "free_kernel", "mehler_factor", "feynman_kac",
-            "feynman_kac_circle_potential", "lz_one_point_brute", "load_path"}
+            "feynman_kac_circle_potential", "lz_one_point_brute", "load_path",
+            "scaling_one_point"}
 
 
 def test_every_public_definition_has_a_caller():
@@ -1088,6 +1090,23 @@ def test_vertex_both_streams_each_chunk_once(tmp_path, monkeypatch):
     recs = read_records(tmp_path / "out", "vertex")
     assert [r["method"] for r in recs] == ["direct", "girsanov"]
     assert recs[0]["wall_ms"] == recs[1]["wall_ms"]
+
+
+def test_mc_vs_lz_runs_one_flow_per_radius(tmp_path, monkeypatch):
+    # the report reads only the rescaled side, so no R runs the second flow
+    import sinhgordon.correlations as corr
+    calls = []
+    real = corr._register_columns
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(corr, "_register_columns", counted)
+    path = write_config(tmp_path, base_config("mc-vs-lz", {"alpha": 0.5, "R_values": [1, 2]},
+                                              n_samples=300))
+    assert run(path, out_dir=str(tmp_path / "out")) == 0
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

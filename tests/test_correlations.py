@@ -100,6 +100,13 @@ def test_vertex_zero_alpha_is_one(unit_params):
     assert res.mean == pytest.approx(1.0, abs=1e-12)
 
 
+def test_vertex_girsanov_without_insertions_is_one(unit_params):
+    ins = sg.make_insertions([], unit_params)
+    res = sg.vertex_girsanov(ins, 1.0, unit_params, dt=1 / 8, n_modes=8, theta_cells=16,
+                             n_samples=64, seed=3)
+    assert res.mean == 1.0
+
+
 def test_vertex_girsanov_requires_admissible(unit_params):
     bad = sg.make_insertions([(unit_params.q_const + 0.5, 0.0, 0.0)], unit_params)
     with pytest.raises(InadmissibleInsertions):

@@ -199,7 +199,7 @@ def test_partition_monotone_in_t_per_sample():
     p = sg.validate_params(1.0, 1.0, 1.0)
     quad = default_c_quadrature(1.0, n_nodes=33)
     pts = partition_curve([0.5, 1.0, 1.5], p, quad, 1 / 16, fourier_spec(+1, 24),
-                          512, 21, theta_cells=64, keep_samples=True)
+                          512, 21, theta_cells=64)
     z1, z2, z3 = (pt.samples for pt in pts)
     assert np.all(z2 <= z1) and np.all(z3 <= z2)
 
@@ -210,7 +210,7 @@ def test_partition_monotone_in_mu_per_sample():
     for mu in (1.0, 2.0):
         p = sg.validate_params(1.0, mu, 1.0)
         pts = partition_curve([0.75], p, quad, 1 / 16, fourier_spec(+1, 24),
-                              512, 22, theta_cells=64, keep_samples=True)
+                              512, 22, theta_cells=64)
         samples.append(pts[0].samples)
     assert np.all(samples[1] <= samples[0])
 
@@ -219,7 +219,7 @@ def test_partition_integrand_weight_bounded():
     p = sg.validate_params(1.0, 1.0, 1.0)
     quad = default_c_quadrature(1.0, n_nodes=17)
     pts = partition_curve([0.5], p, quad, 1 / 16, fourier_spec(+1, 16),
-                          256, 23, theta_cells=64, keep_samples=True)
+                          256, 23, theta_cells=64)
     width = quad.c_max - quad.c_min
     assert np.all(pts[0].samples <= width + 1e-12)
 
