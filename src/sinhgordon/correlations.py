@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .gmc import GmcSpec, SliceMass, Trapezoid, fourier_spec, harmonic_number, t
 from .params import ModelParams, reduce_to_unit_radius, validate_params
 from .parallel import CHUNK, map_replicas, seed_int, stateless_children
 from .propagator import CQuadrature, default_c_quadrature, fk_weights
-from .results import EstimatorResult, jackknife_func, jackknife_ratio, params_fingerprint
+from .results import EstimatorResult, jackknife_func, jackknife_ratio
 
 
 # ---------------------------------------------------------------------------
@@ -103,15 +104,24 @@ class ShiftData:
         """Full field shift drift(s) + bulk(s, theta) on a (time, theta) grid."""
         return self.drift(s)[:, None] + self.bulk(s, thetas)
 
+    @cached_property
+    def _patterns(self):
+        """Each insertion's (N,) mode patterns alpha_i (cos n theta_i, sin n theta_i) / sqrt(n)."""
+        n = np.arange(1, self.kernel + 1, dtype=float)
+        return n, [(s_i, a * np.cos(n * th_i) / np.sqrt(n), a * np.sin(n * th_i) / np.sqrt(n))
+                   for a, s_i, th_i in self.insertions]
+
     def row(self, s: float, basis) -> np.ndarray:
-        """drift(s) + bulk(s, theta) at one s from the mode offsets sum_i alpha_i
-        e^{-n|s - s_i|} (cos n theta_i, sin n theta_i) / sqrt(n) on a ``theta_basis``."""
-        n = np.arange(1, self.kernel + 1)
-        dx = dy = np.zeros(self.kernel)
-        for a, s_i, th_i in self.insertions:
-            amp = a * np.exp(-n * abs(s - s_i)) / np.sqrt(n)
-            dx, dy = dx + amp * np.cos(n * th_i), dy + amp * np.sin(n * th_i)
-        return self.drift(s) + dx @ basis[0][:self.kernel] + dy @ basis[1][:self.kernel]
+        """drift(s) + bulk(s, theta) at one s from the mode offsets sum_i
+        e^{-n|s - s_i|} pattern_i (:attr:`_patterns`) on a ``theta_basis``."""
+        n, patterns = self._patterns
+        dx, dy = np.zeros(self.kernel), np.zeros(self.kernel)
+        for s_i, px, py in patterns:
+            decay = np.exp(-n * abs(s - s_i))
+            dx += decay * px
+            dy += decay * py
+        drift = sum(a * min(s, s_i) for a, s_i, _ in self.insertions)
+        return drift + dx @ basis[0][:self.kernel] + dy @ basis[1][:self.kernel]
 
     def scalar_log(self) -> float:
         """Log of the constant produced by the change of measure.
@@ -267,12 +277,6 @@ def _entries_to_process(entries, t_half: float, grid_dt: float):
     return tuple(out)
 
 
-def _fingerprint(params: ModelParams, extra: dict) -> str:
-    base = {"gamma": params.gamma, "mu": params.mu, "radius": params.radius}
-    base.update(extra)
-    return params_fingerprint(base)
-
-
 # ---------------------------------------------------------------------------
 # Public estimators
 # ---------------------------------------------------------------------------
@@ -281,18 +285,6 @@ def _check_admissible(insertions: InsertionSet) -> None:
     if not insertions.admissible:
         raise InadmissibleInsertions(
             f"weights must satisfy |alpha| < {insertions.q_bound}")
-
-
-def _vertex_result(op: str, insertions: InsertionSet, t_half: float, params: ModelParams,
-                   est: float, se: float, n_samples: int, seed, wall_ms: float,
-                   diagnostics: dict) -> EstimatorResult:
-    out = EstimatorResult(
-        mean=est, std_error=se, n_samples=n_samples, seed=seed_int(seed),
-        fingerprint=_fingerprint(params, {"op": op, "t_half": t_half,
-                                          "entries": list(insertions.entries)}),
-        wall_ms=wall_ms)
-    out.diagnostics = diagnostics
-    return out
 
 
 def vertex_plain(insertions: InsertionSet, estimators, t_half: float, params: ModelParams,
@@ -331,9 +323,9 @@ def vertex_plain(insertions: InsertionSet, estimators, t_half: float, params: Mo
                            tasks, workers=workers, mirror=mirror)
     stats = [jackknife_ratio(num, res["den"]) for num in res["num"]]
     wall_ms = 1e3 * (time.perf_counter() - t0)
-    return [_vertex_result(f"vertex_{kind}", insertions, t_half, params, est, se,
-                           n_samples, seed, wall_ms, diag)
-            for (kind, _), (est, se), diag in zip(estimators, stats, diagnostics)]
+    return [EstimatorResult(mean=est, std_error=se, n_samples=n_samples, seed=seed_int(seed),
+                            wall_ms=wall_ms, diagnostics=diag)
+            for (est, se), diag in zip(stats, diagnostics)]
 
 
 def vertex_direct(insertions: InsertionSet, regularization: GmcSpec | None,

@@ -11,6 +11,7 @@ t -> t/R, theta -> theta/R together with the coupling rescaling in
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 from dataclasses import dataclass, field
@@ -251,11 +252,23 @@ def evolve_path(initial: CircleField, c: float, grid: TimeGrid, seed=None) -> Pa
 
 
 def theta_basis(n_modes: int, thetas: np.ndarray):
-    """Basis matrices (N, T): cos(n theta)/sqrt(n) and sin(n theta)/sqrt(n)."""
-    thetas = np.atleast_1d(np.asarray(thetas, dtype=float))
+    """Basis matrices (N, T): cos(n theta)/sqrt(n) and sin(n theta)/sqrt(n).
+
+    Every field read goes through here: the read-only pair is built once per
+    mode count and angles and shared (:func:`_basis`).
+    """
+    return _basis(n_modes, np.asarray(thetas, dtype=float).reshape(-1).tobytes())
+
+
+@functools.lru_cache(maxsize=64)
+def _basis(n_modes: int, thetas: bytes):
+    thetas = np.frombuffer(thetas)
     n = np.arange(1, n_modes + 1, dtype=float)[:, None]
     root = np.sqrt(n)
-    return np.cos(n * thetas[None, :]) / root, np.sin(n * thetas[None, :]) / root
+    pair = np.cos(n * thetas[None, :]) / root, np.sin(n * thetas[None, :]) / root
+    for m in pair:
+        m.flags.writeable = False
+    return pair
 
 
 def fluctuation_grid(mode_x: np.ndarray, mode_y: np.ndarray, thetas: np.ndarray,

@@ -10,7 +10,6 @@ path's grid nodes.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ from .errors import EmptyRegion, IncompatibleGrids, RegionOutsideGrid
 from .gff import CircleAverage, TimeGrid, stream_paths, theta_basis
 from .parallel import seed_int, stateless_children
 from .params import ModelParams, reduce_to_unit_radius
-from .results import EstimatorResult, mean_and_se, params_fingerprint
+from .results import EstimatorResult, mean_and_se
 
 _CIRCLE_PATH_MODES = 64  # modes sampled for a circle-averaged density
 
@@ -109,15 +108,6 @@ def theta_nodes(theta_cells: int):
 # Slice-mass kernel: every chaos mass and slice potential goes through here
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=16)
-def _shared_basis(n_modes: int, thetas: bytes):
-    """The read-only (N, T) basis pair of ``theta_basis``, built once per modes and nodes."""
-    pair = theta_basis(n_modes, np.frombuffer(thetas))
-    for m in pair:
-        m.flags.writeable = False
-    return pair
-
-
 class SliceMass:
     """The one slice-mass kernel: the theta integral of the chaos density, both signs.
 
@@ -134,8 +124,7 @@ class SliceMass:
         self.gamma = gamma
         self.scale = math.exp(-0.5 * gamma * gamma * renorm) * dtheta
         self.n_modes = n_modes
-        self.basis = None if thetas is None else _shared_basis(
-            n_modes, np.ascontiguousarray(thetas, dtype=float).tobytes())
+        self.basis = None if thetas is None else theta_basis(n_modes, thetas)
         self.e = self.inv = None
 
     def load(self, x: np.ndarray, y: np.ndarray) -> "SliceMass":
@@ -351,11 +340,6 @@ def moment_estimator(region: Region, spec: GmcSpec, params: ModelParams, p: floa
         m_c, se_c = mean_and_se(vals[:cut])
         ratios.append(se_c / abs(m_c) if m_c != 0 else float("inf"))
     stable = ratios[2] < ratios[1] < ratios[0] and ratios[2] <= 0.8 * ratios[0]
-    result = EstimatorResult(
+    return EstimatorResult(
         mean=mean, std_error=se, n_samples=n_samples, seed=seed_int(seed),
-        fingerprint=params_fingerprint({"gamma": params.gamma, "mu": params.mu,
-                                        "radius": params.radius, "p": p,
-                                        "kind": spec.kind, "sigma": spec.sigma}),
-    )
-    result.diagnostics = {"se_over_mean_by_batch": ratios, "heavy_tail_flag": not stable}
-    return result
+        diagnostics={"se_over_mean_by_batch": ratios, "heavy_tail_flag": not stable})

@@ -27,6 +27,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .errors import ConfigError
+
 ENV_WORKERS = "SINHGORDON_WORKERS"
 
 # Replicas per chunk of every plain estimator and of the ``validate`` panel.
@@ -35,15 +37,18 @@ CHUNK = 256
 
 
 def resolve_workers(explicit: int | None = None) -> int:
-    if explicit is not None and explicit >= 1:
+    """``explicit``, else ``SINHGORDON_WORKERS`` where it is set and not empty, else 1;
+    a count that is not an integer of at least 1 is a :class:`ConfigError`."""
+    if explicit is not None:
+        if explicit < 1:
+            raise ConfigError(f"workers must be at least 1, got {explicit}")
         return explicit
     env = os.environ.get(ENV_WORKERS)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
+    if not env:
+        return 1
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ConfigError(f"{ENV_WORKERS} must be an integer of at least 1, got {env!r}")
+    return int(env)
 
 
 def as_seed_sequence(seed) -> np.random.SeedSequence:

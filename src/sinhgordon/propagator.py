@@ -22,7 +22,7 @@ from .gmc import GmcSpec, SliceMass, Trapezoid, harmonic_number, theta_nodes
 from .gmc import mass_pair_slices  # noqa: F401  (re-exported)
 from .params import ModelParams
 from .parallel import CHUNK, map_replicas, seed_int
-from .results import EstimatorResult, jackknife_func, mean_and_se, params_fingerprint
+from .results import EstimatorResult, jackknife_func, mean_and_se
 
 _EXP_CAP = 700.0  # exp argument cap; beyond this the FK weight underflows to 0
 
@@ -220,8 +220,6 @@ def feynman_kac(observable, t: float, start, params: ModelParams, grid: TimeGrid
     mean, se = mean_and_se(map_replicas(run, seed, n_samples, CHUNK, workers)["vals"])
     return EstimatorResult(
         mean=mean, std_error=se, n_samples=n_samples, seed=seed_int(seed),
-        fingerprint=params_fingerprint({"op": "feynman_kac", "gamma": gamma, "mu": params.mu,
-                                        "radius": params.radius, "t": t}),
         wall_ms=1e3 * (time.perf_counter() - t0))
 
 
@@ -258,8 +256,6 @@ def feynman_kac_circle_potential(observable, t: float, start, params: ModelParam
     mean, se = mean_and_se(map_replicas(run, seed, n_samples, CHUNK, workers)["vals"])
     return EstimatorResult(
         mean=mean, std_error=se, n_samples=n_samples, seed=seed_int(seed),
-        fingerprint=params_fingerprint({"op": "feynman_kac_circle", "gamma": gamma,
-                                        "mu": params.mu, "radius": params.radius, "t": t}),
         wall_ms=1e3 * (time.perf_counter() - t0))
 
 

@@ -58,24 +58,25 @@ def jackknife_func(columns: list[np.ndarray], func) -> tuple[float, float]:
 
 @dataclass
 class EstimatorResult:
-    """One Monte Carlo estimate with full provenance."""
+    """One Monte Carlo estimate, its replica count and seed, and its wall time.
+
+    What identifies the run that made it (its config fingerprint, seed and
+    replica count) is stamped on the record by ``runner.OutputWriter``, so
+    :meth:`to_record` writes only the estimate's own fields.
+    """
 
     mean: float
     std_error: float
     n_samples: int
     seed: int
-    fingerprint: str
     wall_ms: float = 0.0
     diagnostics: dict = field(default_factory=dict)
 
     def to_record(self, experiment: str) -> dict:
         rec = {
             "experiment": experiment,
-            "fingerprint": self.fingerprint,
             "estimate": self.mean,
             "std_error": self.std_error,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
             "wall_ms": round(self.wall_ms, 3),
         }
         if self.diagnostics:

@@ -32,7 +32,7 @@ import numpy as np  # noqa: E402  (after the thread count is set)
 # smc, spectral) in its own body, so a run loads only the code it runs.
 from .config import EXPERIMENTS, OPTIONS, RunConfig, _option, load_config, with_overrides
 from .errors import ConfigError, SinhGordonError
-from .gff import TimeGrid, dump_path, evolve_path, stream_paths, theta_basis, \
+from .gff import TimeGrid, dump_path, evolve_path, fluctuation_grid, stream_paths, \
     truncated_slice_cov
 from .parallel import CHUNK, blas_threads, map_replicas, one_blas_thread, resolve_workers, \
     stateless_children
@@ -41,17 +41,25 @@ from .results import _jsonable, params_fingerprint
 
 
 class OutputWriter:
-    """Records, CSVs and the manifest of one run, under ``out_dir``.
+    """Records, CSVs and the manifest of one run of ``cfg``, under ``out_dir``.
 
     The directory is made on the first write, so a run that fails before
     writing anything leaves none behind.  Each record is appended to
     ``records.jsonl`` as it is made, so a run that is stopped keeps the
     estimates it has; the manifest is written last, so a directory without
     one holds a run that did not finish.
+
+    Every record, the failure record included, carries one envelope, which
+    nothing else writes: ``fingerprint``, the manifest's hash of the
+    effective config ``cfg.raw()`` (after ``--seed`` and ``--fast``), and
+    that config's ``seed`` and ``n_samples``.
     """
 
-    def __init__(self, out_dir: str | Path):
+    def __init__(self, out_dir: str | Path, cfg: RunConfig):
         self.dir = Path(out_dir)
+        self.cfg = cfg
+        self.envelope = {"fingerprint": params_fingerprint(cfg.raw()),
+                         "seed": cfg.estimator.seed, "n_samples": cfg.estimator.n_samples}
         self.n_records = 0
 
     def path(self, name: str) -> Path:
@@ -64,7 +72,7 @@ class OutputWriter:
             # for records it never saw
             self.path("manifest.json").unlink(missing_ok=True)
         with open(self.path("records.jsonl"), "a" if self.n_records else "w") as fh:
-            fh.write(json.dumps(_jsonable(rec), sort_keys=True) + "\n")
+            fh.write(json.dumps(_jsonable({**rec, **self.envelope}), sort_keys=True) + "\n")
         self.n_records += 1
 
     def csv(self, name: str, header, rows) -> Path:
@@ -75,12 +83,11 @@ class OutputWriter:
             w.writerows(rows)
         return path
 
-    def flush(self, cfg: RunConfig, wall_s: float, workers: int,
-              traceback_text: str | None = None) -> None:
+    def flush(self, wall_s: float, workers: int, traceback_text: str | None = None) -> None:
         """Write the manifest, the last file of a run."""
         manifest = {
-            "config": cfg.raw(),
-            "fingerprint": params_fingerprint(cfg.raw()),
+            "config": self.cfg.raw(),
+            "fingerprint": self.envelope["fingerprint"],
             "wall_seconds": round(wall_s, 3),
             "n_records": self.n_records,
             "workers": workers,
@@ -181,17 +188,13 @@ def _exp_validate(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     points = {(grid.index_of(t), th) for pair in probes for t, th in pair}
     stride = math.gcd(*(k for k, _ in points))
     coarse = TimeGrid(stride * grid.dt, grid.n_steps // stride)
-    # the (N, 1) basis of each probe angle, built once: the field there is
-    # fluctuation_grid(x, y, [theta]) without rebuilding the basis per row
-    basis = {th: theta_basis(n_modes, th) for _, th in points}
 
     def panel(rng, size):
         field_at = {}
         for k, _, x, y in stream_paths(rng, size, n_modes, coarse):
             for kk, th in points:
                 if kk == k * stride:
-                    cb, sb = basis[th]
-                    field_at[kk, th] = (x @ cb + y @ sb)[:, 0]
+                    field_at[kk, th] = fluctuation_grid(x, y, np.array([th]))[:, 0]
         sums = []
         for (t1, th1), (t2, th2) in probes:
             f1, f2 = field_at[grid.index_of(t1), th1], field_at[grid.index_of(t2), th2]
@@ -242,9 +245,7 @@ def _exp_gmc_mass(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     from .results import mean_and_se
     mean, se = mean_and_se(masses)
     out.record({"experiment": "gmc-mass", "estimate": mean, "std_error": se,
-                "n_samples": cfg.estimator.n_samples, "seed": cfg.estimator.seed,
                 "analytic_mean": gmc_mod.expected_mass(region, pu),
-                "fingerprint": params_fingerprint(cfg.raw()),
                 "wall_ms": round(1e3 * (time.perf_counter() - t0), 3)})
 
 
@@ -278,8 +279,6 @@ def _exp_partition(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
                     "std_error": pt.z_se, "log_z": pt.log_z, "log_z_se": pt.log_z_se,
                     "boundary_fraction": pt.boundary_fraction,
                     "truncation_warning": pt.truncation_warning,
-                    "n_samples": cfg.estimator.n_samples, "seed": cfg.estimator.seed,
-                    "fingerprint": params_fingerprint(cfg.raw()),
                     "wall_ms": round(1e3 * (time.perf_counter() - t0), 3)})
 
 
@@ -311,8 +310,6 @@ def _exp_lambda0(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     out.record({"experiment": "lambda0", "estimate": fit.value, "std_error": fit.std_error,
                 "fit_window": fit.fit_window, "r_squared": fit.r_squared,
                 "backend": backend, "curve": curve,
-                "n_samples": cfg.estimator.n_samples, "seed": cfg.estimator.seed,
-                "fingerprint": params_fingerprint(cfg.raw()),
                 "wall_ms": round(1e3 * (time.perf_counter() - t0), 3)})
 
 
@@ -328,8 +325,7 @@ def _exp_ground_state(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
             ["c_center", "x1_center", "value", "std_error", "count"],
             list(prof.rows()))
     out.record({"experiment": "ground-state", "T": t, "bins": [bins_c, bins_x],
-                "file": "ground_state_profile.csv",
-                "n_samples": cfg.estimator.n_samples, "seed": cfg.estimator.seed})
+                "file": "ground_state_profile.csv"})
 
 
 def _exp_vertex(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
@@ -353,8 +349,7 @@ def _exp_vertex(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
         res = corr.vertex_plain(ins, [("direct", fourier_spec(+1, nv)) for nv in n_list],
                                 cfg.sampler.window, cfg.params, **common)
         out.record({"experiment": "vertex", "alpha": alpha, "method": "refinement",
-                    **corr.refinement_report(n_list, [(r.mean, r.std_error) for r in res]),
-                    "n_samples": cfg.estimator.n_samples, "seed": cfg.estimator.seed})
+                    **corr.refinement_report(n_list, [(r.mean, r.std_error) for r in res])})
         return
     estimators = []
     if method in ("direct", "both"):
@@ -389,8 +384,7 @@ def _exp_two_point(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     wall = round(1e3 * (time.perf_counter() - t0), 3)
     for r in rows:
         out.record({"experiment": "two-point", **r, "alpha1": a1, "alpha2": a2,
-                    "n_samples": cfg.estimator.n_samples, "seed": cfg.estimator.seed,
-                    "fingerprint": params_fingerprint(cfg.raw()), "wall_ms": wall})
+                    "wall_ms": wall})
 
 
 # The columns of a gap-fit CSV and the gap-fit options they stand for.
@@ -491,14 +485,12 @@ def run(config_path: str, seed: int | None = None, workers: int | None = None,
         fast: bool = False, out_dir: str = "runs") -> int:
     """Execute one experiment; returns the process exit code."""
     try:
-        if workers is not None and workers < 1:
-            raise ConfigError(f"workers must be at least 1, got {workers}")
+        workers = resolve_workers(workers)
         cfg = with_overrides(load_config(config_path), seed=seed, fast=fast)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out = OutputWriter(Path(out_dir) / cfg.experiment)
-    workers = resolve_workers(workers)
+    out = OutputWriter(Path(out_dir) / cfg.experiment, cfg)
     # One BLAS thread for the whole run at every worker count: on the serial
     # path a second thread costs more CPU than it saves on the small per-slice
     # matmuls, and the pool pins it anyway.  The manifest is written inside,
@@ -522,12 +514,12 @@ def _execute(cfg: RunConfig, out: OutputWriter, workers: int) -> int:
         import traceback
         tb = "".join(traceback.format_exception(exc))
     else:
-        out.flush(cfg, time.perf_counter() - t0, workers)
+        out.flush(time.perf_counter() - t0, workers)
         print(f"{cfg.experiment}: ok ({out.n_records} records in {out.dir})")
         return 0
     print(f"runtime failure: {error}", file=sys.stderr)
     out.record({"experiment": cfg.experiment, "status": "failed", "error": error})
-    out.flush(cfg, time.perf_counter() - t0, workers, tb)
+    out.flush(time.perf_counter() - t0, workers, tb)
     return 1
 
 

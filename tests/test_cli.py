@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sinhgordon import runner
-from sinhgordon.config import BLOCKS, OPTIONS, parse_config, with_overrides
+from sinhgordon.config import BLOCKS, EXPERIMENTS, OPTIONS, parse_config, with_overrides
 from sinhgordon.errors import ConfigError
 from sinhgordon.results import params_fingerprint
 from sinhgordon.runner import run
@@ -719,10 +719,11 @@ def test_unexpected_exception_is_a_clean_failure(tmp_path, capsys, monkeypatch):
     assert run(write_config(tmp_path, base_config("lz")), out_dir=str(out)) == 1
     err = capsys.readouterr().err
     assert err.splitlines() == ["runtime failure: ZeroDivisionError: division by zero"]
+    manifest = json.loads((out / "lz" / "manifest.json").read_text())
     assert read_records(out, "lz")[-1] == {
         "experiment": "lz", "status": "failed",
-        "error": "ZeroDivisionError: division by zero"}
-    manifest = json.loads((out / "lz" / "manifest.json").read_text())
+        "error": "ZeroDivisionError: division by zero",
+        "fingerprint": manifest["fingerprint"], "seed": 5, "n_samples": 400}
     assert manifest["n_records"] == 2
     assert "in broken" in manifest["traceback"]
 
@@ -807,7 +808,21 @@ def test_worker_env_override(monkeypatch):
     assert resolve_workers(None) == 3
     assert resolve_workers(2) == 2
     monkeypatch.setenv("SINHGORDON_WORKERS", "junk")
-    assert resolve_workers(None) == 1
+    with pytest.raises(ConfigError, match="SINHGORDON_WORKERS"):
+        resolve_workers(None)
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_bad_worker_env_exits_two(tmp_path, capsys, monkeypatch, value):
+    # a set SINHGORDON_WORKERS that is not an integer of at least 1 is a
+    # config error, like --workers 0, not a silent run at one worker
+    monkeypatch.setenv("SINHGORDON_WORKERS", value)
+    out = tmp_path / "out"
+    assert runner.main(["--config", write_config(tmp_path, base_config("validate")),
+                        "--fast", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: SINHGORDON_WORKERS must be an integer of at least 1, got {value!r}"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("workers", [0, -3])
@@ -1119,6 +1134,8 @@ def test_mc_vs_lz_runs_one_flow_per_radius(tmp_path, monkeypatch):
 # the particle backend (lambda0) up to re-associated products.  The two-point
 # (particle flow registers) and mc-vs-lz (particle vertex_direct) records were
 # added later, written before the replica driver took over the particle runs.
+# gap-fit and lz sample nothing: their pins hold the deterministic paths and
+# the record envelope.
 PINNED = json.loads((Path(__file__).parent / "pinned_records.json").read_text())
 PINNED_CONFIGS = {
     "vertex": ({"alpha": 0.5, "method": "both"}, 400),
@@ -1128,6 +1145,9 @@ PINNED_CONFIGS = {
     "validate": ({}, 3000),
     "two-point": ({"alpha1": 0.5, "separations": [0.25, 0.5, 0.75]}, 600),
     "mc-vs-lz": ({"alpha": 0.5, "R_values": [1.0, 2.0]}, 600),
+    "gap-fit": ({"separations": [0.5, 1.0, 1.5], "covariances": [0.26, 0.136, 0.071],
+                 "std_errors": [0.01, 0.008, 0.005]}, 400),
+    "lz": ({"alpha": 0.5}, 400),
 }
 
 
@@ -1154,6 +1174,77 @@ def test_records_match_pinned(tmp_path, experiment):
     got = [{k: v for k, v in rec.items() if k != "wall_ms"}
            for rec in read_records(tmp_path / "out", experiment)]
     _assert_same_record(got, PINNED[experiment], experiment)
+
+
+# ---------------------------------------------------------------------------
+# The record envelope
+# ---------------------------------------------------------------------------
+
+def _fingerprints(tmp_path, name, raw):
+    """The set of record fingerprints of one --fast run of ``raw``, and its manifest's."""
+    out = tmp_path / name
+    assert run(write_config(tmp_path, raw, f"{name}.json"), fast=True, out_dir=str(out)) == 0
+    experiment = raw["experiment"]["name"]
+    manifest = json.loads((out / experiment / "manifest.json").read_text())
+    return {rec["fingerprint"] for rec in read_records(out, experiment)}, manifest["fingerprint"]
+
+
+@pytest.mark.parametrize("experiment, options, option", [
+    ("vertex", {"alpha": 0.5, "method": "both"}, ("alpha", 0.25)),
+    ("moments", {"p": 1.0, "t_min": 0.0, "t_max": 0.5}, ("p", 2.0)),
+    ("gmc-mass", {"t_min": 0.0, "t_max": 0.5}, ("t_max", 0.25)),
+], ids=["vertex", "moments", "gmc-mass"])
+def test_record_fingerprint_names_the_run(tmp_path, experiment, options, option):
+    # two runs that differ in one discretization, sampling or experiment
+    # setting write different fingerprints, and every record carries its
+    # run's manifest fingerprint
+    base = base_config(experiment, options, n_samples=300)
+    variants = {"base": base}
+    for block, key, value in [("sampler", "dt", 1 / 16), ("sampler", "n_modes", 16),
+                              ("gmc", "theta_cells", 16), ("estimator", "n_samples", 256),
+                              ("estimator", "seed", 6)]:
+        raw = json.loads(json.dumps(base))
+        raw[block][key] = value
+        variants[f"{block}.{key}"] = raw
+    raw = json.loads(json.dumps(base))
+    raw["experiment"]["options"][option[0]] = option[1]
+    variants[f"option.{option[0]}"] = raw
+    seen = {}
+    for name, raw in variants.items():
+        records, manifest = _fingerprints(tmp_path, name, raw)
+        assert records == {manifest}, name
+        seen[name] = manifest
+    assert len(set(seen.values())) == len(seen), seen
+
+
+# A small run of every experiment: the pinned configs, and the others here.
+_SMALL_RUNS = {**PINNED_CONFIGS,
+               "sample": ({"c": 0.5}, 300),
+               "moments": ({"p": 1.0, "t_min": 0.0, "t_max": 0.5}, 300),
+               "scaling-check": ({"t_min": 0.0, "t_max": 0.5}, 300),
+               "ground-state": ({"T": 0.5, "bins_c": 4, "bins_x": 2}, 300)}
+
+
+@pytest.mark.parametrize("experiment, options, n_samples, fails", [
+    *[(e, *_SMALL_RUNS[e], False) for e in EXPERIMENTS],
+    ("vertex", {"alpha": 0.5, "n_list": [4, 8, 12]}, 300, False),
+    ("lz", {}, 300, True),
+], ids=[*EXPERIMENTS, "vertex-refinement", "failed"])
+def test_every_record_carries_the_envelope(tmp_path, monkeypatch, experiment, options,
+                                           n_samples, fails):
+    if fails:
+        def broken(cfg, out, workers):
+            raise RuntimeError("broken")
+        monkeypatch.setitem(runner._DISPATCH, experiment, broken)
+    raw = base_config(experiment, options, n_samples=n_samples)
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, raw), fast=True, out_dir=str(out)) == (1 if fails else 0)
+    manifest = json.loads((out / experiment / "manifest.json").read_text())
+    records = read_records(out, experiment)
+    assert records and all(rec.get("status") == "failed" for rec in records) == fails
+    for rec in records:
+        assert (rec["fingerprint"], rec["seed"], rec["n_samples"]) == (
+            manifest["fingerprint"], 5, min(n_samples, 1000))
 
 
 def test_validate_streams_the_sampled_paths(tmp_path):
