@@ -11,6 +11,7 @@ import argparse
 import json
 
 import sinhgordon as sg
+from sinhgordon.parallel import stateless_children
 from sinhgordon.smc import SmcSettings, smc_log_partition
 
 
@@ -37,12 +38,12 @@ def main():
     args = ap.parse_args()
 
     rows = []
-    for i, radius in enumerate(args.radii):
+    # radius i draws from the i-th child of the seed, so no two scans share a stream
+    for radius, child in zip(args.radii, stateless_children(args.seed, len(args.radii))):
         p = sg.validate_params(args.gamma, args.mu, radius)
         unit = sg.reduce_to_unit_radius(p)
         lam, se, pairs = lambda0_at(unit, args.t_list, args.dt, args.n_modes,
-                                    args.theta_cells, args.particles, args.runs,
-                                    args.seed + i)
+                                    args.theta_cells, args.particles, args.runs, child)
         print(f"R={radius}: mu_R={unit.mu:.4f}  lambda0={lam:.4f} +- {se:.4f}")
         rows.append({"radius": radius, "mu_scaled": unit.mu, "lambda0": lam,
                      "std_error": se,

@@ -11,13 +11,14 @@ path's grid nodes.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EmptyRegion, IncompatibleGrids, RegionOutsideGrid
 from .gff import CircleAverage, TimeGrid, stream_paths, theta_basis
-from .parallel import seed_int, stateless_children
+from .parallel import CHUNK, map_replicas, seed_int, stateless_children
 from .params import ModelParams, reduce_to_unit_radius
 from .results import EstimatorResult, mean_and_se
 
@@ -209,20 +210,16 @@ def mass_pair_slices(brownian, fields, gamma, renorm, dtheta):
 
 
 # ---------------------------------------------------------------------------
-# Batch mass sampler used by the statistical checks below
+# Region mass sampler used by the statistical checks below
 # ---------------------------------------------------------------------------
-
-# Paths per batch.  The batches draw from one generator in turn, so the size
-# decides which draws go to which path and is part of every mass record.
-_BATCH = 512
-
 
 def sample_region_masses(region: Region, spec: GmcSpec, params: ModelParams,
                          n_samples: int, seed, dt: float = 1.0 / 64.0,
-                         theta_cells: int = 128) -> np.ndarray:
+                         theta_cells: int = 128, workers: int = 1) -> np.ndarray:
     """Stationary-start Monte Carlo draws of the mass of one region.
 
-    Returns the (n_samples,) array of masses.  The circle regularization needs
+    Returns the (n_samples,) array of masses, drawn in ``parallel.CHUNK``-sized
+    chunks through :func:`map_replicas`.  The circle regularization needs
     epsilon of sampled span on both sides of the region: the paths run to
     t_max + epsilon, and t_min must be at least epsilon.
     """
@@ -236,7 +233,6 @@ def sample_region_masses(region: Region, spec: GmcSpec, params: ModelParams,
         return np.zeros(n_samples)
     first, last = grid.index_of(region.t_min), grid.index_of(region.t_max)
     nodes, dtheta = theta_nodes(theta_cells)
-    kernel = SliceMass(params.gamma, spec.renorm_constant, dtheta, nodes, spec.path_modes)
     sign = 0 if spec.sigma > 0 else 1
     circle = CircleAverage(spec.epsilon, grid.dt) if spec.kind == "circle" else None
     if circle is not None and not (circle.covers(first, grid.n_steps)
@@ -244,14 +240,11 @@ def sample_region_masses(region: Region, spec: GmcSpec, params: ModelParams,
         raise RegionOutsideGrid("averaging circle leaves the sampled span inside the region")
     reach = 0 if circle is None else circle.reach
 
-    rng = np.random.default_rng(seed)
-    out = np.empty(n_samples)
-    done = 0
-    while done < n_samples:
-        r = min(_BATCH, n_samples - done)
+    def run(rng, size):
+        kernel = SliceMass(params.gamma, spec.renorm_constant, dtheta, nodes, spec.path_modes)
         mass = Trapezoid(grid.dt)
         recent = {}  # circle only: the last 2 * reach + 1 slices, what its average reads
-        for k, b, x, y in stream_paths(rng, r, spec.path_modes, grid):
+        for k, b, x, y in stream_paths(rng, size, spec.path_modes, grid):
             if circle is not None:
                 recent[k] = (b.copy(), x.copy(), y.copy())
                 recent.pop(k - 2 * reach - 1, None)
@@ -262,9 +255,9 @@ def sample_region_masses(region: Region, spec: GmcSpec, params: ModelParams,
                 b = recent[j][0]
                 x, y = circle.modes(lambda i: recent[i][1:], j)
             mass.add(kernel(x, y, b)[sign])
-        out[done:done + r] = mass.integral()[0]
-        done += r
-    return out
+        return {"mass": mass.integral()[0]}
+
+    return map_replicas(run, seed, n_samples, CHUNK, workers)["mass"]
 
 
 def expected_mass(region: Region, params: ModelParams) -> float:
@@ -276,13 +269,13 @@ def expected_mass(region: Region, params: ModelParams) -> float:
 
 def scaling_check(region: Region, params: ModelParams, n_samples: int, seed,
                   dt: float = 1.0 / 64.0, theta_cells: int = 128,
-                  sigma: int = +1, n_modes: int = 64) -> dict:
+                  n_modes: int = 64, workers: int = 1) -> dict:
     """Compare the radius-R mass of a region against R^{gamma Q} times the
-    unit-radius mass of the shrunk region.
+    unit-radius mass of the shrunk region (both at sigma = +1).
 
     Both sides are Monte Carlo estimates; the radius-R side is produced by the
     time/angle substitution (the only implementation of R != 1).  At R = 1 the
-    two sides share a seed substream and are identical by construction.
+    two sides are one sample and are identical by construction.
     """
     r = params.radius
     scale = r ** (params.gamma * params.q_const)
@@ -290,14 +283,12 @@ def scaling_check(region: Region, params: ModelParams, n_samples: int, seed,
     if reduced.t_max - reduced.t_min > 0 and round((reduced.t_max - reduced.t_min) / dt) < 2:
         raise IncompatibleGrids("reduced region spans fewer than 2 grid steps; decrease dt")
     unit = reduce_to_unit_radius(params)
-    spec = fourier_spec(sigma, n_modes)
+    spec = fourier_spec(+1, n_modes)
     child_a, child_b = stateless_children(seed, 2)
-    if r == 1.0:
-        child_b = child_a
-    side_r = scale * sample_region_masses(reduced, spec, unit, n_samples, child_a,
-                                          dt=dt, theta_cells=theta_cells)
-    side_unit = sample_region_masses(reduced, spec, unit, n_samples, child_b,
-                                     dt=dt, theta_cells=theta_cells)
+    sample = dict(dt=dt, theta_cells=theta_cells, workers=workers)
+    side_r = scale * sample_region_masses(reduced, spec, unit, n_samples, child_a, **sample)
+    side_unit = side_r if r == 1.0 else sample_region_masses(reduced, spec, unit, n_samples,
+                                                             child_b, **sample)
     mean_r, se_r = mean_and_se(side_r)
     mean_u, se_u = mean_and_se(side_unit)
     combined_se = math.sqrt(se_r ** 2 + (scale * se_u) ** 2)
@@ -320,7 +311,7 @@ def scaling_check(region: Region, params: ModelParams, n_samples: int, seed,
 
 def moment_estimator(region: Region, spec: GmcSpec, params: ModelParams, p: float,
                      n_samples: int, seed, dt: float = 1.0 / 64.0,
-                     theta_cells: int = 128) -> EstimatorResult:
+                     theta_cells: int = 128, workers: int = 1) -> EstimatorResult:
     """Monte Carlo estimate of E[mass^p] with a heavy-tail instability flag.
 
     Finiteness of moments is not decidable from samples; the flag reports
@@ -331,8 +322,9 @@ def moment_estimator(region: Region, spec: GmcSpec, params: ModelParams, p: floa
         raise EmptyRegion("moment estimation needs a region of positive area")
     if p == 0:
         raise ValueError("p must be nonzero")
+    t0 = time.perf_counter()
     masses = sample_region_masses(region, spec, params, n_samples, seed,
-                                  dt=dt, theta_cells=theta_cells)
+                                  dt=dt, theta_cells=theta_cells, workers=workers)
     vals = masses ** p
     mean, se = mean_and_se(vals)
     ratios = []
@@ -342,4 +334,5 @@ def moment_estimator(region: Region, spec: GmcSpec, params: ModelParams, p: floa
     stable = ratios[2] < ratios[1] < ratios[0] and ratios[2] <= 0.8 * ratios[0]
     return EstimatorResult(
         mean=mean, std_error=se, n_samples=n_samples, seed=seed_int(seed),
+        wall_ms=1e3 * (time.perf_counter() - t0),
         diagnostics={"se_over_mean_by_batch": ratios, "heavy_tail_flag": not stable})

@@ -3,13 +3,12 @@
 :func:`map_replicas` is the one place the replica contract lives: replicas
 are split into fixed-size chunks, chunk i draws from the i-th stateless child
 of the master seed, and the chunk results are joined in chunk order, so the
-output is identical for any worker count.  Every plain estimator, the SMC
-runs (one run per chunk) and the ``validate`` panel go through it.  One
-sampler stays outside because it draws from one generator across its
-batches, so its draws depend on the batch order: ``gmc.sample_region_masses``.
-Workers are threads: the heavy kernels (matmul, exp) release the GIL.  The pool
-is plain ``threading``, with the calling thread as one of the workers, so no
-executor module is loaded and no idle thread waits.
+output is identical for any worker count.  Every replica sampler goes through it:
+the plain estimators, the region masses, the SMC runs (one run per chunk)
+and the ``validate`` panel.  Workers are threads: the heavy kernels (matmul,
+exp) release the GIL.  The pool is plain ``threading``, with the calling
+thread as one of the workers, so no executor module is loaded and no idle
+thread waits.
 
 While a pool runs, numpy's bundled OpenBLAS is held at one thread, so N
 workers keep N cores busy instead of N times the BLAS thread count
@@ -31,7 +30,7 @@ from .errors import ConfigError
 
 ENV_WORKERS = "SINHGORDON_WORKERS"
 
-# Replicas per chunk of every plain estimator and of the ``validate`` panel.
+# Replicas per chunk of every sampler but the SMC runs (one run per chunk).
 # Chunk i draws from the i-th child seed, so the size is part of every record.
 CHUNK = 256
 

@@ -69,7 +69,7 @@ class EstimatorResult:
     std_error: float
     n_samples: int
     seed: int
-    wall_ms: float = 0.0
+    wall_ms: float
     diagnostics: dict = field(default_factory=dict)
 
     def to_record(self, experiment: str) -> dict:

@@ -241,7 +241,7 @@ def _exp_gmc_mass(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     pu = reduce_to_unit_radius(cfg.params)
     masses = gmc_mod.sample_region_masses(region, spec, pu, cfg.estimator.n_samples,
                                           cfg.estimator.seed, dt=cfg.sampler.dt,
-                                          theta_cells=cfg.gmc.theta_cells)
+                                          theta_cells=cfg.gmc.theta_cells, workers=workers)
     from .results import mean_and_se
     mean, se = mean_and_se(masses)
     out.record({"experiment": "gmc-mass", "estimate": mean, "std_error": se,
@@ -258,7 +258,8 @@ def _exp_moments(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     res = gmc_mod.moment_estimator(_region(cfg, spec), spec,
                                    reduce_to_unit_radius(cfg.params), p,
                                    cfg.estimator.n_samples, cfg.estimator.seed,
-                                   dt=cfg.sampler.dt, theta_cells=cfg.gmc.theta_cells)
+                                   dt=cfg.sampler.dt, theta_cells=cfg.gmc.theta_cells,
+                                   workers=workers)
     out.record({**res.to_record("moments"), "p": p})
 
 
@@ -267,7 +268,7 @@ def _exp_scaling_check(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     rep = gmc_mod.scaling_check(_region(cfg), cfg.params, cfg.estimator.n_samples,
                                 cfg.estimator.seed, dt=cfg.sampler.dt,
                                 theta_cells=cfg.gmc.theta_cells,
-                                n_modes=cfg.sampler.n_modes)
+                                n_modes=cfg.sampler.n_modes, workers=workers)
     out.record({"experiment": "scaling-check", **rep})
 
 
@@ -443,13 +444,16 @@ def _exp_mc_vs_lz(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
                               f"per R value {r_values}, got {estimates!r}")
     else:
         from .correlations import rescaled_one_point
+        # R index i draws from the i-th child of the seed, so no two R values
+        # share a stream, within a run or across runs at nearby seeds
         estimates = [
             [float(v) for v in rescaled_one_point(
                 alpha, r, cfg.params, t_half=cfg.sampler.window, dt=cfg.sampler.dt,
                 n_modes=cfg.sampler.n_modes, theta_cells=cfg.gmc.theta_cells,
-                n_samples=cfg.estimator.n_samples, seed=cfg.estimator.seed + i,
+                n_samples=cfg.estimator.n_samples, seed=child,
                 workers=workers, c_half_width=cfg.estimator.c_window)]
-            for i, r in enumerate(r_values)]
+            for r, child in zip(r_values, stateless_children(cfg.estimator.seed,
+                                                             len(r_values)))]
     report = mc_vs_lz_report(alpha, r_values, estimates, cfg.params)
     out.record({"experiment": "mc-vs-lz", **report})
 

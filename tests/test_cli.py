@@ -553,8 +553,9 @@ def test_determinism_identical_records(tmp_path):
     assert r1 == r2
 
 
-def _records_at_one_and_two_workers(tmp_path, experiment, options, n_samples):
-    p = write_config(tmp_path, base_config(experiment, options, n_samples=n_samples))
+def _records_at_one_and_two_workers(tmp_path, experiment, options, n_samples, **tweaks):
+    p = write_config(tmp_path, base_config(experiment, options, n_samples=n_samples,
+                                           **tweaks))
     records = []
     for workers in (1, 2):
         out = tmp_path / f"w{workers}"
@@ -581,6 +582,61 @@ def test_workers_do_not_change_plain_engine_records(tmp_path):
         tmp_path, "vertex", {"alpha": 0.5, "method": "both"}, 600)
     assert [r["method"] for r in r1] == ["direct", "girsanov"]
     assert r1 == r2
+
+
+@pytest.mark.parametrize("experiment, options, tweaks", [
+    ("gmc-mass", {"t_min": 0.0, "t_max": 0.5}, {}),
+    ("moments", {"p": 2.0, "t_min": 0.0, "t_max": 0.5}, {}),
+    ("scaling-check", {"t_min": 0.0, "t_max": 0.5},
+     {"params": {"gamma": 1.0, "mu": 1.0, "radius": 2.0}}),
+], ids=["gmc-mass", "moments", "scaling-check"])
+def test_workers_do_not_change_region_mass_records(tmp_path, experiment, options, tweaks):
+    # three chunks of region masses, in the pool and on the serial path
+    r1, r2 = _records_at_one_and_two_workers(tmp_path, experiment, options, 600, **tweaks)
+    assert len(r1) == 1 and "status" not in r1[0]
+    assert r1 == r2
+
+
+def test_gmc_mass_maps_its_replicas_on_the_pool(tmp_path, monkeypatch):
+    # a 2-worker gmc-mass run hands its chunks to the worker pool, one chunk
+    # per CHUNK replicas
+    from sinhgordon import parallel
+    calls, map_chunks = [], parallel.map_chunks
+
+    def spy(fn, chunks, workers=1):
+        calls.append((len(chunks), workers))
+        return map_chunks(fn, chunks, workers)
+
+    monkeypatch.setattr(parallel, "map_chunks", spy)
+    n_samples = 600
+    path = write_config(tmp_path, base_config("gmc-mass", {"t_min": 0.0, "t_max": 0.5},
+                                              n_samples=n_samples))
+    assert run(path, out_dir=str(tmp_path / "out"), workers=2) == 0
+    assert calls == [(-(-n_samples // parallel.CHUNK), 2)]
+
+
+def test_moments_record_is_timed(tmp_path):
+    path = write_config(tmp_path, base_config(
+        "moments", {"p": 1.0, "t_min": 0.0, "t_max": 0.5}, n_samples=600))
+    assert run(path, out_dir=str(tmp_path / "out"), fast=True) == 0
+    [rec] = read_records(tmp_path / "out", "moments")
+    assert rec["wall_ms"] > 0
+
+
+def test_mc_vs_lz_runs_at_nearby_seeds_share_no_radius_stream(tmp_path):
+    # R index i draws from the i-th child of the seed: seed 5 with R values
+    # [1, 2] and seed 6 with [2, 3] estimate R = 2 from different streams
+    rows = []
+    for seed, r_values in ((5, [1.0, 2.0]), (6, [2.0, 3.0])):
+        out = tmp_path / f"s{seed}"
+        path = write_config(tmp_path, base_config(
+            "mc-vs-lz", {"alpha": 0.5, "R_values": r_values}, n_samples=600, seed=seed),
+            f"s{seed}.json")
+        assert run(path, out_dir=str(out), fast=True) == 0
+        [rec] = read_records(out, "mc-vs-lz")
+        rows.append(next(row for row in rec["rows"] if row["radius"] == 2.0))
+    assert rows[0]["estimate"] != rows[1]["estimate"]
+    assert rows[0]["std_error"] != rows[1]["std_error"]
 
 
 def test_smc_off_grid_span_is_a_clean_failure(tmp_path):

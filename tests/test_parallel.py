@@ -231,3 +231,25 @@ def test_the_runner_leaves_a_loaded_blas_alone():
     code = "import numpy" + _COUNT + "\nimport sinhgordon.runner" + _COUNT
     before, after = _in_a_new_process(["-c", code])
     assert after == before
+
+
+def test_only_map_replicas_and_single_path_draws_make_generators():
+    # every replica draws through map_replicas (chunk i from the i-th child of
+    # the seed); outside it, src/ makes a generator only for the single-path
+    # draws of gff.  A second replica rule would make its own generator here
+    import ast
+
+    src = Path(__file__).parents[1] / "src" / "sinhgordon"
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.attr if isinstance(func, ast.Attribute) else \
+                        getattr(func, "id", None)
+                    if name == "default_rng":
+                        found.add((path.stem, getattr(top, "name", None)))
+    assert found == {("parallel", "map_replicas"), ("gff", "sample_circle_field"),
+                     ("gff", "evolve_path")}

@@ -296,10 +296,12 @@ def test_sample_region_masses_matches_reference(unit_params, spec):
     grid = TimeGrid(1 / 16, int(round((0.75 + margin) * 16)))
     nodes, dth = theta_nodes(32)
     weights = trapezoid_weights(grid, 0.25, 0.75)
-    rng = np.random.default_rng(50)
+    chunks = seed_chunks(50, 1100, CHUNK)
+    assert [size for _, size in chunks] == [256, 256, 256, 256, 76]
     want = []
-    for size in (512, 512, 76):
-        b, xs, ys = sample_path_batch(rng, size, spec.path_modes, grid)
+    for child, size in chunks:
+        b, xs, ys = sample_path_batch(np.random.default_rng(child), size, spec.path_modes,
+                                      grid)
         mass = np.zeros(size)
         for k in np.flatnonzero(weights):
             if spec.kind == "fourier":
