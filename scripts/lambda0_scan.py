@@ -41,11 +41,10 @@ def main():
     # radius i draws from the i-th child of the seed, so no two scans share a stream
     for radius, child in zip(args.radii, stateless_children(args.seed, len(args.radii))):
         p = sg.validate_params(args.gamma, args.mu, radius)
-        unit = sg.reduce_to_unit_radius(p)
-        lam, se, pairs = lambda0_at(unit, args.t_list, args.dt, args.n_modes,
+        lam, se, pairs = lambda0_at(p, args.t_list, args.dt, args.n_modes,
                                     args.theta_cells, args.particles, args.runs, child)
-        print(f"R={radius}: mu_R={unit.mu:.4f}  lambda0={lam:.4f} +- {se:.4f}")
-        rows.append({"radius": radius, "mu_scaled": unit.mu, "lambda0": lam,
+        print(f"R={radius}: mu_R={p.mu_scaled:.4f}  lambda0={lam:.4f} +- {se:.4f}")
+        rows.append({"radius": radius, "mu_scaled": p.mu_scaled, "lambda0": lam,
                      "std_error": se,
                      "log_z_curve": [{"t_half": t, "log_z": v, "se": s}
                                      for t, (v, s) in zip(args.t_list, pairs)]})

@@ -9,7 +9,7 @@ import importlib
 
 # module -> the public names it exports here
 _EXPORTS = {
-    "params": ("ModelParams", "validate_params", "reduce_to_unit_radius"),
+    "params": ("ModelParams", "validate_params"),
     "gff": ("CircleField", "PathSample", "TimeGrid", "covariance_oracle", "evolve_path",
             "ou_step_coeffs", "sample_circle_field"),
     "gmc": ("GmcSpec", "Region", "circle_spec", "fourier_spec", "harmonic_number",

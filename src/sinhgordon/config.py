@@ -100,18 +100,23 @@ class RunConfig:
     gmc: GmcCfg
     estimator: EstimatorCfg
     experiment: str
-    options: dict                # as written, for the manifest
     opts: dict                   # checked against OPTIONS, defaults filled
 
     def raw(self) -> dict:
-        """The config with every default filled in: ``parse_config(raw())`` gives it back."""
+        """The config with every default filled in: ``parse_config(raw())`` gives it back.
+
+        Options left unset (a None default) are left out, so two configs that
+        describe the same run give the same ``raw()`` and fingerprint.
+        """
         fields = {name: asdict(getattr(self, name)) for name in BLOCKS}
         gmc = fields["gmc"]
         gmc["regularization"] = {"kind": gmc["kind"],
                                  **{key: gmc[key] for key in REGULARIZATIONS[gmc["kind"]]}}
         return {**{name: {key: fields[name][key] for key in table}
                    for name, table in BLOCKS.items()},
-                "experiment": {"name": self.experiment, "options": self.options}}
+                "experiment": {"name": self.experiment,
+                               "options": {key: value for key, value in self.opts.items()
+                                           if value is not None}}}
 
 
 _NOUNS = {bool: "a boolean", str: "a string", dict: "an object"}
@@ -190,9 +195,8 @@ def parse_config(data: dict) -> RunConfig:
     name = exp["name"]
     return RunConfig(params=params, sampler=SamplerCfg(**blocks["sampler"]),
                      gmc=GmcCfg(**reg, **gmc), estimator=EstimatorCfg(**blocks["estimator"]),
-                     experiment=name, options=exp["options"],
-                     opts=_checked(exp["options"], OPTIONS[name], f"{name} options",
-                                   f"{name} option "))
+                     experiment=name, opts=_checked(exp["options"], OPTIONS[name],
+                                                    f"{name} options", f"{name} option "))
 
 
 def load_config(path: str) -> RunConfig:

@@ -27,8 +27,8 @@ from .errors import (
 )
 from .gff import CircleAverage, TimeGrid, fluctuation_grid, stream_paths, truncated_slice_cov
 from .gmc import GmcSpec, SliceMass, Trapezoid, fourier_spec, harmonic_number, theta_nodes
-from .params import ModelParams, reduce_to_unit_radius, validate_params
-from .parallel import CHUNK, map_replicas, seed_int, stateless_children
+from .params import ModelParams, validate_params
+from .parallel import CHUNK, map_replicas, stateless_children
 from .propagator import CQuadrature, default_c_quadrature, fk_weights
 from .results import EstimatorResult, jackknife_func, jackknife_ratio
 
@@ -190,8 +190,7 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
     holds the stepper's slice and noise block, the kernel's two (R, T) buffers
     and the (R, C) weights, whatever the number of steps.
     """
-    pu = reduce_to_unit_radius(params)
-    gamma, mu = pu.gamma, pu.mu
+    gamma, mu = params.gamma, params.mu_scaled
     grid = TimeGrid.spanning(2.0 * t_half, dt)
     nodes, dtheta = theta_nodes(theta_cells)
     cs, cw = quad.nodes()
@@ -301,7 +300,7 @@ def vertex_plain(insertions: InsertionSet, estimators, t_half: float, params: Mo
     the same seed; ``wall_ms`` of every result is the time of the shared pass.
     """
     if quad is None:
-        quad = default_c_quadrature(reduce_to_unit_radius(params).gamma)
+        quad = default_c_quadrature(params.gamma)
     entries = _entries_to_process(insertions.entries, t_half, dt)
     tasks, diagnostics = [], []
     for kind, reg in estimators:
@@ -323,8 +322,7 @@ def vertex_plain(insertions: InsertionSet, estimators, t_half: float, params: Mo
                            tasks, workers=workers, mirror=mirror)
     stats = [jackknife_ratio(num, res["den"]) for num in res["num"]]
     wall_ms = 1e3 * (time.perf_counter() - t0)
-    return [EstimatorResult(mean=est, std_error=se, n_samples=n_samples, seed=seed_int(seed),
-                            wall_ms=wall_ms, diagnostics=diag)
+    return [EstimatorResult(mean=est, std_error=se, wall_ms=wall_ms, diagnostics=diag)
             for (est, se), diag in zip(stats, diagnostics)]
 
 
@@ -366,7 +364,7 @@ def vertex_girsanov(insertions: InsertionSet, t_half: float, params: ModelParams
 def two_point_covariance(ins1, ins2, separations, t_half: float, params: ModelParams, *,
                          dt: float = 1.0 / 16.0, n_modes: int = 64, theta_cells: int = 128,
                          n_samples: int = 16384, seed=0, workers: int = 1,
-                         smc_runs: int = 16, c_half_width: float = 8.0) -> list[dict]:
+                         smc_runs: int = 16, quad: CQuadrature | None = None) -> list[dict]:
     """Truncated two-point function of two vertices across separations.
 
     ``ins1`` and ``ins2`` are (alpha, theta); the insertions sit at window
@@ -377,8 +375,7 @@ def two_point_covariance(ins1, ins2, separations, t_half: float, params: ModelPa
     """
     return two_point_panel([(ins1, ins2)], separations, t_half, params, dt=dt,
                            n_modes=n_modes, theta_cells=theta_cells, n_samples=n_samples,
-                           seed=seed, smc_runs=smc_runs, workers=workers,
-                           c_half_width=c_half_width)[0]
+                           seed=seed, smc_runs=smc_runs, workers=workers, quad=quad)[0]
 
 
 def _two_point_rows(separations, num, den) -> list[dict]:
@@ -397,19 +394,19 @@ def _two_point_rows(separations, num, den) -> list[dict]:
 
 def _register_columns(params: ModelParams, t_half: float, groups, *, dt: float,
                       n_modes: int, theta_cells: int, n_samples: int, n_runs: int, seed,
-                      workers: int, c_half_width: float):
+                      workers: int, quad: CQuadrature | None = None):
     """Per-run columns of one particle flow over [-t_half, t_half] that carries
     the register ``groups`` (insertion tuples in process coordinates).
 
     Returns ([Z_r m_{g,r} for each group g], Z_r), every column over the
     largest Z_r; sum_r Z_r m_{g,r} / sum_r Z_r estimates the group's
-    expectation.  ``n_runs`` runs share ``n_samples`` particles, and the
-    zero-mode window is [-c_half_width/gamma, c_half_width/gamma].
+    expectation.  ``n_runs`` runs share ``n_samples`` particles, started on
+    the zero-mode window of ``quad`` (:func:`smc.smc_flow`).
     """
     from .smc import SmcSettings, smc_flow
     flow = smc_flow(params, [t_half], dt, n_modes, theta_cells,
-                    SmcSettings.for_samples(n_samples, n_runs, c_half_width=c_half_width),
-                    seed, register_groups=groups, workers=workers)
+                    SmcSettings.for_samples(n_samples, n_runs), seed,
+                    register_groups=groups, workers=workers, quad=quad)
     ref = flow["log_z"][:, -1]
     scale = np.exp(ref - ref.max())
     means = flow["group_means"]
@@ -461,13 +458,13 @@ def refinement_report(resolutions, estimates) -> dict:
 def two_point_panel(pairs, separations, t_half: float, params: ModelParams, *,
                     dt: float = 1.0 / 32.0, n_modes: int = 48, theta_cells: int = 96,
                     n_samples: int = 65536, seed=0, smc_runs: int = 16,
-                    workers: int = 1, c_half_width: float = 8.0) -> dict:
+                    workers: int = 1, quad: CQuadrature | None = None) -> dict:
     """Two-point curves for several insertion pairs from one particle flow.
 
     ``pairs`` is a list of ((alpha1, theta1), (alpha2, theta2)); sharing the
     population across pairs and separations gives common random numbers
     everywhere, which is what makes rate comparisons between pairs sharp.
-    The zero-mode window is [-c_half_width/gamma, c_half_width/gamma].
+    The particles start on the zero-mode window of ``quad`` (:func:`smc.smc_flow`).
     Returns {pair_index: [rows...]} with the same row format as
     :func:`two_point_covariance`.
     """
@@ -476,8 +473,7 @@ def two_point_panel(pairs, separations, t_half: float, params: ModelParams, *,
               for g in _pair_groups(ins1, ins2, s, t_half, dt)]
     num, den = _register_columns(params, t_half, groups, dt=dt, n_modes=n_modes,
                                  theta_cells=theta_cells, n_samples=n_samples,
-                                 n_runs=smc_runs, seed=seed, workers=workers,
-                                 c_half_width=c_half_width)
+                                 n_runs=smc_runs, seed=seed, workers=workers, quad=quad)
     per_pair = 3 * len(separations)
     return {pi: _two_point_rows(separations, num[pi * per_pair:(pi + 1) * per_pair], den)
             for pi in range(len(pairs))}
@@ -491,7 +487,7 @@ def _reduced_one_point(alpha: float, radius: float, params: ModelParams, seed, *
     if abs(alpha) >= base.q_const:
         raise InadmissibleAlpha(f"|alpha| must be < {base.q_const}")
     entries = _entries_to_process(((float(alpha), 0.0, 0.0),), t_half / radius, dt)
-    num, den = _register_columns(reduce_to_unit_radius(base), t_half / radius, [entries],
+    num, den = _register_columns(base, t_half / radius, [entries],
                                  dt=dt, n_runs=12, seed=seed, **flow)
     return jackknife_ratio(num[0], den)
 
@@ -508,7 +504,7 @@ def rescaled_one_point(alpha: float, radius: float, params: ModelParams, *, seed
 def scaling_one_point(alpha: float, radius: float, params: ModelParams, *,
                       t_half: float = 1.5, dt: float = 1.0 / 32.0, n_modes: int = 64,
                       theta_cells: int = 128, n_samples: int = 8192, seed=0,
-                      workers: int = 1, c_half_width: float = 8.0) -> dict:
+                      workers: int = 1, quad: CQuadrature | None = None) -> dict:
     """One-point function on the radius-R cylinder against the reduced model.
 
     The left side is :func:`rescaled_one_point`, the right side the reduced
@@ -516,7 +512,7 @@ def scaling_one_point(alpha: float, radius: float, params: ModelParams, *,
     same computation, run once, and the ratio is exactly 1.
     """
     flow = dict(t_half=t_half, dt=dt, n_modes=n_modes, theta_cells=theta_cells,
-                n_samples=n_samples, workers=workers, c_half_width=c_half_width)
+                n_samples=n_samples, workers=workers, quad=quad)
     lhs_mean, lhs_se = rescaled_one_point(alpha, radius, params, seed=seed, **flow)
     rhs_mean, rhs_se = (lhs_mean, lhs_se) if radius == 1.0 else _reduced_one_point(
         alpha, radius, params, stateless_children(seed, 2)[1], **flow)

@@ -161,15 +161,13 @@ _BLOCK_ELEMENTS = 1 << 17
 
 
 def ou_step(rng: np.random.Generator, b: np.ndarray, x: np.ndarray, y: np.ndarray,
-            decay: np.ndarray, std: np.ndarray, sqrt_dt: float, noise: np.ndarray,
-            out=None) -> None:
-    """One exact step of a batch: b (R,) Brownian, x and y (R, N) modes.
+            decay: np.ndarray, std: np.ndarray, sqrt_dt: float, noise: np.ndarray) -> None:
+    """One exact step of a batch, in place: b (R,) Brownian, x and y (R, N) modes.
 
     ``decay, std`` come from :func:`ou_step_coeffs`.  ``noise`` is a
     caller-owned C-contiguous (rows, N) scratch buffer the normals are drawn
     into, with 1 <= rows; the modes are stepped in blocks of that many rows,
-    so the scratch need not be as large as the batch.  The step is written to
-    ``out = (b1, x1, y1)``, or in place when ``out`` is None; nothing is
+    so the scratch need not be as large as the batch, and nothing is
     allocated.  The draw order is fixed: the Brownian increments, then the x
     noise block by block, then the y noise block by block.  A C-order fill
     split into consecutive pieces draws the same normals as one fill, so the
@@ -177,23 +175,22 @@ def ou_step(rng: np.random.Generator, b: np.ndarray, x: np.ndarray, y: np.ndarra
     the same generator state reproduces them bit for bit, equal to
     ``x * decay + std * z``.
     """
-    b1, x1, y1 = (b, x, y) if out is None else out
     flat = noise.reshape(-1)
     for s in range(0, b.size, flat.size):
         nb = flat[:b.size - s]
         rng.standard_normal(out=nb)
         nb *= sqrt_dt
-        np.add(b[s:s + nb.size], nb, out=b1[s:s + nb.size])
+        np.add(b[s:s + nb.size], nb, out=b[s:s + nb.size])
     rows = noise.shape[0]
-    for src, dst in ((x, x1), (y, y1)):
-        for s in range(0, len(src), rows):
-            # one view per block: ``dst[s:s + rows] += z`` would copy back through __setitem__
-            src_blk, dst_blk = src[s:s + rows], dst[s:s + rows]
-            z = noise[:len(src_blk)]
+    for modes in (x, y):
+        for s in range(0, len(modes), rows):
+            # one view per block: ``modes[s:s + rows] += z`` would copy back through __setitem__
+            blk = modes[s:s + rows]
+            z = noise[:len(blk)]
             rng.standard_normal(out=z)
             z *= std
-            np.multiply(src_blk, decay, out=dst_blk)
-            dst_blk += z
+            blk *= decay
+            blk += z
 
 
 def stream_paths(rng: np.random.Generator, n_paths: int, n_modes: int, grid: TimeGrid,

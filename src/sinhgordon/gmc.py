@@ -18,8 +18,8 @@ import numpy as np
 
 from .errors import EmptyRegion, IncompatibleGrids, RegionOutsideGrid
 from .gff import CircleAverage, TimeGrid, stream_paths, theta_basis
-from .parallel import CHUNK, map_replicas, seed_int, stateless_children
-from .params import ModelParams, reduce_to_unit_radius
+from .parallel import CHUNK, map_replicas, stateless_children
+from .params import ModelParams
 from .results import EstimatorResult, mean_and_se
 
 _CIRCLE_PATH_MODES = 64  # modes sampled for a circle-averaged density
@@ -282,12 +282,11 @@ def scaling_check(region: Region, params: ModelParams, n_samples: int, seed,
     reduced = region.scaled(r)
     if reduced.t_max - reduced.t_min > 0 and round((reduced.t_max - reduced.t_min) / dt) < 2:
         raise IncompatibleGrids("reduced region spans fewer than 2 grid steps; decrease dt")
-    unit = reduce_to_unit_radius(params)
     spec = fourier_spec(+1, n_modes)
     child_a, child_b = stateless_children(seed, 2)
     sample = dict(dt=dt, theta_cells=theta_cells, workers=workers)
-    side_r = scale * sample_region_masses(reduced, spec, unit, n_samples, child_a, **sample)
-    side_unit = side_r if r == 1.0 else sample_region_masses(reduced, spec, unit, n_samples,
+    side_r = scale * sample_region_masses(reduced, spec, params, n_samples, child_a, **sample)
+    side_unit = side_r if r == 1.0 else sample_region_masses(reduced, spec, params, n_samples,
                                                              child_b, **sample)
     mean_r, se_r = mean_and_se(side_r)
     mean_u, se_u = mean_and_se(side_unit)
@@ -333,6 +332,5 @@ def moment_estimator(region: Region, spec: GmcSpec, params: ModelParams, p: floa
         ratios.append(se_c / abs(m_c) if m_c != 0 else float("inf"))
     stable = ratios[2] < ratios[1] < ratios[0] and ratios[2] <= 0.8 * ratios[0]
     return EstimatorResult(
-        mean=mean, std_error=se, n_samples=n_samples, seed=seed_int(seed),
-        wall_ms=1e3 * (time.perf_counter() - t0),
+        mean=mean, std_error=se, wall_ms=1e3 * (time.perf_counter() - t0),
         diagnostics={"se_over_mean_by_batch": ratios, "heavy_tail_flag": not stable})

@@ -54,16 +54,6 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
     return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
-def seed_int(seed) -> int:
-    """The seed an estimator records: an int as given, a SeedSequence's entropy, else -1."""
-    if isinstance(seed, (int, np.integer)):
-        return int(seed)
-    if isinstance(seed, np.random.SeedSequence):
-        ent = seed.entropy
-        return int(ent if isinstance(ent, int) else ent[0])
-    return -1
-
-
 def stateless_children(seed, n: int):
     """n child seed sequences derived without mutating the parent.
 

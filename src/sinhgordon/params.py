@@ -2,7 +2,8 @@
 
 Every estimator in the package takes a ``ModelParams`` instance rather than
 raw ``(gamma, mu, radius)`` so the radius reduction happens in exactly one
-place.
+place: :func:`validate_params` derives ``mu_scaled``, the coupling of the
+equivalent unit-radius model, and every sampler reads its coupling from it.
 """
 
 from __future__ import annotations
@@ -27,10 +28,6 @@ class ModelParams:
     radius: float
     q_const: float
     mu_scaled: float
-
-    @property
-    def is_unit_radius(self) -> bool:
-        return self.radius == 1.0
 
 
 def validate_params(gamma: float, mu: float, radius: float) -> ModelParams:
@@ -57,11 +54,4 @@ def validate_params(gamma: float, mu: float, radius: float) -> ModelParams:
         q_const=q,
         mu_scaled=mu * radius ** (gamma * q),
     )
-
-
-def reduce_to_unit_radius(params: ModelParams) -> ModelParams:
-    """Equivalent unit-radius model: (gamma, mu, R) -> (gamma, mu*R^{gamma*Q}, 1)."""
-    if params.is_unit_radius:
-        return params
-    return validate_params(params.gamma, params.mu_scaled, 1.0)
 

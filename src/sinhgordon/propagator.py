@@ -21,7 +21,7 @@ from .gff import CircleField, TimeGrid, stream_paths
 from .gmc import GmcSpec, SliceMass, Trapezoid, harmonic_number, theta_nodes
 from .gmc import mass_pair_slices  # noqa: F401  (re-exported)
 from .params import ModelParams
-from .parallel import CHUNK, map_replicas, seed_int
+from .parallel import CHUNK, map_replicas
 from .results import EstimatorResult, jackknife_func, mean_and_se
 
 _EXP_CAP = 700.0  # exp argument cap; beyond this the FK weight underflows to 0
@@ -146,10 +146,14 @@ class CQuadrature:
         return c, w
 
 
-def default_c_quadrature(gamma: float, n_nodes: int = 65) -> CQuadrature:
-    """Window [-8/gamma, 8/gamma]: the double-exponential damping makes the
-    tail negligible there; the boundary diagnostic checks this at run time."""
-    return CQuadrature(-8.0 / gamma, 8.0 / gamma, n_nodes)
+def default_c_quadrature(gamma: float, n_nodes: int = 65,
+                         half_width: float = 8.0) -> CQuadrature:
+    """The zero-mode window [-w/gamma, w/gamma] of every sampler, w = ``half_width``.
+
+    At the default w = 8 the double-exponential damping makes the tail
+    negligible; the boundary diagnostic checks this at run time.
+    """
+    return CQuadrature(-half_width / gamma, half_width / gamma, n_nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +222,7 @@ def feynman_kac(observable, t: float, start, params: ModelParams, grid: TimeGrid
         return {"vals": obs * fk_weights(*mass.integral(), np.array([c0]), mu, gamma)[:, 0]}
 
     mean, se = mean_and_se(map_replicas(run, seed, n_samples, CHUNK, workers)["vals"])
-    return EstimatorResult(
-        mean=mean, std_error=se, n_samples=n_samples, seed=seed_int(seed),
-        wall_ms=1e3 * (time.perf_counter() - t0))
+    return EstimatorResult(mean=mean, std_error=se, wall_ms=1e3 * (time.perf_counter() - t0))
 
 
 def feynman_kac_circle_potential(observable, t: float, start, params: ModelParams,
@@ -254,9 +256,7 @@ def feynman_kac_circle_potential(observable, t: float, start, params: ModelParam
         return {"vals": obs * np.exp(-mu * integ.integral()[0])}
 
     mean, se = mean_and_se(map_replicas(run, seed, n_samples, CHUNK, workers)["vals"])
-    return EstimatorResult(
-        mean=mean, std_error=se, n_samples=n_samples, seed=seed_int(seed),
-        wall_ms=1e3 * (time.perf_counter() - t0))
+    return EstimatorResult(mean=mean, std_error=se, wall_ms=1e3 * (time.perf_counter() - t0))
 
 
 # ---------------------------------------------------------------------------

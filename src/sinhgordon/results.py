@@ -58,7 +58,7 @@ def jackknife_func(columns: list[np.ndarray], func) -> tuple[float, float]:
 
 @dataclass
 class EstimatorResult:
-    """One Monte Carlo estimate, its replica count and seed, and its wall time.
+    """One Monte Carlo estimate and its wall time.
 
     What identifies the run that made it (its config fingerprint, seed and
     replica count) is stamped on the record by ``runner.OutputWriter``, so
@@ -67,8 +67,6 @@ class EstimatorResult:
 
     mean: float
     std_error: float
-    n_samples: int
-    seed: int
     wall_ms: float
     diagnostics: dict = field(default_factory=dict)
 

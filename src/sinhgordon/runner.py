@@ -36,7 +36,6 @@ from .gff import TimeGrid, dump_path, evolve_path, fluctuation_grid, stream_path
     truncated_slice_cov
 from .parallel import CHUNK, blas_threads, map_replicas, one_blas_thread, resolve_workers, \
     stateless_children
-from .params import reduce_to_unit_radius
 from .results import _jsonable, params_fingerprint
 
 
@@ -126,10 +125,9 @@ def _gmc_spec(cfg: RunConfig, sigma: int = +1):
 
 
 def _quad(cfg: RunConfig):
-    from .propagator import CQuadrature
-    gamma = cfg.params.gamma
-    return CQuadrature(-cfg.estimator.c_window / gamma, cfg.estimator.c_window / gamma,
-                       cfg.estimator.c_nodes)
+    from .propagator import default_c_quadrature
+    return default_c_quadrature(cfg.params.gamma, cfg.estimator.c_nodes,
+                                cfg.estimator.c_window)
 
 
 def _partition_points(cfg: RunConfig, t_list, workers: int):
@@ -138,7 +136,7 @@ def _partition_points(cfg: RunConfig, t_list, workers: int):
     apply: a circle average over [0, t] would need slices before 0)."""
     from .gmc import fourier_spec
     from .propagator import partition_curve
-    return partition_curve(t_list, reduce_to_unit_radius(cfg.params), _quad(cfg),
+    return partition_curve(t_list, cfg.params, _quad(cfg),
                            cfg.sampler.dt, fourier_spec(+1, cfg.sampler.n_modes),
                            cfg.estimator.n_samples, cfg.estimator.seed,
                            theta_cells=cfg.gmc.theta_cells, workers=workers)
@@ -238,14 +236,13 @@ def _exp_gmc_mass(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     t0 = time.perf_counter()
     spec = _gmc_spec(cfg, cfg.opts["sigma"])
     region = _region(cfg, spec)
-    pu = reduce_to_unit_radius(cfg.params)
-    masses = gmc_mod.sample_region_masses(region, spec, pu, cfg.estimator.n_samples,
+    masses = gmc_mod.sample_region_masses(region, spec, cfg.params, cfg.estimator.n_samples,
                                           cfg.estimator.seed, dt=cfg.sampler.dt,
                                           theta_cells=cfg.gmc.theta_cells, workers=workers)
     from .results import mean_and_se
     mean, se = mean_and_se(masses)
     out.record({"experiment": "gmc-mass", "estimate": mean, "std_error": se,
-                "analytic_mean": gmc_mod.expected_mass(region, pu),
+                "analytic_mean": gmc_mod.expected_mass(region, cfg.params),
                 "wall_ms": round(1e3 * (time.perf_counter() - t0), 3)})
 
 
@@ -255,8 +252,7 @@ def _exp_moments(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     if p == 0:
         raise ConfigError("moments option p must be nonzero")
     spec = _gmc_spec(cfg, cfg.opts["sigma"])
-    res = gmc_mod.moment_estimator(_region(cfg, spec), spec,
-                                   reduce_to_unit_radius(cfg.params), p,
+    res = gmc_mod.moment_estimator(_region(cfg, spec), spec, cfg.params, p,
                                    cfg.estimator.n_samples, cfg.estimator.seed,
                                    dt=cfg.sampler.dt, theta_cells=cfg.gmc.theta_cells,
                                    workers=workers)
@@ -293,11 +289,10 @@ def _exp_lambda0(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
                           f"got {t_list!r}")
     if backend == "smc":
         from .smc import SmcSettings, smc_log_partition
-        settings = SmcSettings.for_samples(cfg.estimator.n_samples, 12,
-                                           c_half_width=cfg.estimator.c_window)
+        settings = SmcSettings.for_samples(cfg.estimator.n_samples, 12)
         pairs = smc_log_partition(cfg.params, t_list, cfg.sampler.dt,
                                   cfg.sampler.n_modes, cfg.gmc.theta_cells, settings,
-                                  cfg.estimator.seed, workers=workers)
+                                  cfg.estimator.seed, workers=workers, quad=_quad(cfg))
         curve = [{"t_half": t, "log_z": p[0], "log_z_se": p[1]}
                  for t, p in zip(t_list, pairs)]
     else:
@@ -337,8 +332,7 @@ def _exp_vertex(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     if n_list is not None and (len(n_list) < 2 or n_list[-1] > n_modes):
         raise ConfigError(f"vertex n_list needs at least two entries, none above "
                           f"{n_modes} (sampler.n_modes), got {n_list!r}")
-    ins = corr.make_insertions([(alpha, cfg.opts["t"], cfg.opts["theta"])],
-                               reduce_to_unit_radius(cfg.params))
+    ins = corr.make_insertions([(alpha, cfg.opts["t"], cfg.opts["theta"])], cfg.params)
     common = dict(dt=cfg.sampler.dt, n_modes=cfg.sampler.n_modes,
                   theta_cells=cfg.gmc.theta_cells, quad=_quad(cfg),
                   n_samples=cfg.estimator.n_samples, seed=cfg.estimator.seed,
@@ -378,8 +372,7 @@ def _exp_two_point(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
                                 n_modes=cfg.sampler.n_modes,
                                 theta_cells=cfg.gmc.theta_cells,
                                 n_samples=cfg.estimator.n_samples,
-                                seed=cfg.estimator.seed, workers=workers,
-                                c_half_width=cfg.estimator.c_window)
+                                seed=cfg.estimator.seed, workers=workers, quad=_quad(cfg))
     out.csv("two_point.csv", ["separation", "covariance", "std_error"],
             [(r["separation"], r["covariance"], r["std_error"]) for r in rows])
     wall = round(1e3 * (time.perf_counter() - t0), 3)
@@ -451,7 +444,7 @@ def _exp_mc_vs_lz(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
                 alpha, r, cfg.params, t_half=cfg.sampler.window, dt=cfg.sampler.dt,
                 n_modes=cfg.sampler.n_modes, theta_cells=cfg.gmc.theta_cells,
                 n_samples=cfg.estimator.n_samples, seed=child,
-                workers=workers, c_half_width=cfg.estimator.c_window)]
+                workers=workers, quad=_quad(cfg))]
             for r, child in zip(r_values, stateless_children(cfg.estimator.seed,
                                                              len(r_values)))]
     report = mc_vs_lz_report(alpha, r_values, estimates, cfg.params)

@@ -31,9 +31,9 @@ import numpy as np
 from .errors import RegisterOverflow, WindowOutsideCylinder
 from .gff import TimeGrid, fluctuation_grid, stream_paths
 from .gmc import SliceMass, Trapezoid, harmonic_number, theta_nodes
-from .params import ModelParams, reduce_to_unit_radius
+from .params import ModelParams
 from .parallel import map_replicas
-from .propagator import capped_exp
+from .propagator import CQuadrature, capped_exp, default_c_quadrature
 
 _RESAMPLE_THRESHOLD = 0.5  # resample when the ESS falls below this fraction of the particles
 _LOG_MAX = math.log(sys.float_info.max)  # a register mean above e^_LOG_MAX is not a float
@@ -43,13 +43,11 @@ _LOG_MAX = math.log(sys.float_info.max)  # a register mean above e^_LOG_MAX is n
 class SmcSettings:
     n_particles: int = 2048
     n_runs: int = 12
-    c_half_width: float = 8.0      # zero-mode window is [-w/gamma, +w/gamma]
 
     @classmethod
-    def for_samples(cls, n_samples: int, n_runs: int, **kwargs) -> SmcSettings:
-        """``n_runs`` runs sharing ``n_samples`` particles, at least 256 in each;
-        ``kwargs`` sets the other fields."""
-        return cls(n_particles=max(256, n_samples // n_runs), n_runs=n_runs, **kwargs)
+    def for_samples(cls, n_samples: int, n_runs: int) -> SmcSettings:
+        """``n_runs`` runs sharing ``n_samples`` particles, at least 256 in each."""
+        return cls(n_particles=max(256, n_samples // n_runs), n_runs=n_runs)
 
 
 def _systematic_resample(weights: np.ndarray, u: float) -> np.ndarray:
@@ -59,10 +57,13 @@ def _systematic_resample(weights: np.ndarray, u: float) -> np.ndarray:
 
 def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
              theta_cells: int, settings: SmcSettings, seed,
-             register_groups=(), workers: int = 1) -> dict:
+             register_groups=(), workers: int = 1,
+             quad: CQuadrature | None = None) -> dict:
     """Run replicated particle flows over the cylinder [0, 2*max(T)].
 
-    A step takes mu (e^{gamma c} dM+ + e^{-gamma c} dM-) from a particle's log weight,
+    Each particle starts at a zero mode c drawn uniformly on the window of
+    ``quad`` (:func:`propagator.default_c_quadrature` if None).  A step takes
+    mu (e^{gamma c} dM+ + e^{-gamma c} dM-) from a particle's log weight,
     dM+- the step's increments of its masses (a :class:`gmc.Trapezoid`).
     ``register_groups`` is a sequence of insertion tuples ((alpha, s, theta),
     ...) in process coordinates; each particle accumulates the log vertex
@@ -72,17 +73,16 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
     ``group_means`` (n_runs, n_groups), the final-population weighted means of
     the exponentiated registers.
     """
-    pu = reduce_to_unit_radius(params)
-    gamma, mu = pu.gamma, pu.mu
+    gamma, mu = params.gamma, params.mu_scaled
+    if quad is None:
+        quad = default_c_quadrature(gamma)
     t_half_values = [float(t) for t in t_half_values]
     grid, ends = TimeGrid.of_half_heights(t_half_values, dt)
     k_total = grid.n_steps
     marks = {k: j for j, k in enumerate(ends)}
     nodes, dtheta = theta_nodes(theta_cells)
     renorm = harmonic_number(n_modes)
-    c_lo = -settings.c_half_width / gamma
-    c_hi = +settings.c_half_width / gamma
-    log_width = math.log(c_hi - c_lo)
+    log_width = math.log(quad.c_max - quad.c_min)
     n = settings.n_particles
 
     groups = [tuple(g) for g in register_groups]
@@ -95,7 +95,7 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
             ins_by_step.setdefault(k_i, []).append((gi, float(a), float(th_i)))
 
     def one_run(rng, _):
-        c = rng.uniform(c_lo, c_hi, n)
+        c = rng.uniform(quad.c_min, quad.c_max, n)
         log_z = log_width
         log_w = np.zeros(n)
         regs = [np.zeros(n) for _ in groups]
@@ -123,7 +123,7 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
                         raise RegisterOverflow(
                             f"register group {gi} {groups[gi]} reaches e^{rhi:.4g}, beyond "
                             f"the float range: at gamma {gamma} the zero-mode window "
-                            f"[{c_lo:.4g}, {c_hi:.4g}] is too wide for its weights")
+                            f"[{quad.c_min:.4g}, {quad.c_max:.4g}] is too wide for its weights")
                     means[gi] = (w * np.exp(regs[gi] - rhi)).sum() / w_sum * math.exp(rhi)
             else:
                 ess = w.sum() ** 2 / (w ** 2).sum()
@@ -145,10 +145,10 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
 
 def smc_log_partition(params: ModelParams, t_half_values, dt: float, n_modes: int,
                       theta_cells: int, settings: SmcSettings, seed,
-                      workers: int = 1):
+                      workers: int = 1, quad: CQuadrature | None = None):
     """Per-height log-normalizer estimates: mean and s.e. across runs."""
     flow = smc_flow(params, t_half_values, dt, n_modes, theta_cells, settings, seed,
-                    workers=workers)
+                    workers=workers, quad=quad)
     rows = flow["log_z"]
     mean = rows.mean(axis=0)
     se = rows.std(axis=0, ddof=1) / math.sqrt(rows.shape[0])

@@ -10,14 +10,14 @@ reference values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DegenerateFit, SignalLost
 from .gff import TimeGrid, stream_paths
 from .gmc import SliceMass, Trapezoid, harmonic_number, theta_nodes
-from .params import ModelParams, reduce_to_unit_radius
+from .params import ModelParams
 from .parallel import CHUNK, map_replicas
 from .propagator import CQuadrature, default_c_quadrature, fk_damping
 from .results import mean_and_se
@@ -30,13 +30,11 @@ class SpectralEstimate:
     value: float
     std_error: float
     fit_window: list
-    intercept: float = 0.0
     r_squared: float = float("nan")
-    residuals: list = field(default_factory=list)
 
 
 def _weighted_line_fit(x, y, y_se):
-    """Weighted least squares y = a + b x; returns (a, b, se_b, r2, residuals).
+    """Weighted least squares y = a + b x; returns (b, se_b, r2).
 
     Zero input errors mean an exact fit request: uniform weights and exact
     error propagation (se_b = 0).
@@ -63,7 +61,7 @@ def _weighted_line_fit(x, y, y_se):
     resid = y - (a + b * x)
     ss_tot = (w * (y - ybar) ** 2).sum()
     r2 = 1.0 - (w * resid ** 2).sum() / ss_tot if ss_tot > 0 else 1.0
-    return a, b, se_b, r2, resid
+    return b, se_b, r2
 
 
 def lambda0_fit(t_values, log_z) -> SpectralEstimate:
@@ -77,9 +75,8 @@ def lambda0_fit(t_values, log_z) -> SpectralEstimate:
         raise DegenerateFit("T values must be strictly increasing")
     y = [v for v, _ in log_z]
     se = [s for _, s in log_z]
-    a, b, se_b, r2, resid = _weighted_line_fit([2.0 * t for t in t_values], y, se)
-    return SpectralEstimate(value=-b, std_error=se_b, fit_window=t_values,
-                            intercept=a, r_squared=r2, residuals=list(resid))
+    b, se_b, r2 = _weighted_line_fit([2.0 * t for t in t_values], y, se)
+    return SpectralEstimate(value=-b, std_error=se_b, fit_window=t_values, r_squared=r2)
 
 
 def spectral_gap_fit(separations, covariances) -> SpectralEstimate:
@@ -102,9 +99,8 @@ def spectral_gap_fit(separations, covariances) -> SpectralEstimate:
         raise SignalLost("covariance consistent with zero at some separation")
     y = np.log(np.abs(vals))
     y_se = ses / np.abs(vals)
-    a, b, se_b, r2, resid = _weighted_line_fit(separations, y, y_se)
-    return SpectralEstimate(value=-b, std_error=se_b, fit_window=separations,
-                            intercept=a, r_squared=r2, residuals=list(resid))
+    b, se_b, r2 = _weighted_line_fit(separations, y, y_se)
+    return SpectralEstimate(value=-b, std_error=se_b, fit_window=separations, r_squared=r2)
 
 
 def lambda0_scaling_probe(r_values, lambda0_estimates) -> SpectralEstimate:
@@ -120,9 +116,8 @@ def lambda0_scaling_probe(r_values, lambda0_estimates) -> SpectralEstimate:
         raise DegenerateFit("lambda0 estimates must be positive for a log-log fit")
     y = np.log(vals)
     y_se = ses / vals
-    a, b, se_b, r2, resid = _weighted_line_fit(np.log(r_values), y, y_se)
-    return SpectralEstimate(value=b, std_error=se_b, fit_window=r_values,
-                            intercept=a, r_squared=r2, residuals=list(resid))
+    b, se_b, r2 = _weighted_line_fit(np.log(r_values), y, y_se)
+    return SpectralEstimate(value=b, std_error=se_b, fit_window=r_values, r_squared=r2)
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +132,6 @@ class GroundStateProfile:
     to one global constant; higher modes are integrated out.
     """
 
-    t_used: float
     c_edges: np.ndarray
     x_edges: np.ndarray
     values: np.ndarray        # (nc, nx), sums to 1 over filled bins
@@ -164,8 +158,7 @@ def ground_state_profile(t: float, params: ModelParams, *, dt: float = 1.0 / 32.
     (Lebesgue reference), the rest stationary; each replica contributes its
     damping weight over [0, t] to the bin of its start.
     """
-    pu = reduce_to_unit_radius(params)
-    gamma, mu = pu.gamma, pu.mu
+    gamma, mu = params.gamma, params.mu_scaled
     if quad is None:
         quad = default_c_quadrature(gamma)
     grid = TimeGrid.spanning(t, dt)
@@ -202,6 +195,6 @@ def ground_state_profile(t: float, params: ModelParams, *, dt: float = 1.0 / 32.
     total = values.sum()
     if total <= 0:
         raise SignalLost("all profile bins empty or zero")
-    return GroundStateProfile(t_used=t, c_edges=c_edges, x_edges=x_edges,
+    return GroundStateProfile(c_edges=c_edges, x_edges=x_edges,
                               values=values / total, std_errors=ses / total,
                               counts=counts)

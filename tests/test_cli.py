@@ -814,6 +814,33 @@ def test_particle_flows_honour_c_window(tmp_path, experiment, options):
     assert found[0] != found[1]
 
 
+def test_particle_flows_read_the_c_window_quadrature(tmp_path):
+    # at estimator.c_window 6 the particle flows of two-point and SMC lambda0
+    # start on the window of default_c_quadrature(gamma, half_width=6.0), the
+    # quadrature a library caller passes
+    from sinhgordon.correlations import two_point_covariance
+    from sinhgordon.propagator import default_c_quadrature
+    from sinhgordon.smc import SmcSettings, smc_log_partition
+
+    found = {}
+    for experiment, options in [("two-point", {"separations": [0.25, 0.5]}),
+                                ("lambda0", {"T_list": [0.25, 0.5, 0.75]})]:
+        raw = base_config(experiment, options, n_samples=600)
+        raw["estimator"]["c_window"] = 6.0
+        assert run(write_config(tmp_path, raw, f"{experiment}.json"),
+                   out_dir=str(tmp_path / "out")) == 0
+        found[experiment] = read_records(tmp_path / "out", experiment)
+    cfg = parse_config(raw)
+    quad = default_c_quadrature(cfg.params.gamma, half_width=6.0)
+    rows = two_point_covariance((0.5, 0.0), (0.5, 0.0), [0.25, 0.5], 0.75, cfg.params,
+                                dt=1 / 8, n_modes=12, theta_cells=32, n_samples=600,
+                                seed=5, quad=quad)
+    assert [{k: rec[k] for k in row} for rec, row in zip(found["two-point"], rows)] == rows
+    pairs = smc_log_partition(cfg.params, [0.25, 0.5, 0.75], 1 / 8, 12, 32,
+                              SmcSettings.for_samples(600, 12), 5, quad=quad)
+    assert [(p["log_z"], p["log_z_se"]) for p in found["lambda0"][0]["curve"]] == pairs
+
+
 def test_config_error_inside_an_experiment_leaves_no_output(tmp_path, capsys):
     path = write_config(tmp_path, base_config("gap-fit", {"csv": str(tmp_path / "missing.csv")}))
     assert run(path, out_dir=str(tmp_path / "out")) == 2
@@ -1243,6 +1270,18 @@ def _fingerprints(tmp_path, name, raw):
     experiment = raw["experiment"]["name"]
     manifest = json.loads((out / experiment / "manifest.json").read_text())
     return {rec["fingerprint"] for rec in read_records(out, experiment)}, manifest["fingerprint"]
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_spelled_out_default_options_hash_like_omitted_ones(experiment):
+    # the fingerprint names the run, not the config text: options at their
+    # defaults, written or left out, give one raw() and one fingerprint
+    defaults = {key: default for key, (_, default, *_) in OPTIONS[experiment].items()
+                if default is not None}
+    terse, spelled = (parse_config(base_config(experiment, options))
+                      for options in ({}, defaults))
+    assert terse.raw() == spelled.raw()
+    assert params_fingerprint(terse.raw()) == params_fingerprint(spelled.raw())
 
 
 @pytest.mark.parametrize("experiment, options, option", [

@@ -158,7 +158,7 @@ def test_vertex_smc_matches_plain(unit_params):
     entries = _entries_to_process(ins.entries, 1.0, 1 / 16)
     num, den = _register_columns(unit_params, 1.0, [entries], dt=1 / 16, n_modes=32,
                                  theta_cells=64, n_samples=12000, n_runs=12, seed=10,
-                                 workers=1, c_half_width=8.0)
+                                 workers=1)
     b_mean, b_se = jackknife_ratio(num[0], den)
     assert agree(a.mean, a.std_error, b_mean, b_se)
 

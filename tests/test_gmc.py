@@ -196,13 +196,6 @@ def test_moment_estimator_heavy_tail_flag(unit_params):
     assert res.diagnostics["heavy_tail_flag"]
 
 
-@pytest.mark.parametrize("seed, recorded", [(np.random.SeedSequence(7), 7), (None, -1)])
-def test_moment_estimator_records_the_seed_like_every_estimator(unit_params, seed, recorded):
-    res = sg.moment_estimator(Region(0.0, 0.5), fourier_spec(+1, 8), unit_params, p=1.0,
-                              n_samples=40, seed=seed, dt=1 / 8, theta_cells=16)
-    assert res.seed == recorded
-
-
 def test_moment_estimator_empty_region(unit_params):
     with pytest.raises(EmptyRegion):
         sg.moment_estimator(Region(1.0, 1.0), fourier_spec(+1, 16), unit_params,

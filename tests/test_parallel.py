@@ -16,6 +16,8 @@ from sinhgordon import runner
 from sinhgordon.errors import ConfigError, SinhGordonError
 from sinhgordon.parallel import _BLAS, blas_threads, map_chunks, map_replicas, seed_chunks
 
+from conftest import src_callers
+
 
 def _columns(rng, size):
     return {"flat": rng.standard_normal(size), "wide": rng.standard_normal((size, 3)),
@@ -237,19 +239,6 @@ def test_only_map_replicas_and_single_path_draws_make_generators():
     # every replica draws through map_replicas (chunk i from the i-th child of
     # the seed); outside it, src/ makes a generator only for the single-path
     # draws of gff.  A second replica rule would make its own generator here
-    import ast
-
-    src = Path(__file__).parents[1] / "src" / "sinhgordon"
-    found = set()
-    for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for top in tree.body:
-            for node in ast.walk(top):
-                if isinstance(node, ast.Call):
-                    func = node.func
-                    name = func.attr if isinstance(func, ast.Attribute) else \
-                        getattr(func, "id", None)
-                    if name == "default_rng":
-                        found.add((path.stem, getattr(top, "name", None)))
-    assert found == {("parallel", "map_replicas"), ("gff", "sample_circle_field"),
-                     ("gff", "evolve_path")}
+    assert src_callers("default_rng") == {("parallel", "map_replicas"),
+                                          ("gff", "sample_circle_field"),
+                                          ("gff", "evolve_path")}

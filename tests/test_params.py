@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from sinhgordon import validate_params, reduce_to_unit_radius
+from sinhgordon import validate_params
 from sinhgordon.errors import NonPositive, OutOfRangeGamma
 
 
@@ -40,14 +40,6 @@ def test_derived_constants(gamma, mu, radius):
     assert p.q_const == pytest.approx(gamma / 2 + 2 / gamma, rel=1e-15)
     assert p.mu_scaled == pytest.approx(mu * radius ** (gamma * p.q_const), rel=1e-12)
     assert p.q_const > 2.0  # AM-GM, equality only at the excluded gamma = 2
-
-
-@given(gamma=st.floats(0.05, 1.95), mu=st.floats(1e-3, 1e3), radius=st.floats(1e-2, 1e2))
-def test_reduction_round_trip(gamma, mu, radius):
-    p = validate_params(gamma, mu, radius)
-    unit = reduce_to_unit_radius(p)
-    assert unit.radius == 1.0
-    assert unit.mu == pytest.approx(p.mu_scaled, rel=1e-12)
 
 
 def test_q_minimum_on_grid():

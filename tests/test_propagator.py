@@ -10,7 +10,7 @@ from sinhgordon.gff import TimeGrid
 from sinhgordon.gmc import fourier_spec
 from sinhgordon.propagator import mehler_factor, partition_curve, default_c_quadrature
 
-from conftest import agree
+from conftest import agree, src_callers
 
 
 # ---------------------------------------------------------------------------
@@ -222,6 +222,14 @@ def test_partition_integrand_weight_bounded():
                           256, 23, theta_cells=64)
     width = quad.c_max - quad.c_min
     assert np.all(pts[0].samples <= width + 1e-12)
+
+
+def test_only_default_c_quadrature_builds_a_zero_mode_window():
+    # the window [-w/gamma, w/gamma] of every sampler, the plain quadrature
+    # and the particle flows' uniform start, is written in one place
+    assert src_callers("CQuadrature") == {("propagator", "default_c_quadrature")}
+    quad = default_c_quadrature(0.5, n_nodes=9, half_width=6.0)
+    assert (quad.c_min, quad.c_max, quad.n_nodes) == (-12.0, 12.0, 9)
 
 
 def test_partition_boundary_diagnostic():

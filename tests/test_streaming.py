@@ -21,7 +21,6 @@ from sinhgordon.gff import CIRCLE_QUADRATURE_POINTS, TimeGrid, fluctuation_grid,
 from sinhgordon.gmc import SliceMass, Trapezoid, circle_spec, fourier_spec, \
     harmonic_number, theta_nodes
 from sinhgordon.parallel import CHUNK, seed_chunks
-from sinhgordon.params import reduce_to_unit_radius
 from sinhgordon.propagator import capped_exp, default_c_quadrature, fk_damping, fk_weights
 from sinhgordon.results import jackknife_func, jackknife_ratio, mean_and_se
 
@@ -118,7 +117,7 @@ def test_trapezoid_matches_weights_and_its_increments(first):
 
 def reference_engine(params, t_half, dt, n_modes, theta_cells, quad, n_samples, seed,
                      tasks):
-    gamma, mu = reduce_to_unit_radius(params).gamma, reduce_to_unit_radius(params).mu
+    gamma, mu = params.gamma, params.mu_scaled
     grid = TimeGrid(dt, int(round(2 * t_half / dt)))
     nodes, dth = theta_nodes(theta_cells)
     cs, cw = quad.nodes()
