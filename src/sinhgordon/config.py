@@ -33,7 +33,7 @@ OPTIONS = {
     "scaling-check": {"t_min": (float, 0.0), "t_max": (float, 1.0)},
     "partition": {"T_list": (Increasing([float]), None, 0.0)},
     "lambda0": {"T_list": (Increasing([float]), [1.0, 1.5, 2.0, 3.0], 0.0),
-                "drop_smallest": (bool, True), "backend": (("smc", "plain"), "smc")},
+                "drop_smallest": (bool, True)},
     "ground-state": {"T": (float, None, 0.0), "bins_c": (int, 12, 0), "bins_x": (int, 8, 0)},
     "vertex": {"alpha": (float, 0.5), "t": (float, 0.0), "theta": (float, 0.0),
                "method": (("direct", "girsanov", "both"), "direct"),
@@ -48,6 +48,15 @@ OPTIONS = {
                  "estimates": ([[float]], None)},
 }
 EXPERIMENTS = tuple(OPTIONS)
+
+# The experiments that read no radius, and why: each exits 2 at a
+# params.radius other than 1 rather than write the unit-radius records.
+UNIT_RADIUS = {
+    "gmc-mass": "its masses are those of the unit-radius field",
+    "moments": "its masses are those of the unit-radius field",
+    "lz": "it computes the infinite-volume value",
+    "mc-vs-lz": "it takes its radii from R_values",
+}
 
 
 # The config blocks: block -> key -> (kind, default[, bound]), in the form of
@@ -193,6 +202,9 @@ def parse_config(data: dict) -> RunConfig:
     reg = _regularization(gmc.pop("regularization"))
     exp = _checked(top["experiment"], _EXPERIMENT, "experiment", "experiment.")
     name = exp["name"]
+    if name in UNIT_RADIUS and params.radius != 1.0:
+        raise ConfigError(f"{name} needs params.radius 1, got {params.radius}: "
+                          f"{UNIT_RADIUS[name]}")
     return RunConfig(params=params, sampler=SamplerCfg(**blocks["sampler"]),
                      gmc=GmcCfg(**reg, **gmc), estimator=EstimatorCfg(**blocks["estimator"]),
                      experiment=name, opts=_checked(exp["options"], OPTIONS[name],

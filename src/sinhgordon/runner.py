@@ -130,18 +130,6 @@ def _quad(cfg: RunConfig):
                                 cfg.estimator.c_window)
 
 
-def _partition_points(cfg: RunConfig, t_list, workers: int):
-    """Z at each half-height of ``t_list``, weighted with the sampler's Fourier
-    truncation like every Feynman-Kac weight (``gmc.regularization`` does not
-    apply: a circle average over [0, t] would need slices before 0)."""
-    from .gmc import fourier_spec
-    from .propagator import partition_curve
-    return partition_curve(t_list, cfg.params, _quad(cfg),
-                           cfg.sampler.dt, fourier_spec(+1, cfg.sampler.n_modes),
-                           cfg.estimator.n_samples, cfg.estimator.seed,
-                           theta_cells=cfg.gmc.theta_cells, workers=workers)
-
-
 def _region(cfg: RunConfig, spec=None):
     """The region of the ``t_min``/``t_max`` options; with a circle ``spec``, its
     averaging circle must fit above t = 0 (the masses sample from t = 0)."""
@@ -269,9 +257,18 @@ def _exp_scaling_check(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 
 def _exp_partition(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
+    """Z at each half-height of ``T_list``, weighted with the sampler's Fourier
+    truncation like every Feynman-Kac weight (``gmc.regularization`` does not
+    apply: a circle average over [0, t] would need slices before 0)."""
+    from .gmc import fourier_spec
+    from .propagator import partition_curve
     t0 = time.perf_counter()
     t_list = [cfg.sampler.window] if cfg.opts["T_list"] is None else cfg.opts["T_list"]
-    for pt in _partition_points(cfg, t_list, workers):
+    points = partition_curve(t_list, cfg.params, _quad(cfg), cfg.sampler.dt,
+                             fourier_spec(+1, cfg.sampler.n_modes), cfg.estimator.n_samples,
+                             cfg.estimator.seed, theta_cells=cfg.gmc.theta_cells,
+                             workers=workers)
+    for pt in points:
         out.record({"experiment": "partition", "t_half": pt.t_half, "estimate": pt.z,
                     "std_error": pt.z_se, "log_z": pt.log_z, "log_z_se": pt.log_z_se,
                     "boundary_fraction": pt.boundary_fraction,
@@ -280,32 +277,24 @@ def _exp_partition(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 
 def _exp_lambda0(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
+    from .smc import SmcSettings, smc_log_partition
     from .spectral import lambda0_fit
     t0 = time.perf_counter()
-    t_list, backend = cfg.opts["T_list"], cfg.opts["backend"]
+    t_list = cfg.opts["T_list"]
     TimeGrid.of_half_heights(t_list, cfg.sampler.dt)  # an off-grid T is reported first
     if len(t_list) < 3:
         raise ConfigError(f"lambda0 option T_list needs at least 3 entries for the fit, "
                           f"got {t_list!r}")
-    if backend == "smc":
-        from .smc import SmcSettings, smc_log_partition
-        settings = SmcSettings.for_samples(cfg.estimator.n_samples, 12)
-        pairs = smc_log_partition(cfg.params, t_list, cfg.sampler.dt,
-                                  cfg.sampler.n_modes, cfg.gmc.theta_cells, settings,
-                                  cfg.estimator.seed, workers=workers, quad=_quad(cfg))
-        curve = [{"t_half": t, "log_z": p[0], "log_z_se": p[1]}
-                 for t, p in zip(t_list, pairs)]
-    else:
-        pts = _partition_points(cfg, t_list, workers)
-        pairs = [(pt.log_z, pt.log_z_se) for pt in pts]
-        curve = [{"t_half": pt.t_half, "log_z": pt.log_z, "log_z_se": pt.log_z_se}
-                 for pt in pts]
+    pairs = smc_log_partition(cfg.params, t_list, cfg.sampler.dt, cfg.sampler.n_modes,
+                              cfg.gmc.theta_cells,
+                              SmcSettings.for_samples(cfg.estimator.n_samples, 12),
+                              cfg.estimator.seed, workers=workers, quad=_quad(cfg))
+    curve = [{"t_half": t, "log_z": p[0], "log_z_se": p[1]} for t, p in zip(t_list, pairs)]
     # T_list strictly increases (config.OPTIONS), so the smallest T comes first
     skip = 1 if cfg.opts["drop_smallest"] and len(t_list) > 3 else 0
     fit = lambda0_fit(t_list[skip:], pairs[skip:])
     out.record({"experiment": "lambda0", "estimate": fit.value, "std_error": fit.std_error,
-                "fit_window": fit.fit_window, "r_squared": fit.r_squared,
-                "backend": backend, "curve": curve,
+                "fit_window": fit.fit_window, "r_squared": fit.r_squared, "curve": curve,
                 "wall_ms": round(1e3 * (time.perf_counter() - t0), 3)})
 
 

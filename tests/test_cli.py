@@ -19,6 +19,8 @@ from sinhgordon.errors import ConfigError
 from sinhgordon.results import params_fingerprint
 from sinhgordon.runner import run
 
+from conftest import src_callers
+
 
 def base_config(experiment, options=None, n_samples=400, seed=5, **tweaks):
     cfg = {
@@ -145,6 +147,30 @@ def test_wrong_typed_numbers_exit_two(tmp_path, capsys, block, key, value):
     cfg[block][key] = value
     assert run(write_config(tmp_path, cfg), out_dir=str(tmp_path / "o")) == 2
     assert "config error:" in capsys.readouterr().err
+
+
+_UNIT_MASSES = "its masses are those of the unit-radius field"
+
+
+@pytest.mark.parametrize("experiment, options, radius, message", [
+    ("gmc-mass", {}, 2.0, f"gmc-mass needs params.radius 1, got 2.0: {_UNIT_MASSES}"),
+    ("moments", {}, 2.0, f"moments needs params.radius 1, got 2.0: {_UNIT_MASSES}"),
+    ("lz", {}, 2.0, "lz needs params.radius 1, got 2.0: it computes the infinite-volume value"),
+    ("mc-vs-lz", {}, 2.0,
+     "mc-vs-lz needs params.radius 1, got 2.0: it takes its radii from R_values"),
+    ("lambda0", {"backend": "smc"}, 1.0, "unknown keys in lambda0 options: ['backend']"),
+], ids=["gmc-mass-radius-2", "moments-radius-2", "lz-radius-2", "mc-vs-lz-radius-2",
+        "lambda0-backend"])
+def test_config_refused_at_parse_is_one_line(tmp_path, capsys, experiment, options, radius,
+                                             message):
+    # the four radius-blind experiments would write the records of radius 1
+    # at radius 2, and lambda0 has one code path, so no backend to pick: the
+    # parse refuses both before anything is sampled or made
+    cfg = base_config(experiment, options, params={"gamma": 1.0, "mu": 1.0, "radius": radius})
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, cfg), fast=True, out_dir=str(out)) == 2
+    assert capsys.readouterr().err.splitlines() == [f"config error: {message}"]
+    assert not out.exists()
 
 
 def test_non_object_blocks_exit_two(tmp_path, capsys):
@@ -323,7 +349,7 @@ _OPTION_EDGES = {
     "T_list": [[0.3], [0.0625], [0.5, 0.25], [1e-3]],
     "separations": [[0.3], [2.0], [0.0625], [1e-3]],
     "tol": [1e-3, 1e-16, 0.5],
-    "sigma": [-1], "backend": ["plain"], "drop_smallest": [False],
+    "sigma": [-1], "drop_smallest": [False],
 }
 _NUMBER_EDGES = [0.0, -1.0, 0.3, 2.5, 5.0]
 _SHIPPED = {path.stem: json.loads(path.read_text())
@@ -458,8 +484,10 @@ def test_partition_weights_use_the_sampler_truncation(tmp_path):
             == _records_without(tmp_path / "fourier", "partition", *keys))
 
 
-def test_plain_lambda0_ignores_the_regularization_modes(tmp_path):
-    options = {"T_list": [0.5, 0.75, 1.0], "backend": "plain"}
+def test_lambda0_ignores_the_regularization_modes(tmp_path):
+    # the particle flow weights with the sampler's Fourier truncation, like
+    # every Feynman-Kac weight, so gmc.regularization.n changes nothing
+    options = {"T_list": [0.5, 0.75, 1.0]}
     for n in (12, 4):
         path = write_config(tmp_path, base_config(
             "lambda0", options, gmc={"regularization": {"kind": "fourier", "n": n},
@@ -472,10 +500,16 @@ def test_plain_lambda0_ignores_the_regularization_modes(tmp_path):
 
 def test_lambda0_drop_smallest_false_keeps_the_smallest_t(tmp_path):
     path = write_config(tmp_path, base_config(
-        "lambda0", {"T_list": [0.5, 0.75, 1.0, 1.25], "drop_smallest": False,
-                    "backend": "plain"}))
+        "lambda0", {"T_list": [0.5, 0.75, 1.0, 1.25], "drop_smallest": False}))
     assert run(path, out_dir=str(tmp_path / "out"), fast=True) == 0
     assert read_records(tmp_path / "out", "lambda0")[0]["fit_window"] == [0.5, 0.75, 1.0, 1.25]
+
+
+def test_each_partition_estimator_has_one_caller():
+    # partition runs on the plain estimator alone and lambda0 on the particle
+    # flow alone; a second caller would be a second code path for one estimate
+    assert src_callers("partition_curve") == {("runner", "_exp_partition")}
+    assert src_callers("smc_log_partition") == {("runner", "_exp_lambda0")}
 
 
 def test_vertex_and_two_point(tmp_path):
@@ -725,10 +759,9 @@ _HALF_HEIGHT_0515 = ("config error: half-height T=0.515 is not on the grid "
     ("two-point", {"separations": [0.25, 0.3]},
      "separation 0.3: insertion time -0.15 is not on the grid"),
     ("lambda0", {"T_list": [0.25, 0.5, 0.515, 0.75]}, _HALF_HEIGHT_0515),
-    ("lambda0", {"T_list": [0.25, 0.5, 0.515, 0.75], "backend": "plain"}, _HALF_HEIGHT_0515),
     ("partition", {"T_list": [0.25, 0.515, 0.75]}, _HALF_HEIGHT_0515),
     ("partition", {"T_list": [0.25, 0.5, 0.515]}, _HALF_HEIGHT_0515),
-], ids=["vertex-t", "two-point-separation", "lambda0-smc-T_list", "lambda0-plain-T_list",
+], ids=["vertex-t", "two-point-separation", "lambda0-smc-T_list",
         "partition-T_list", "partition-largest-T_list"])
 def test_off_grid_insertion_names_the_configured_time(tmp_path, capsys, experiment, options,
                                                       message):
@@ -745,16 +778,13 @@ _NOT_POSITIVE = "option T_list entry must be greater than 0.0"
 
 @pytest.mark.parametrize("experiment, options, message", [
     ("lambda0", {"T_list": [1.5, 1.0, 2.0, 3.0]}, _UNSORTED),
-    ("lambda0", {"T_list": [1.5, 1.0, 2.0, 3.0], "backend": "plain"}, _UNSORTED),
     ("lambda0", {"T_list": [1.0, 1.5, 1.5, 2.0]}, _UNSORTED),
     ("partition", {"T_list": [0.75, 0.5]}, _UNSORTED),
     ("partition", {"T_list": [0.5, 0.5]}, _UNSORTED),
     ("lambda0", {"T_list": [0.0, 0.5, 0.75], "drop_smallest": False}, _NOT_POSITIVE),
-    ("lambda0", {"T_list": [-0.5, 0.5, 0.75, 1.0], "backend": "plain"}, _NOT_POSITIVE),
     ("partition", {"T_list": [0.0, 0.5]}, _NOT_POSITIVE),
-], ids=["lambda0-smc-unsorted", "lambda0-plain-unsorted", "lambda0-repeated",
-        "partition-unsorted", "partition-repeated", "lambda0-smc-zero", "lambda0-plain-negative",
-        "partition-zero"])
+], ids=["lambda0-smc-unsorted", "lambda0-repeated", "partition-unsorted",
+        "partition-repeated", "lambda0-smc-zero", "partition-zero"])
 def test_t_list_is_checked_before_sampling(tmp_path, capsys, experiment, options, message):
     # an unsorted T_list used to fit the wrong points, and a T of 0 gave the
     # SMC backend a NaN estimate, both with exit 0; both are config errors now
