@@ -307,14 +307,14 @@ def vertex_plain(insertions: InsertionSet, estimators, t_half: float, params: Mo
         if kind == "direct":
             tasks.append({"kind": "vertex", "entries": entries,
                           "reg": fourier_spec(+1, n_modes) if reg is None else reg})
-            diagnostics.append({"admissible": insertions.admissible, "backend": "plain"})
+            diagnostics.append({"admissible": insertions.admissible})
         elif kind == "girsanov":
             if reg is not None:
                 raise ValueError("a girsanov entry takes no regularization")
             _check_admissible(insertions)
             shift = ShiftData(entries, kernel=n_modes)
             tasks.append({"kind": "girsanov", "shift": shift})
-            diagnostics.append({"scalar_log": shift.scalar_log(), "backend": "plain"})
+            diagnostics.append({"scalar_log": shift.scalar_log()})
         else:
             raise ValueError(f"unknown vertex estimator {kind!r}")
     t0 = time.perf_counter()
@@ -455,6 +455,20 @@ def refinement_report(resolutions, estimates) -> dict:
             "last_step": last_step, "converged_flag": bool(converged)}
 
 
+# Common rotations averaged over per insertion pair, where whole cells allow it.
+_IMAGE_TURNS = 8
+
+
+def _image_turns(theta_cells: int) -> np.ndarray:
+    """The common rotations 2 pi k / n_img, n_img = gcd(theta_cells, 8), of a two-point pair.
+
+    Each is a whole number of theta cells, which maps the midpoint mass sum and
+    the stationary mode law to themselves, so every image has the pair's law.
+    """
+    n_img = math.gcd(theta_cells, _IMAGE_TURNS)
+    return 2.0 * np.pi * np.arange(n_img) / n_img
+
+
 def two_point_panel(pairs, separations, t_half: float, params: ModelParams, *,
                     dt: float = 1.0 / 32.0, n_modes: int = 48, theta_cells: int = 96,
                     n_samples: int = 65536, seed=0, smc_runs: int = 16,
@@ -464,18 +478,25 @@ def two_point_panel(pairs, separations, t_half: float, params: ModelParams, *,
     ``pairs`` is a list of ((alpha1, theta1), (alpha2, theta2)); sharing the
     population across pairs and separations gives common random numbers
     everywhere, which is what makes rate comparisons between pairs sharp.
-    The particles start on the zero-mode window of ``quad`` (:func:`smc.smc_flow`).
-    Returns {pair_index: [rows...]} with the same row format as
+    Both insertions of a pair are also turned together by every rotation of
+    :func:`_image_turns`, and each run's pair, first and second columns are
+    averaged over these images before the jackknife (source averaging: the
+    same expectation, with less noise).  The particles start on the
+    zero-mode window of ``quad`` (:func:`smc.smc_flow`).  Returns
+    {pair_index: [rows...]} with the same row format as
     :func:`two_point_covariance`.
     """
     separations = _checked_separations(separations, t_half)
-    groups = [g for ins1, ins2 in pairs for s in separations
-              for g in _pair_groups(ins1, ins2, s, t_half, dt)]
+    turns = _image_turns(theta_cells)
+    groups = [g for (a1, th1), (a2, th2) in pairs for s in separations for turn in turns
+              for g in _pair_groups((a1, th1 + turn), (a2, th2 + turn), s, t_half, dt)]
     num, den = _register_columns(params, t_half, groups, dt=dt, n_modes=n_modes,
                                  theta_cells=theta_cells, n_samples=n_samples,
                                  n_runs=smc_runs, seed=seed, workers=workers, quad=quad)
-    per_pair = 3 * len(separations)
-    return {pi: _two_point_rows(separations, num[pi * per_pair:(pi + 1) * per_pair], den)
+    # (pair, separation, image, component, run) -> image averages, one row per
+    # (separation, component) of each pair
+    cols = np.reshape(num, (len(pairs), len(separations), turns.size, 3, -1)).mean(axis=2)
+    return {pi: _two_point_rows(separations, cols[pi].reshape(3 * len(separations), -1), den)
             for pi in range(len(pairs))}
 
 

@@ -26,6 +26,7 @@ from .errors import (
     IndexOutOfRange,
     NegativeTime,
 )
+from .parallel import generator
 
 
 @dataclass(frozen=True)
@@ -149,7 +150,7 @@ def sample_circle_field(n_modes: int, mode="stationary", seed=None) -> CircleFie
         raise ValueError("n_modes must be >= 1")
     if mode != "stationary":
         raise ValueError(f"unknown sampling mode: {mode!r}")
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
     xs = rng.standard_normal(n_modes)
     ys = rng.standard_normal(n_modes)
     return CircleField(0.0, xs, ys)
@@ -243,7 +244,7 @@ def sample_path_batch(rng: np.random.Generator, n_paths: int, n_modes: int,
 
 def evolve_path(initial: CircleField, c: float, grid: TimeGrid, seed=None) -> PathSample:
     """Evolve one path from a fixed initial slice with an exact update scheme."""
-    b, x, y = sample_path_batch(np.random.default_rng(seed), 1, initial.n_modes, grid, initial)
+    b, x, y = sample_path_batch(generator(seed), 1, initial.n_modes, grid, initial)
     start = CircleField(float(c), initial.xs.copy(), initial.ys.copy())
     return PathSample(grid=grid, brownian=b[0], mode_x=x[0], mode_y=y[0], initial=start)
 

@@ -114,10 +114,17 @@ class SliceMass:
 
     S+-[k] = e^{-gamma^2 renorm/2} * dtheta * e^{+-gamma B_k} * sum_theta e^{+-gamma phi_k}.
     The field is synthesized into a reused buffer and exponentiated in place
-    once; the minus sign takes the reciprocal into a second buffer, which
-    also holds the sine half of the synthesis.  The basis is shared by every
-    kernel of the same modes and nodes.  A shifted field phi + s weights the
-    cells with precomputed ``(e^{gamma s}, e^{-gamma s})``, with no further exp.
+    once; the minus sign takes the reciprocal into a second buffer.  The
+    theta grid must be mirror-symmetric, theta_{T-1-j} = 2 pi - theta_j, as
+    the midpoint grid is: the cosine sum C is even and the sine sum S odd
+    under the mirror, so :meth:`load` synthesizes the first half of the nodes
+    only and writes the field as C + S on the first half and C - S, reversed,
+    on the second (a middle node, for an odd count, sits at pi, where S
+    vanishes), all inside the two buffers.
+    ``basis`` is the full basis, shared by every kernel of the same modes and
+    nodes.  Both theta sums are one matrix-vector product with a weight
+    vector: ones, or for a shifted field phi + s the precomputed
+    ``(e^{gamma s}, e^{-gamma s})``, with no further exp.
     """
 
     def __init__(self, gamma: float, renorm: float, dtheta: float, thetas=None,
@@ -125,26 +132,50 @@ class SliceMass:
         self.gamma = gamma
         self.scale = math.exp(-0.5 * gamma * gamma * renorm) * dtheta
         self.n_modes = n_modes
-        self.basis = None if thetas is None else theta_basis(n_modes, thetas)
-        self.e = self.inv = None
+        self.basis = None
+        if thetas is not None:
+            thetas = np.asarray(thetas, dtype=float)
+            if np.abs(thetas + thetas[::-1] - 2.0 * np.pi).max() > 1e-12:
+                raise ValueError("the theta grid must be mirror-symmetric about pi")
+            self.basis = theta_basis(n_modes, thetas)
+        self.e = self.inv = self.ones = None
 
     def load(self, x: np.ndarray, y: np.ndarray) -> "SliceMass":
         """Load a slice from (R, N) mode coefficients; the first ``n_modes`` are used."""
         n = self.n_modes
         cb, sb = self.basis
-        shape = (*x.shape[:-1], cb.shape[1])
-        if self.e is None or self.e.shape != shape:
-            self.e, self.inv = np.empty(shape), np.empty(shape)
-        np.matmul(x[..., :n], cb, out=self.e)
-        np.matmul(y[..., :n], sb, out=self.inv)
-        self.e += self.inv
+        cells = cb.shape[1]
+        half = cells // 2
+        lead = x.shape[:-1]
+        if self.e is None or self.e.shape != (*lead, cells):
+            self._buffers((*lead, cells))
+        # C and S into contiguous blocks of the second buffer, C + S, C - S and
+        # C's middle column into blocks of the first, then the field in node
+        # order into the second, which becomes the first: every elementwise
+        # step runs on contiguous blocks, so numpy takes no iteration buffer
+        c, s = _blocks(self.inv, lead, (cells - half, half))
+        np.matmul(x[..., :n], cb[:, :cells - half], out=c)
+        np.matmul(y[..., :n], sb[:, :half], out=s)
+        plus, minus, middle = _blocks(self.e, lead, (half, half, cells - 2 * half))
+        np.add(c[..., :half], s, out=plus)
+        np.subtract(c[..., :half], s, out=minus)
+        middle[...] = c[..., half:]
+        field = self.inv
+        field[..., :half] = plus
+        field[..., half:cells - half] = middle
+        field[..., cells - half:] = minus[..., ::-1]
+        self.e, self.inv = field, self.e
         return self._exponentiate()
 
     def load_field(self, fields: np.ndarray) -> "SliceMass":
         """Load field values (..., T) given directly on the theta nodes."""
-        self.e = np.array(fields, dtype=float)
-        self.inv = np.empty_like(self.e)
+        fields = np.asarray(fields, dtype=float)
+        self._buffers(fields.shape)
+        self.e[...] = fields
         return self._exponentiate()
+
+    def _buffers(self, shape) -> None:
+        self.e, self.inv, self.ones = np.empty(shape), np.empty(shape), np.ones(shape[-1])
 
     def _exponentiate(self) -> "SliceMass":
         self.e *= self.gamma
@@ -154,15 +185,21 @@ class SliceMass:
 
     def pair(self, brownian=0.0, shift=None):
         """(S+, S-) of the loaded slice; of the field phi + s for ``shift`` = (e^{gs}, e^{-gs})."""
-        if shift is None:
-            plus, minus = self.e.sum(axis=-1), self.inv.sum(axis=-1)
-        else:
-            plus, minus = self.e @ shift[0], self.inv @ shift[1]
+        plus_w, minus_w = (self.ones, self.ones) if shift is None else shift
         zero = np.exp(self.gamma * brownian)
-        return self.scale * zero * plus, self.scale / zero * minus
+        return self.scale * zero * (self.e @ plus_w), self.scale / zero * (self.inv @ minus_w)
 
     def __call__(self, x: np.ndarray, y: np.ndarray, brownian=0.0):
         return self.load(x, y).pair(brownian)
+
+
+def _blocks(buffer: np.ndarray, lead: tuple, widths) -> list:
+    """Consecutive contiguous (*lead, width) blocks of ``buffer``'s memory."""
+    flat, rows, out, at = buffer.reshape(-1), math.prod(lead), [], 0
+    for width in widths:
+        out.append(flat[at:at + rows * width].reshape(*lead, width))
+        at += rows * width
+    return out
 
 
 class Trapezoid:

@@ -54,6 +54,11 @@ def as_seed_sequence(seed) -> np.random.SeedSequence:
     return seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
 
+def generator(seed) -> np.random.Generator:
+    """The one bit generator of every draw: SFC64 seeded from ``seed``'s sequence."""
+    return np.random.Generator(np.random.SFC64(as_seed_sequence(seed)))
+
+
 def stateless_children(seed, n: int):
     """n child seed sequences derived without mutating the parent.
 
@@ -194,11 +199,11 @@ def map_chunks(fn, chunks, workers: int = 1):
 def map_replicas(run, seed, n: int, chunk_size: int, workers: int = 1) -> dict:
     """Run ``run(rng, size)`` over ``n`` replicas in chunks; join its columns in chunk order.
 
-    Chunk i gets ``np.random.default_rng`` of the i-th child of ``seed``
+    Chunk i gets the :func:`generator` of the i-th child of ``seed``
     (:func:`seed_chunks`).  ``run`` returns ``{name: array}``, with one row per
     replica or, where the chunk reduces its replicas itself, one row per chunk;
     each name is concatenated along axis 0.
     """
-    parts = map_chunks(lambda chunk: run(np.random.default_rng(chunk[0]), chunk[1]),
+    parts = map_chunks(lambda chunk: run(generator(chunk[0]), chunk[1]),
                        seed_chunks(seed, n, chunk_size), workers)
     return {key: np.concatenate([part[key] for part in parts]) for key in parts[0]}

@@ -86,13 +86,18 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
     n = settings.n_particles
 
     groups = [tuple(g) for g in register_groups]
-    ins_by_step: dict[int, list] = {}
+    # step -> (its distinct insertion angles, [(group, alpha, angle's column), ...])
+    ins_by_step: dict[int, tuple] = {}
     for gi, group in enumerate(groups):
         for a, s_i, th_i in group:
             k_i = grid.index_of(s_i)
             if not (0 < k_i <= k_total):
                 raise WindowOutsideCylinder(f"insertion time {s_i} outside the open cylinder")
-            ins_by_step.setdefault(k_i, []).append((gi, float(a), float(th_i)))
+            angles, entries = ins_by_step.setdefault(k_i, ({}, []))
+            col = angles.setdefault(float(th_i), len(angles))
+            entries.append((gi, float(a), col))
+    ins_by_step = {k: (np.array(list(angles)), entries)
+                   for k, (angles, entries) in ins_by_step.items()}
 
     def one_run(rng, _):
         c = rng.uniform(quad.c_min, quad.c_max, n)
@@ -108,9 +113,12 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
         for k, b, x, y in stream_paths(rng, n, n_modes, grid):
             inc_p, inc_m = mass.add(*kernel(x, y, b)).step()
             log_w = log_w - mu * (exp_cp * inc_p + exp_cm * inc_m)
-            for gi, a, th_i in ins_by_step.get(k, ()):
-                phi = fluctuation_grid(x, y, np.array([th_i]))[:, 0]
-                regs[gi] = regs[gi] + a * (c + b + phi) - 0.5 * a * a * renorm
+            if k in ins_by_step:
+                angles, entries = ins_by_step[k]
+                phi, zero = fluctuation_grid(x, y, angles), c + b
+                for gi, a, col in entries:
+                    regs[gi] += a * (zero + phi[:, col])
+                    regs[gi] -= 0.5 * a * a * renorm
             hi = log_w.max()
             w = np.exp(log_w - hi)
             if k in marks:
@@ -135,7 +143,8 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
                         path[:] = path[idx]
                     exp_cp, exp_cm = exp_cp[idx], exp_cm[idx]
                     mass.take(idx)
-                    regs = [r[idx] for r in regs]
+                    for r in regs:
+                        r[:] = r[idx]
                     log_w = np.zeros(n)
         return {"log_z": log_z_rows[None], "group_means": means[None]}
 

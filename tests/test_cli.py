@@ -609,6 +609,14 @@ def test_workers_do_not_change_results(tmp_path):
     assert r1 == r2
 
 
+def test_workers_do_not_change_two_point_records(tmp_path):
+    # one image-averaged particle run per chunk, in the pool and on the serial path
+    r1, r2 = _records_at_one_and_two_workers(
+        tmp_path, "two-point", {"alpha1": 0.5, "separations": [0.25, 0.5]}, 600)
+    assert len(r1) == 2 and all("status" not in r for r in r1)
+    assert r1 == r2
+
+
 def test_workers_do_not_change_plain_engine_records(tmp_path):
     # three chunks of the plain engine, in the pool and on the serial path;
     # the run holds the matmuls at 1 BLAS thread on both
@@ -1241,12 +1249,10 @@ def test_mc_vs_lz_runs_one_flow_per_radius(tmp_path, monkeypatch):
 # Records pinned across refactors
 # ---------------------------------------------------------------------------
 
-# Records (without wall_ms) written before the sampler, slice-mass and damping
-# kernels were consolidated, for these configs at --fast and seed 5.  A change
-# that keeps the draw order must reproduce them: the plain engine bit for bit,
-# the particle backend (lambda0) up to re-associated products.  The two-point
-# (particle flow registers) and mc-vs-lz (particle vertex_direct) records were
-# added later, written before the replica driver took over the particle runs.
+# Records (without wall_ms) of these configs at --fast and seed 5, written when
+# every draw moved to the SFC64 generator and the two-point pairs to their
+# rotation images.  A change that keeps the draw order must reproduce them to
+# 1e-12 relative: re-associated sums and products move them by a few ulps.
 # gap-fit and lz sample nothing: their pins hold the deterministic paths and
 # the record envelope.
 PINNED = json.loads((Path(__file__).parent / "pinned_records.json").read_text())
@@ -1379,7 +1385,7 @@ def test_validate_streams_the_sampled_paths(tmp_path):
     # the seed: per chunk the sums of f1, f2, f1·f2 and (f1·f2)², added chunk
     # after chunk in chunk order
     from sinhgordon.gff import TimeGrid, fluctuation_grid, sample_path_batch
-    from sinhgordon.parallel import seed_chunks
+    from sinhgordon.parallel import generator, seed_chunks
 
     n, seed = 600, 11
     path = write_config(tmp_path, base_config("validate", n_samples=n, seed=seed))
@@ -1388,7 +1394,7 @@ def test_validate_streams_the_sampled_paths(tmp_path):
     grid = TimeGrid(0.25, 4)
     chunks = seed_chunks(seed, n, runner.CHUNK)
     assert [size for _, size in chunks] == [256, 256, 88]
-    paths = [sample_path_batch(np.random.default_rng(child), size, 12, grid)
+    paths = [sample_path_batch(generator(child), size, 12, grid)
              for child, size in chunks]
 
     def field(chunk_paths, t, th):

@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 import sinhgordon as sg
+import sinhgordon.correlations as corr
 from sinhgordon.correlations import (
     ShiftData,
     _cylinder_engine,
     _entries_to_process,
+    _image_turns,
     _register_columns,
+    two_point_panel,
 )
 from sinhgordon.errors import (
     GridSpanMismatch,
@@ -101,10 +104,13 @@ def test_vertex_zero_alpha_is_one(unit_params):
 
 
 def test_vertex_girsanov_without_insertions_is_one(unit_params):
+    # with no shift, the shifted masses reduce through the same weight vector
+    # as the denominator's, so the ratio is 1 exactly, whatever the draws
     ins = sg.make_insertions([], unit_params)
-    res = sg.vertex_girsanov(ins, 1.0, unit_params, dt=1 / 8, n_modes=8, theta_cells=16,
-                             n_samples=64, seed=3)
-    assert res.mean == 1.0
+    for seed in (3, 4, 5, 6, 7):
+        res = sg.vertex_girsanov(ins, 1.0, unit_params, dt=1 / 8, n_modes=8, theta_cells=16,
+                                 n_samples=64, seed=seed)
+        assert res.mean == 1.0, seed
 
 
 def test_vertex_girsanov_requires_admissible(unit_params):
@@ -268,6 +274,50 @@ def test_two_point_positive_and_decaying(unit_params):
     # decay: |cov| smaller at the larger separation, at combined error
     assert (c_short["covariance"] - c_long["covariance"]
             > -3 * math.hypot(c_short["std_error"], c_long["std_error"]))
+
+
+@pytest.mark.parametrize("cells, n_img", [(96, 8), (128, 8), (100, 4), (33, 1)])
+def test_image_turns_are_whole_cells(cells, n_img):
+    turns = _image_turns(cells)
+    assert turns.size == n_img == math.gcd(cells, 8) and turns[0] == 0.0
+    in_cells = turns / (2.0 * math.pi / cells)
+    np.testing.assert_allclose(in_cells, np.round(in_cells), rtol=0.0, atol=1e-9)
+
+
+def test_two_point_panel_carries_every_image(unit_params, monkeypatch):
+    # at 100 cells each (pair, separation) carries its pair, first and second
+    # groups at the 4 common turns, both insertions turned together
+    seen = []
+    real = corr._register_columns
+
+    def spy(params, t_half, groups, **kwargs):
+        seen.append(groups)
+        return real(params, t_half, groups, **kwargs)
+
+    monkeypatch.setattr(corr, "_register_columns", spy)
+    two_point_panel([((0.5, 0.1), (0.4, 0.2))], [0.25, 0.5], 1.0, unit_params, dt=1 / 8,
+                    n_modes=8, theta_cells=100, n_samples=256, seed=3, smc_runs=2)
+    groups = seen[0]
+    assert len(groups) == 2 * 4 * 3
+    turns = _image_turns(100)
+    for j in range(2):
+        pairs = groups[12 * j:12 * (j + 1):3]
+        assert [(p[0][2], p[1][2]) for p in pairs] == [(0.1 + t, 0.2 + t) for t in turns]
+
+
+def test_two_point_images_only_permute(unit_params):
+    # turning both insertions by one image maps the set of images to itself:
+    # the same panel, up to the order of the image sums
+    kw = dict(dt=1 / 8, n_modes=12, theta_cells=32, n_samples=512, seed=23, smc_runs=4)
+    turn = 2.0 * math.pi / _image_turns(32).size
+    pairs = [((0.5, 0.0), (0.5, 0.0)), ((0.6, 0.0), (0.4, 0.0))]
+    base = two_point_panel(pairs, [0.25, 0.5], 1.0, unit_params, **kw)
+    turned = two_point_panel([((a1, turn), (a2, turn)) for (a1, _), (a2, _) in pairs],
+                             [0.25, 0.5], 1.0, unit_params, **kw)
+    for pi in base:
+        for got, want in zip(turned[pi], base[pi]):
+            for key in ("covariance", "std_error", "product_moment"):
+                assert got[key] == pytest.approx(want[key], rel=1e-12, abs=0.0), key
 
 
 def test_two_point_separation_fits_window(unit_params):

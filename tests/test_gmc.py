@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import sinhgordon as sg
 from sinhgordon.errors import EmptyRegion, RegionOutsideGrid
+from sinhgordon.gff import fluctuation_grid
 from sinhgordon.gmc import (
     Region,
     SliceMass,
@@ -99,6 +100,34 @@ def test_weighted_mass_circle_outside_span_raises(unit_params):
     # streamed mass refuses it instead of returning NaN
     with pytest.raises(RegionOutsideGrid, match="circle margin 0.125 lies below t=0"):
         _masses(Region(0.0, 1.0), unit_params, spec=circle_spec(+1, 1 / 8))
+
+
+# ---------------------------------------------------------------------------
+# The slice-mass kernel: mirror-halved synthesis, one reduction
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cells", [16, 17, 96, 128])
+def test_slice_mass_load_is_the_full_synthesis(cells):
+    # the field synthesized from half the nodes and mirrored is the full-basis
+    # field on every node, the middle node at pi of an odd count included
+    rng = np.random.default_rng(cells)
+    nodes, dtheta = theta_nodes(cells)
+    x, y = rng.standard_normal((33, 20)), rng.standard_normal((33, 20))
+    kernel = SliceMass(1.0, sg.harmonic_number(16), dtheta, nodes, 16).load(x, y)
+    field = fluctuation_grid(x, y, nodes, 16)
+    np.testing.assert_allclose(kernel.e, np.exp(field), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(kernel.inv, np.exp(-field), rtol=1e-12, atol=0.0)
+    plus, minus = kernel.pair()
+    np.testing.assert_allclose(plus, kernel.scale * np.exp(field).sum(axis=1),
+                               rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(minus, kernel.scale * np.exp(-field).sum(axis=1),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_slice_mass_needs_a_mirror_symmetric_grid():
+    nodes, dtheta = theta_nodes(16)
+    with pytest.raises(ValueError, match="mirror-symmetric"):
+        SliceMass(1.0, 1.0, dtheta, nodes + 0.1, 8)
 
 
 # ---------------------------------------------------------------------------

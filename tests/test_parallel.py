@@ -14,7 +14,8 @@ import pytest
 
 from sinhgordon import runner
 from sinhgordon.errors import ConfigError, SinhGordonError
-from sinhgordon.parallel import _BLAS, blas_threads, map_chunks, map_replicas, seed_chunks
+from sinhgordon.parallel import (_BLAS, blas_threads, generator, map_chunks, map_replicas,
+                                 seed_chunks)
 
 from conftest import src_callers
 
@@ -37,7 +38,7 @@ def test_map_replicas_joins_chunks_in_order():
     # the i-th child seed whichever worker ran it
     got = map_replicas(_columns, 17, 10, 4, workers=3)
     assert got["size"].tolist() == [4] * 4 + [4] * 4 + [2] * 2
-    want = np.concatenate([np.random.default_rng(child).standard_normal(size)
+    want = np.concatenate([generator(child).standard_normal(size)
                            for child, size in seed_chunks(17, 10, 4)])
     assert np.array_equal(got["flat"], want)
 
@@ -46,7 +47,7 @@ def test_map_replicas_joins_columns_along_the_first_axis():
     got = map_replicas(_columns, 17, 10, 4, workers=2)
     assert got["wide"].shape == (10, 3)
     assert got["empty"].shape == (10, 0)
-    first = np.random.default_rng(seed_chunks(17, 10, 4)[0][0])
+    first = generator(seed_chunks(17, 10, 4)[0][0])
     first.standard_normal(4)
     assert np.array_equal(got["wide"][:4], first.standard_normal((4, 3)))
 
@@ -238,7 +239,19 @@ def test_the_runner_leaves_a_loaded_blas_alone():
 def test_only_map_replicas_and_single_path_draws_make_generators():
     # every replica draws through map_replicas (chunk i from the i-th child of
     # the seed); outside it, src/ makes a generator only for the single-path
-    # draws of gff.  A second replica rule would make its own generator here
-    assert src_callers("default_rng") == {("parallel", "map_replicas"),
-                                          ("gff", "sample_circle_field"),
-                                          ("gff", "evolve_path")}
+    # draws of gff, and every generator is built by parallel.generator (SFC64).
+    # A second replica rule or bit generator would make its own generator here
+    assert src_callers("generator") == {("parallel", "map_replicas"),
+                                        ("gff", "sample_circle_field"),
+                                        ("gff", "evolve_path")}
+    assert src_callers("default_rng") == set()
+    assert src_callers("SFC64") == {("parallel", "generator")}
+
+
+def test_generator_is_sfc64_of_the_seed_sequence():
+    seq = np.random.SeedSequence(17, spawn_key=(3,))
+    rng = generator(seq)
+    assert isinstance(rng.bit_generator, np.random.SFC64)
+    assert np.array_equal(rng.standard_normal(5), generator(seq).standard_normal(5))
+    assert np.array_equal(generator(17).standard_normal(5),
+                          generator(np.random.SeedSequence(17)).standard_normal(5))

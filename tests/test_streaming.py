@@ -20,7 +20,7 @@ from sinhgordon.gff import CIRCLE_QUADRATURE_POINTS, TimeGrid, fluctuation_grid,
     sample_path_batch, stream_paths
 from sinhgordon.gmc import SliceMass, Trapezoid, circle_spec, fourier_spec, \
     harmonic_number, theta_nodes
-from sinhgordon.parallel import CHUNK, seed_chunks
+from sinhgordon.parallel import CHUNK, generator, seed_chunks
 from sinhgordon.propagator import capped_exp, default_c_quadrature, fk_damping, fk_weights
 from sinhgordon.results import jackknife_func, jackknife_ratio, mean_and_se
 
@@ -124,7 +124,7 @@ def reference_engine(params, t_half, dt, n_modes, theta_cells, quad, n_samples, 
     trap = trapezoid_weights(grid, 0.0, grid.span)
     den, nums = [], [[] for _ in tasks]
     for sub_seed, size in seed_chunks(seed, n_samples, CHUNK):
-        b, xs, ys = sample_path_batch(np.random.default_rng(sub_seed), size, n_modes, grid)
+        b, xs, ys = sample_path_batch(generator(sub_seed), size, n_modes, grid)
         fields = fluctuation_grid(xs, ys, nodes)
         sp, sm = two_exp_pair(b, fields, gamma, harmonic_number(n_modes), dth)
         w = fk_weights((sp * trap).sum(-1), (sm * trap).sum(-1), cs, mu, gamma)
@@ -201,7 +201,7 @@ def test_partition_curve_matches_reference(unit_params):
     cs, cw = quad.nodes()
     z = []
     for sub_seed, size in seed_chunks(44, 600, CHUNK):
-        b, xs, ys = sample_path_batch(np.random.default_rng(sub_seed), size, 12, grid)
+        b, xs, ys = sample_path_batch(generator(sub_seed), size, 12, grid)
         sp, sm = two_exp_pair(b, fluctuation_grid(xs, ys, nodes), GAMMA,
                               harmonic_number(12), dth)
         cols = []
@@ -230,7 +230,7 @@ def test_feynman_kac_matches_reference(unit_params):
     w_t = trapezoid_weights(grid, 0.0, 0.75)
     vals = []
     for sub_seed, size in seed_chunks(46, 600, CHUNK):
-        b, xs, ys = sample_path_batch(np.random.default_rng(sub_seed), size, 16, grid,
+        b, xs, ys = sample_path_batch(generator(sub_seed), size, 16, grid,
                                       initial=init)
         sp, sm = two_exp_pair(b, fluctuation_grid(xs, ys, nodes, 12), GAMMA,
                               harmonic_number(12), dth)
@@ -249,7 +249,7 @@ def test_feynman_kac_circle_potential_matches_reference(unit_params):
     w_t = trapezoid_weights(grid, 0.0, 0.75)
     vals = []
     for sub_seed, size in seed_chunks(48, 600, CHUNK):
-        b, xs, ys = sample_path_batch(np.random.default_rng(sub_seed), size, 16, grid,
+        b, xs, ys = sample_path_batch(generator(sub_seed), size, 16, grid,
                                       initial=init)
         vp, vm = two_exp_pair(0.0, fluctuation_grid(xs, ys, nodes, 10), GAMMA,
                               harmonic_number(10), dth)
@@ -269,7 +269,7 @@ def test_ground_state_profile_matches_reference(unit_params):
     trap = trapezoid_weights(grid, 0.0, 0.5)
     c, x1, w = [], [], []
     for sub_seed, size in seed_chunks(49, 600, CHUNK):
-        rng = np.random.default_rng(sub_seed)
+        rng = generator(sub_seed)
         cs = rng.uniform(quad.c_min, quad.c_max, size)
         b, xs, ys = sample_path_batch(rng, size, 12, grid)
         sp, sm = two_exp_pair(b, fluctuation_grid(xs, ys, nodes), GAMMA,
@@ -299,7 +299,7 @@ def test_sample_region_masses_matches_reference(unit_params, spec):
     assert [size for _, size in chunks] == [256, 256, 256, 256, 76]
     want = []
     for child, size in chunks:
-        b, xs, ys = sample_path_batch(np.random.default_rng(child), size, spec.path_modes,
+        b, xs, ys = sample_path_batch(generator(child), size, spec.path_modes,
                                       grid)
         mass = np.zeros(size)
         for k in np.flatnonzero(weights):
