@@ -22,11 +22,11 @@ from .errors import (
     GridSpanMismatch,
     InadmissibleAlpha,
     InadmissibleInsertions,
-    IndexOutOfRange,
     WindowOutsideCylinder,
 )
-from .gff import CircleAverage, TimeGrid, fluctuation_grid, stream_paths, truncated_slice_cov
-from .gmc import GmcSpec, SliceMass, Trapezoid, fourier_spec, harmonic_number, theta_nodes
+from .gff import TimeGrid, stream_paths, truncated_slice_cov
+from .gmc import GmcSpec, SliceMass, Trapezoid, VertexReads, fourier_spec, harmonic_number, \
+    theta_nodes
 from .params import ModelParams, validate_params
 from .parallel import CHUNK, map_replicas, stateless_children
 from .propagator import CQuadrature, default_c_quadrature, fk_weights
@@ -145,32 +145,6 @@ class ShiftData:
 # Shared finite-cylinder engine
 # ---------------------------------------------------------------------------
 
-def _field_reads(entries, reg: GmcSpec, grid: TimeGrid, n_modes: int):
-    """Where each insertion reads the field: ``(row, [(row, theta), ...])`` per entry.
-
-    A Fourier insertion reads phi_N at its own row and angle.  A circle
-    insertion averages the field, with all the path's modes, over the points
-    (row + off, theta + a) of the circle's quadrature: rotating the mode pairs
-    by a, as ``CircleAverage.modes`` does, gives the field at theta + a.
-    """
-    circle = None
-    if reg.kind == "circle":
-        circle = CircleAverage(reg.epsilon, grid.dt)
-    elif reg.n_modes > n_modes:
-        raise IndexOutOfRange(f"requested {reg.n_modes} modes, path has {n_modes}")
-    reads = []
-    for _, s_i, th_i in entries:
-        k = grid.index_of(s_i)
-        if circle is None:
-            reads.append((k, [(k, th_i)]))
-            continue
-        if not circle.covers(k, grid.n_steps):
-            raise WindowOutsideCylinder("averaging circle leaves the window")
-        reads.append((k, [(k + int(off), th_i + ang)
-                          for off, ang in zip(circle.offsets, circle.angles)]))
-    return reads
-
-
 def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int,
                      theta_cells: int, quad: CQuadrature, n_samples: int, seed,
                      tasks, workers: int = 1, mirror: bool = False):
@@ -184,11 +158,12 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
 
     A chunk integrates its masses in one :class:`gmc.Trapezoid`, and a girsanov
     task its shifted masses in its own, with row k's shift built as the stream
-    reaches it (:meth:`ShiftData.row`).  A vertex task copies no slice: as its
-    rows pass, it reads B at each insertion's row and the field values the
-    insertion needs (:func:`_field_reads`), one (R,) column each.  So a chunk
-    holds the stepper's slice and noise block, the kernel's two (R, T) buffers
-    and the (R, C) weights, whatever the number of steps.
+    reaches it (:meth:`ShiftData.row`).  The vertex tasks copy no slice: one
+    :class:`gmc.VertexReads` adds each task's log factor, with zero mode B,
+    into a (tasks, R) array as the rows pass; the c-integral stays in the
+    task's zero-mode factor.  So a chunk holds the stepper's slice and noise
+    block, the kernel's two (R, T) buffers and the (R, C) weights, whatever
+    the number of steps.
     """
     gamma, mu = params.gamma, params.mu_scaled
     grid = TimeGrid.spanning(2.0 * t_half, dt)
@@ -196,64 +171,40 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
     cs, cw = quad.nodes()
     if mirror:
         cs = -cs
-
-    def cfac(entries):  # the zero-mode factor exp(total alpha * c) at the c nodes
-        return cw * np.exp(sum(a for a, _, _ in entries) * cs)
-
-    # row -> what the vertex tasks read there, keyed (task, entry)
-    centres, points = {}, {}
-    prepared = []
-    for i, task in enumerate(tasks):
-        kind = task["kind"]
-        if kind == "girsanov":
-            if mirror:
-                raise ValueError("the girsanov shift is not defined for mirrored paths")
-            prepared.append({**task, "cfac": cfac(task["shift"].insertions)})
-        elif kind == "vertex":
-            reg = task["reg"]
-            reads = _field_reads(task["entries"], reg, grid, n_modes)
-            n_used = reg.n_modes if reg.kind == "fourier" else None
-            for j, (k, where) in enumerate(reads):
-                centres.setdefault(k, []).append((i, j))
-                for row, th in where:
-                    points.setdefault(row, []).append(((i, j), np.array([th]), n_used))
-            prepared.append({**task, "cfac": cfac(task["entries"]),
-                             "taps": [len(where) for _, where in reads]})
-        else:
-            raise ValueError(f"unknown task kind {kind!r}")
+    cfac = []  # each task's zero-mode factor exp(total alpha * c) at the c nodes
+    for task in tasks:
+        if task["kind"] not in ("vertex", "girsanov"):
+            raise ValueError(f"unknown task kind {task['kind']!r}")
+        if task["kind"] == "girsanov" and mirror:
+            raise ValueError("the girsanov shift is not defined for mirrored paths")
+        entries = task["shift"].insertions if task["kind"] == "girsanov" else task["entries"]
+        cfac.append(cw * np.exp(sum(a for a, _, _ in entries) * cs))
+    vertex = [i for i, task in enumerate(tasks) if task["kind"] == "vertex"]
+    reads = VertexReads([tasks[i]["entries"] for i in vertex], [tasks[i]["reg"] for i in vertex],
+                        grid, n_modes)
 
     def run(rng, size):
         kernel = SliceMass(gamma, harmonic_number(n_modes), dtheta, nodes, n_modes)
         mass = Trapezoid(grid.dt)
-        shifted = {i: Trapezoid(grid.dt) for i, task in enumerate(prepared)
+        shifted = {i: Trapezoid(grid.dt) for i, task in enumerate(tasks)
                    if task["kind"] == "girsanov"}
-        brownian, field = {}, {}  # B at each insertion's row; its field values, summed
+        log_v = np.zeros((len(vertex), size))
         for k, b, x, y in stream_paths(rng, size, n_modes, grid):
             sp, sm = kernel(x, y, b)
             for i, acc in shifted.items():
-                s = prepared[i]["shift"].row(k * grid.dt, kernel.basis)
+                s = tasks[i]["shift"].row(k * grid.dt, kernel.basis)
                 acc.add(*kernel.pair(b, (np.exp(gamma * s), np.exp(-gamma * s))))
             if mirror:  # the negated field swaps the two masses exactly
                 b, x, y, sp, sm = -b, -x, -y, sm, sp
             mass.add(sp, sm)
-            for key in centres.get(k, ()):
-                brownian[key] = b.copy()
-            for key, th, n_used in points.get(k, ()):
-                val = fluctuation_grid(x, y, th, n_used)[:, 0]
-                field[key] = field[key] + val if key in field else val
+            reads.add(k, b, x, y, log_v)
         w = fk_weights(*mass.integral(), cs, mu, gamma)
         out = {"den": w @ cw}   # and one numerator column per task, keyed by its index
-        for i, task in enumerate(prepared):
-            if task["kind"] == "vertex":
-                # log prod_j e^{alpha_j (B_j + phi_reg(s_j, theta_j)) - (alpha_j^2/2) renorm}
-                renorm, log_v = task["reg"].renorm_constant, 0.0
-                for j, (a, _, _) in enumerate(task["entries"]):
-                    val = field[i, j] / task["taps"][j]
-                    log_v = log_v + a * (brownian[i, j] + val) - 0.5 * a * a * renorm
-                out[i] = np.exp(log_v) * (w @ task["cfac"])
-            else:
-                wg = fk_weights(*shifted[i].integral(), cs, mu, gamma)
-                out[i] = math.exp(task["shift"].scalar_log()) * (wg @ task["cfac"])
+        for g, i in enumerate(vertex):
+            out[i] = np.exp(log_v[g]) * (w @ cfac[i])
+        for i, acc in shifted.items():
+            wg = fk_weights(*acc.integral(), cs, mu, gamma)
+            out[i] = math.exp(tasks[i]["shift"].scalar_log()) * (wg @ cfac[i])
         return out
 
     cols = map_replicas(run, seed, n_samples, CHUNK, workers)
@@ -355,7 +306,6 @@ def vertex_girsanov(insertions: InsertionSet, t_half: float, params: ModelParams
     truncation), the chaos masses become insertion-weighted, and a scalar
     factor carries the variance terms.  A one-entry :func:`vertex_plain`.
     """
-    _check_admissible(insertions)
     return vertex_plain(insertions, [("girsanov", None)], t_half, params, dt=dt,
                         n_modes=n_modes, theta_cells=theta_cells, quad=quad,
                         n_samples=n_samples, seed=seed, workers=workers)[0]

@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EmptyRegion, IncompatibleGrids, RegionOutsideGrid
-from .gff import CircleAverage, TimeGrid, stream_paths, theta_basis
+from .errors import EmptyRegion, IncompatibleGrids, IndexOutOfRange, RegionOutsideGrid, \
+    WindowOutsideCylinder
+from .gff import CircleAverage, TimeGrid, fluctuation_grid, stream_paths, theta_basis
 from .parallel import CHUNK, map_replicas, stateless_children
 from .params import ModelParams
 from .results import EstimatorResult, mean_and_se
@@ -127,17 +128,14 @@ class SliceMass:
     ``(e^{gamma s}, e^{-gamma s})``, with no further exp.
     """
 
-    def __init__(self, gamma: float, renorm: float, dtheta: float, thetas=None,
-                 n_modes: int | None = None):
+    def __init__(self, gamma: float, renorm: float, dtheta: float, thetas, n_modes: int):
         self.gamma = gamma
         self.scale = math.exp(-0.5 * gamma * gamma * renorm) * dtheta
         self.n_modes = n_modes
-        self.basis = None
-        if thetas is not None:
-            thetas = np.asarray(thetas, dtype=float)
-            if np.abs(thetas + thetas[::-1] - 2.0 * np.pi).max() > 1e-12:
-                raise ValueError("the theta grid must be mirror-symmetric about pi")
-            self.basis = theta_basis(n_modes, thetas)
+        thetas = np.asarray(thetas, dtype=float)
+        if np.abs(thetas + thetas[::-1] - 2.0 * np.pi).max() > 1e-12:
+            raise ValueError("the theta grid must be mirror-symmetric about pi")
+        self.basis = theta_basis(n_modes, thetas)
         self.e = self.inv = self.ones = None
 
     def load(self, x: np.ndarray, y: np.ndarray) -> "SliceMass":
@@ -165,13 +163,6 @@ class SliceMass:
         field[..., half:cells - half] = middle
         field[..., cells - half:] = minus[..., ::-1]
         self.e, self.inv = field, self.e
-        return self._exponentiate()
-
-    def load_field(self, fields: np.ndarray) -> "SliceMass":
-        """Load field values (..., T) given directly on the theta nodes."""
-        fields = np.asarray(fields, dtype=float)
-        self._buffers(fields.shape)
-        self.e[...] = fields
         return self._exponentiate()
 
     def _buffers(self, shape) -> None:
@@ -242,8 +233,72 @@ class Trapezoid:
 
 
 def mass_pair_slices(brownian, fields, gamma, renorm, dtheta):
-    """Slice masses for both signs, (S+, S-), of stored (..., T) fields: :class:`SliceMass`."""
-    return SliceMass(gamma, renorm, dtheta).load_field(fields).pair(brownian)
+    """Slice masses for both signs, (S+, S-), of stored (..., T) fields, summed as in SliceMass."""
+    e = np.exp(gamma * np.asarray(fields, dtype=float))
+    ones, zero = np.ones(e.shape[-1]), np.exp(gamma * brownian)
+    scale = math.exp(-0.5 * gamma * gamma * renorm) * dtheta
+    return scale * zero * (e @ ones), scale / zero * (np.reciprocal(e) @ ones)
+
+
+class VertexReads:
+    """The one reader of vertex insertions: row by row, each group's log factor
+    sum_i alpha_i (zero + phi(s_i, theta_i)) - (alpha_i^2/2) renorm.
+
+    ``groups`` are insertion tuples ((alpha, s, theta), ...) in process time,
+    ``specs`` their :class:`GmcSpec`.  A Fourier insertion reads phi_N at its
+    row and angle.  A circle insertion reads the zero mode at its row and, the
+    factor being linear in the field, adds alpha/16 of the field (all
+    ``n_modes``) at each point (row + off, theta + a) of its
+    :class:`gff.CircleAverage`.  A row reads the field once per regularization,
+    at all its angles there, so a group's factor does not depend on the
+    groups of other regularizations.  ``first`` holds each group's first row.
+    """
+
+    def __init__(self, groups, specs, grid: TimeGrid, n_modes: int):
+        self.rows = {}  # row -> ({read: {angle: column}}, [(group, alpha, h, read, column)])
+        self.first = np.full(len(groups), np.inf)
+        for g, (group, spec) in enumerate(zip(groups, specs)):
+            circle = CircleAverage(spec.epsilon, grid.dt) if spec.kind == "circle" else None
+            if circle is None and spec.n_modes > n_modes:
+                raise IndexOutOfRange(f"requested {spec.n_modes} modes, path has {n_modes}")
+            read = (spec, n_modes if circle else spec.n_modes)  # the modes it synthesizes
+            for a, s, theta in group:
+                k, h = grid.index_of(s), 0.5 * a * a * spec.renorm_constant
+                if not 0 < k <= grid.n_steps:
+                    raise WindowOutsideCylinder(f"insertion time {s} outside the open cylinder")
+                if circle is None:
+                    self._term(g, k, a, h, read, theta)
+                elif not circle.covers(k, grid.n_steps):
+                    raise WindowOutsideCylinder("averaging circle leaves the window")
+                else:
+                    self._term(g, k, a, h)
+                    for off, ang in zip(circle.offsets, circle.angles):
+                        self._term(g, k + int(off), a / circle.offsets.size, None, read,
+                                   theta + ang)
+
+    def _term(self, g, k, a, h, read=None, theta=None):
+        """Row k adds a (zero + phi(theta)) - h to group g; h None: no zero, read None: no phi."""
+        reads, terms = self.rows.setdefault(k, ({}, []))
+        angles = reads.setdefault(read, {})
+        terms.append((g, a, h, read, angles.setdefault(theta, len(angles))))
+        self.first[g] = min(self.first[g], k)
+
+    def add(self, k: int, zero: np.ndarray, x: np.ndarray, y: np.ndarray, regs: np.ndarray):
+        """Add row k's terms to the (G, R) log factors ``regs``, with ``zero`` the (R,) zero mode."""
+        if k not in self.rows:
+            return
+        reads, terms = self.rows[k]
+        phi = {read: fluctuation_grid(x, y, np.array(list(angles)), read[1])
+               for read, angles in reads.items() if read is not None}
+        for g, a, h, read, col in terms:
+            if read is None:
+                regs[g] += a * zero
+            elif h is None:
+                regs[g] += a * phi[read][:, col]
+            else:
+                regs[g] += a * (zero + phi[read][:, col])
+            if h:
+                regs[g] -= h
 
 
 # ---------------------------------------------------------------------------

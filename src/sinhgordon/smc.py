@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RegisterOverflow, WindowOutsideCylinder
-from .gff import TimeGrid, fluctuation_grid, stream_paths
-from .gmc import SliceMass, Trapezoid, harmonic_number, theta_nodes
+from .errors import RegisterOverflow
+from .gff import TimeGrid, stream_paths
+from .gmc import SliceMass, Trapezoid, VertexReads, fourier_spec, harmonic_number, theta_nodes
 from .params import ModelParams
 from .parallel import map_replicas
 from .propagator import CQuadrature, capped_exp, default_c_quadrature
@@ -67,7 +67,9 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
     dM+- the step's increments of its masses (a :class:`gmc.Trapezoid`).
     ``register_groups`` is a sequence of insertion tuples ((alpha, s, theta),
     ...) in process coordinates; each particle accumulates the log vertex
-    factors of a group along its genealogy.
+    factors of a group along its genealogy, read with zero mode c + B by one
+    :class:`gmc.VertexReads` into a (groups, particles) array.  A resampling
+    takes only the registers whose first insertion row has passed.
 
     Returns per-run arrays: ``log_z`` (n_runs, len(t_half_values)) and
     ``group_means`` (n_runs, n_groups), the final-population weighted means of
@@ -86,24 +88,13 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
     n = settings.n_particles
 
     groups = [tuple(g) for g in register_groups]
-    # step -> (its distinct insertion angles, [(group, alpha, angle's column), ...])
-    ins_by_step: dict[int, tuple] = {}
-    for gi, group in enumerate(groups):
-        for a, s_i, th_i in group:
-            k_i = grid.index_of(s_i)
-            if not (0 < k_i <= k_total):
-                raise WindowOutsideCylinder(f"insertion time {s_i} outside the open cylinder")
-            angles, entries = ins_by_step.setdefault(k_i, ({}, []))
-            col = angles.setdefault(float(th_i), len(angles))
-            entries.append((gi, float(a), col))
-    ins_by_step = {k: (np.array(list(angles)), entries)
-                   for k, (angles, entries) in ins_by_step.items()}
+    reads = VertexReads(groups, [fourier_spec(+1, n_modes)] * len(groups), grid, n_modes)
 
     def one_run(rng, _):
         c = rng.uniform(quad.c_min, quad.c_max, n)
         log_z = log_width
         log_w = np.zeros(n)
-        regs = [np.zeros(n) for _ in groups]
+        regs = np.zeros((len(groups), n))
         exp_cp, exp_cm = capped_exp(gamma * c), capped_exp(-gamma * c)
         kernel = SliceMass(gamma, renorm, dtheta, nodes, n_modes)
         mass = Trapezoid(grid.dt)
@@ -113,26 +104,21 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
         for k, b, x, y in stream_paths(rng, n, n_modes, grid):
             inc_p, inc_m = mass.add(*kernel(x, y, b)).step()
             log_w = log_w - mu * (exp_cp * inc_p + exp_cm * inc_m)
-            if k in ins_by_step:
-                angles, entries = ins_by_step[k]
-                phi, zero = fluctuation_grid(x, y, angles), c + b
-                for gi, a, col in entries:
-                    regs[gi] += a * (zero + phi[:, col])
-                    regs[gi] -= 0.5 * a * a * renorm
+            reads.add(k, c + b, x, y, regs)
             hi = log_w.max()
             w = np.exp(log_w - hi)
             if k in marks:
                 log_z_rows[marks[k]] = log_z + hi + math.log(w.mean())
             if k == k_total:
                 w_sum = w.sum()
-                for gi in range(len(groups)):
-                    rhi = regs[gi].max() if regs[gi].size else 0.0
+                for gi, reg in enumerate(regs):
+                    rhi = reg.max() if reg.size else 0.0
                     if rhi > _LOG_MAX:
                         raise RegisterOverflow(
                             f"register group {gi} {groups[gi]} reaches e^{rhi:.4g}, beyond "
                             f"the float range: at gamma {gamma} the zero-mode window "
                             f"[{quad.c_min:.4g}, {quad.c_max:.4g}] is too wide for its weights")
-                    means[gi] = (w * np.exp(regs[gi] - rhi)).sum() / w_sum * math.exp(rhi)
+                    means[gi] = (w * np.exp(reg - rhi)).sum() / w_sum * math.exp(rhi)
             else:
                 ess = w.sum() ** 2 / (w ** 2).sum()
                 if ess < _RESAMPLE_THRESHOLD * n:
@@ -143,8 +129,8 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
                         path[:] = path[idx]
                     exp_cp, exp_cm = exp_cp[idx], exp_cm[idx]
                     mass.take(idx)
-                    for r in regs:
-                        r[:] = r[idx]
+                    for g in np.flatnonzero(reads.first <= k):  # 0 before its first row
+                        regs[g] = regs[g][idx]
                     log_w = np.zeros(n)
         return {"log_z": log_z_rows[None], "group_means": means[None]}
 

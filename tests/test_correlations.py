@@ -17,11 +17,13 @@ from sinhgordon.errors import (
     GridSpanMismatch,
     InadmissibleAlpha,
     InadmissibleInsertions,
+    IndexOutOfRange,
     WindowOutsideCylinder,
 )
 from sinhgordon.gmc import circle_spec, fourier_spec
 from sinhgordon.propagator import default_c_quadrature
 from sinhgordon.results import jackknife_func, jackknife_ratio
+from sinhgordon.smc import SmcSettings, smc_flow
 
 from conftest import agree
 
@@ -123,6 +125,27 @@ def test_vertex_insertion_must_sit_inside_window(unit_params):
     ins = sg.make_insertions([(0.5, 1.5, 0.0)], unit_params)
     with pytest.raises(WindowOutsideCylinder):
         sg.vertex_direct(ins, None, 1.0, unit_params, n_samples=16)
+
+
+def _plain_direct(params, t, reg):
+    ins = sg.make_insertions([(0.5, t, 0.0)], params)
+    return sg.vertex_plain(ins, [("direct", reg)], 0.5, params, dt=1 / 16, n_modes=16,
+                           theta_cells=16, n_samples=16)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda p: _plain_direct(p, 0.0, fourier_spec(+1, 32)), IndexOutOfRange,
+     "requested 32 modes, path has 16"),
+    (lambda p: _plain_direct(p, 0.4375, circle_spec(+1, 0.125)), WindowOutsideCylinder,
+     "averaging circle leaves the window"),
+    (lambda p: smc_flow(p, [0.5], 1 / 16, 16, 16, SmcSettings(16, 2), 0,
+                        register_groups=[((0.5, 0.0, 0.0),)]), WindowOutsideCylinder,
+     "insertion time 0.0 outside the open cylinder"),
+], ids=["fourier-cut-above-path-modes", "circle-leaves-window", "register-at-s-zero"])
+def test_vertex_reads_raise_typed_errors(unit_params, call, error, match):
+    # both backends build their gmc.VertexReads, and so make its checks, before drawing
+    with pytest.raises(error, match=match):
+        call(unit_params)
 
 
 def test_insertion_times_must_be_grid_nodes():
@@ -234,12 +257,15 @@ def test_vertex_plain_equals_separate_estimators(unit_params):
 def test_vertex_plain_circle_direct_entry(unit_params):
     ins = sg.make_insertions([(0.5, 0.0, 0.0)], unit_params)
     circle = circle_spec(+1, 0.125)
-    c, g, f = sg.vertex_plain(ins, [("direct", circle), ("girsanov", None),
-                                    ("direct", fourier_spec(+1, 8))],
-                              0.75, unit_params, **SHARED)
+    # the plain Fourier entry reads the sampler's 12 modes on the insertion's
+    # row, like the circle points there: its result must not depend on them
+    c, g, f, d = sg.vertex_plain(ins, [("direct", circle), ("girsanov", None),
+                                       ("direct", fourier_spec(+1, 8)), ("direct", None)],
+                                 0.75, unit_params, **SHARED)
     _same_result(c, sg.vertex_direct(ins, circle, 0.75, unit_params, **SHARED))
     _same_result(g, sg.vertex_girsanov(ins, 0.75, unit_params, **SHARED))
     _same_result(f, sg.vertex_direct(ins, fourier_spec(+1, 8), 0.75, unit_params, **SHARED))
+    _same_result(d, sg.vertex_direct(ins, None, 0.75, unit_params, **SHARED))
 
 
 def test_vertex_plain_rejects_mirrored_girsanov(unit_params):

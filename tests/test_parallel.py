@@ -248,6 +248,13 @@ def test_only_map_replicas_and_single_path_draws_make_generators():
     assert src_callers("SFC64") == {("parallel", "generator")}
 
 
+def test_vertex_insertions_have_one_reader():
+    # the plain engine and the particle flow read their insertions through
+    # gmc.VertexReads; outside it only the validate probes synthesize the field
+    assert src_callers("fluctuation_grid") == {("gmc", "VertexReads"),
+                                               ("runner", "_exp_validate")}
+
+
 def test_generator_is_sfc64_of_the_seed_sequence():
     seq = np.random.SeedSequence(17, spawn_key=(3,))
     rng = generator(seq)
