@@ -25,8 +25,7 @@ from .errors import (
     WindowOutsideCylinder,
 )
 from .gff import TimeGrid, stream_paths, truncated_slice_cov
-from .gmc import GmcSpec, SliceMass, Trapezoid, VertexReads, fourier_spec, harmonic_number, \
-    theta_nodes
+from .gmc import GmcSpec, SliceMass, Trapezoid, VertexReads, fourier_spec
 from .params import ModelParams, validate_params
 from .parallel import CHUNK, map_replicas, stateless_children
 from .propagator import CQuadrature, default_c_quadrature, fk_weights
@@ -167,7 +166,6 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
     """
     gamma, mu = params.gamma, params.mu_scaled
     grid = TimeGrid.spanning(2.0 * t_half, dt)
-    nodes, dtheta = theta_nodes(theta_cells)
     cs, cw = quad.nodes()
     if mirror:
         cs = -cs
@@ -184,7 +182,7 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
                         grid, n_modes)
 
     def run(rng, size):
-        kernel = SliceMass(gamma, harmonic_number(n_modes), dtheta, nodes, n_modes)
+        kernel = SliceMass(gamma, fourier_spec(+1, n_modes), theta_cells)
         mass = Trapezoid(grid.dt)
         shifted = {i: Trapezoid(grid.dt) for i, task in enumerate(tasks)
                    if task["kind"] == "girsanov"}

@@ -111,31 +111,29 @@ def theta_nodes(theta_cells: int):
 # ---------------------------------------------------------------------------
 
 class SliceMass:
-    """The one slice-mass kernel: the theta integral of the chaos density, both signs.
+    """The one slice-mass kernel and the one home of the slice discretization.
 
-    S+-[k] = e^{-gamma^2 renorm/2} * dtheta * e^{+-gamma B_k} * sum_theta e^{+-gamma phi_k}.
+    S+-[k] = e^{-gamma^2 renorm/2} * dtheta * e^{+-gamma B_k} * sum_theta e^{+-gamma phi_k}
+    over the ``theta_cells`` :func:`theta_nodes`; ``spec`` gives renorm and phi's modes.
     The field is synthesized into a reused buffer and exponentiated in place
     once; the minus sign takes the reciprocal into a second buffer.  The
-    theta grid must be mirror-symmetric, theta_{T-1-j} = 2 pi - theta_j, as
-    the midpoint grid is: the cosine sum C is even and the sine sum S odd
+    midpoint grid is mirror-symmetric, theta_{T-1-j} = 2 pi - theta_j, by
+    construction: the cosine sum C is even and the sine sum S odd
     under the mirror, so :meth:`load` synthesizes the first half of the nodes
     only and writes the field as C + S on the first half and C - S, reversed,
     on the second (a middle node, for an odd count, sits at pi, where S
     vanishes), all inside the two buffers.
     ``basis`` is the full basis, shared by every kernel of the same modes and
-    nodes.  Both theta sums are one matrix-vector product with a weight
+    cells.  Both theta sums are one matrix-vector product with a weight
     vector: ones, or for a shifted field phi + s the precomputed
     ``(e^{gamma s}, e^{-gamma s})``, with no further exp.
     """
 
-    def __init__(self, gamma: float, renorm: float, dtheta: float, thetas, n_modes: int):
-        self.gamma = gamma
-        self.scale = math.exp(-0.5 * gamma * gamma * renorm) * dtheta
-        self.n_modes = n_modes
-        thetas = np.asarray(thetas, dtype=float)
-        if np.abs(thetas + thetas[::-1] - 2.0 * np.pi).max() > 1e-12:
-            raise ValueError("the theta grid must be mirror-symmetric about pi")
-        self.basis = theta_basis(n_modes, thetas)
+    def __init__(self, gamma: float, spec: GmcSpec, theta_cells: int):
+        thetas, dtheta = theta_nodes(theta_cells)
+        self.gamma, self.n_modes = gamma, spec.path_modes
+        self.scale = math.exp(-0.5 * gamma * gamma * spec.renorm_constant) * dtheta
+        self.basis = theta_basis(self.n_modes, thetas)
         self.e = self.inv = self.ones = None
 
     def load(self, x: np.ndarray, y: np.ndarray) -> "SliceMass":
@@ -264,7 +262,7 @@ class VertexReads:
             read = (spec, n_modes if circle else spec.n_modes)  # the modes it synthesizes
             for a, s, theta in group:
                 k, h = grid.index_of(s), 0.5 * a * a * spec.renorm_constant
-                if not 0 < k <= grid.n_steps:
+                if not 0 < k < grid.n_steps:
                     raise WindowOutsideCylinder(f"insertion time {s} outside the open cylinder")
                 if circle is None:
                     self._term(g, k, a, h, read, theta)
@@ -324,7 +322,6 @@ def sample_region_masses(region: Region, spec: GmcSpec, params: ModelParams,
     if region.t_max - region.t_min <= 0.0:
         return np.zeros(n_samples)
     first, last = grid.index_of(region.t_min), grid.index_of(region.t_max)
-    nodes, dtheta = theta_nodes(theta_cells)
     sign = 0 if spec.sigma > 0 else 1
     circle = CircleAverage(spec.epsilon, grid.dt) if spec.kind == "circle" else None
     if circle is not None and not (circle.covers(first, grid.n_steps)
@@ -333,7 +330,7 @@ def sample_region_masses(region: Region, spec: GmcSpec, params: ModelParams,
     reach = 0 if circle is None else circle.reach
 
     def run(rng, size):
-        kernel = SliceMass(params.gamma, spec.renorm_constant, dtheta, nodes, spec.path_modes)
+        kernel = SliceMass(params.gamma, spec, theta_cells)
         mass = Trapezoid(grid.dt)
         recent = {}  # circle only: the last 2 * reach + 1 slices, what its average reads
         for k, b, x, y in stream_paths(rng, size, spec.path_modes, grid):

@@ -19,8 +19,9 @@ class ModelParams:
 
     ``q_const = gamma/2 + 2/gamma`` bounds the admissible vertex weights and
     ``mu_scaled = mu * radius**(gamma*q_const)`` is the coupling of the
-    equivalent unit-radius model.  Both are stored, not recomputed, so run
-    manifests are self-describing.
+    equivalent unit-radius model.  Both are derived once, by
+    :func:`validate_params`, and stored; a run manifest records only
+    ``gamma``, ``mu`` and ``radius``, from which they follow.
     """
 
     gamma: float

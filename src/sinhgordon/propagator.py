@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import NonPositiveTime, RegionOutsideGrid, TailTolNotMet
 from .gff import CircleField, TimeGrid, stream_paths
-from .gmc import GmcSpec, SliceMass, Trapezoid, harmonic_number, theta_nodes
+from .gmc import GmcSpec, SliceMass, Trapezoid, fourier_spec
 from .gmc import mass_pair_slices  # noqa: F401  (re-exported)
 from .params import ModelParams
 from .parallel import CHUNK, map_replicas
@@ -208,12 +208,11 @@ def feynman_kac(observable, t: float, start, params: ModelParams, grid: TimeGrid
     _fourier_only(spec)
     c0, init = start
     gamma, mu = params.gamma, params.mu_scaled
-    nodes, dtheta = theta_nodes(theta_cells)
     t0 = time.perf_counter()
 
     def run(rng, size):
         mass = Trapezoid(grid.dt)
-        kernel = SliceMass(gamma, spec.renorm_constant, dtheta, nodes, spec.path_modes)
+        kernel = SliceMass(gamma, spec, theta_cells)
         for k, b, x, y in stream_paths(rng, size, init.n_modes, grid, initial=init):
             mass.add(*kernel(x, y, b))
             if k == k_end:
@@ -239,13 +238,11 @@ def feynman_kac_circle_potential(observable, t: float, start, params: ModelParam
     if k_trunc > init.n_modes:
         raise ValueError("k_trunc exceeds field mode count")
     gamma, mu = params.gamma, params.mu_scaled
-    nodes, dtheta = theta_nodes(n_theta)
-    renorm = harmonic_number(k_trunc)
     t0 = time.perf_counter()
 
     def run(rng, size):
         integ = Trapezoid(grid.dt)
-        kernel = SliceMass(gamma, renorm, dtheta, nodes, k_trunc)
+        kernel = SliceMass(gamma, fourier_spec(+1, k_trunc), n_theta)
         for k, b, x, y in stream_paths(rng, size, init.n_modes, grid, initial=init):
             v_plus, v_minus = kernel(x, y)
             integ.add(capped_exp(gamma * (c0 + b)) * v_plus
@@ -291,7 +288,6 @@ def partition_curve(t_half_values, params: ModelParams, quad: CQuadrature,
     grid, ends = TimeGrid.of_half_heights(t_half_values, dt)
     _fourier_only(spec)
     gamma, mu = params.gamma, params.mu_scaled
-    nodes, dtheta = theta_nodes(theta_cells)
     cs, cw = quad.nodes()
 
     def run(rng, size):
@@ -299,7 +295,7 @@ def partition_curve(t_half_values, params: ModelParams, quad: CQuadrature,
         edge = np.zeros((size, len(ends), 2))
         peak = np.zeros((size, len(ends)))
         mass = Trapezoid(grid.dt)
-        kernel = SliceMass(gamma, spec.renorm_constant, dtheta, nodes, spec.path_modes)
+        kernel = SliceMass(gamma, spec, theta_cells)
         for k, b, x, y in stream_paths(rng, size, spec.path_modes, grid):
             mass.add(*kernel(x, y, b))
             for j in [j for j, k_end in enumerate(ends) if k_end == k]:

@@ -30,19 +30,6 @@ def mean_and_se(values: np.ndarray) -> tuple[float, float]:
     return m, math.sqrt(m2) / n
 
 
-def jackknife_ratio(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
-    """Delete-one jackknife mean and s.e. of sum(num)/sum(den)."""
-    num = np.asarray(num, dtype=float)
-    den = np.asarray(den, dtype=float)
-    n = num.size
-    total_n, total_d = num.sum(), den.sum()
-    est = total_n / total_d
-    if n < 2:
-        return est, float("inf")
-    loo = (total_n - num) / (total_d - den)
-    return est, math.sqrt((n - 1) / n * ((loo - loo.mean()) ** 2).sum())
-
-
 def jackknife_func(columns: list[np.ndarray], func) -> tuple[float, float]:
     """Delete-one jackknife of func(col_sums...) for per-replica columns."""
     cols = [np.asarray(c, dtype=float) for c in columns]
@@ -54,6 +41,11 @@ def jackknife_func(columns: list[np.ndarray], func) -> tuple[float, float]:
     loo = func(*[(t - c) for t, c in zip(totals, cols)])
     loo = np.asarray(loo, dtype=float)
     return float(est), math.sqrt((n - 1) / n * ((loo - loo.mean()) ** 2).sum())
+
+
+def jackknife_ratio(num: np.ndarray, den: np.ndarray) -> tuple[float, float]:
+    """Delete-one jackknife mean and s.e. of sum(num)/sum(den)."""
+    return jackknife_func([num, den], lambda n, d: n / d)
 
 
 @dataclass

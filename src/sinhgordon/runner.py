@@ -321,6 +321,8 @@ def _exp_vertex(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     if n_list is not None and (len(n_list) < 2 or n_list[-1] > n_modes):
         raise ConfigError(f"vertex n_list needs at least two entries, none above "
                           f"{n_modes} (sampler.n_modes), got {n_list!r}")
+    if n_list is not None and method != "direct":
+        raise ConfigError(f"vertex n_list refines the direct estimator only, got method {method!r}")
     ins = corr.make_insertions([(alpha, cfg.opts["t"], cfg.opts["theta"])], cfg.params)
     common = dict(dt=cfg.sampler.dt, n_modes=cfg.sampler.n_modes,
                   theta_cells=cfg.gmc.theta_cells, quad=_quad(cfg),

@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import RegisterOverflow
 from .gff import TimeGrid, stream_paths
-from .gmc import SliceMass, Trapezoid, VertexReads, fourier_spec, harmonic_number, theta_nodes
+from .gmc import SliceMass, Trapezoid, VertexReads, fourier_spec
 from .params import ModelParams
 from .parallel import map_replicas
 from .propagator import CQuadrature, capped_exp, default_c_quadrature
@@ -82,13 +82,12 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
     grid, ends = TimeGrid.of_half_heights(t_half_values, dt)
     k_total = grid.n_steps
     marks = {k: j for j, k in enumerate(ends)}
-    nodes, dtheta = theta_nodes(theta_cells)
-    renorm = harmonic_number(n_modes)
+    spec = fourier_spec(+1, n_modes)
     log_width = math.log(quad.c_max - quad.c_min)
     n = settings.n_particles
 
     groups = [tuple(g) for g in register_groups]
-    reads = VertexReads(groups, [fourier_spec(+1, n_modes)] * len(groups), grid, n_modes)
+    reads = VertexReads(groups, [spec] * len(groups), grid, n_modes)
 
     def one_run(rng, _):
         c = rng.uniform(quad.c_min, quad.c_max, n)
@@ -96,7 +95,7 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
         log_w = np.zeros(n)
         regs = np.zeros((len(groups), n))
         exp_cp, exp_cm = capped_exp(gamma * c), capped_exp(-gamma * c)
-        kernel = SliceMass(gamma, renorm, dtheta, nodes, n_modes)
+        kernel = SliceMass(gamma, spec, theta_cells)
         mass = Trapezoid(grid.dt)
         log_z_rows = np.full(len(t_half_values), np.nan)
         means = np.full(len(groups), np.nan)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DegenerateFit, SignalLost
 from .gff import TimeGrid, stream_paths
-from .gmc import SliceMass, Trapezoid, harmonic_number, theta_nodes
+from .gmc import SliceMass, Trapezoid, fourier_spec
 from .params import ModelParams
 from .parallel import CHUNK, map_replicas
 from .propagator import CQuadrature, default_c_quadrature, fk_damping
@@ -162,7 +162,6 @@ def ground_state_profile(t: float, params: ModelParams, *, dt: float = 1.0 / 32.
     if quad is None:
         quad = default_c_quadrature(gamma)
     grid = TimeGrid.spanning(t, dt)
-    nodes, dtheta = theta_nodes(theta_cells)
     nc, nx = bins
     c_edges = np.linspace(quad.c_min, quad.c_max, nc + 1)
     x_edges = np.linspace(-x_range, x_range, nx + 1)
@@ -170,7 +169,7 @@ def ground_state_profile(t: float, params: ModelParams, *, dt: float = 1.0 / 32.
     def run(rng, size):
         cs = rng.uniform(quad.c_min, quad.c_max, size)
         mass = Trapezoid(grid.dt)
-        kernel = SliceMass(gamma, harmonic_number(n_modes), dtheta, nodes, n_modes)
+        kernel = SliceMass(gamma, fourier_spec(+1, n_modes), theta_cells)
         for k, b, x, y in stream_paths(rng, size, n_modes, grid):
             if k == 0:
                 x1 = x[:, 0].copy()

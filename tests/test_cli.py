@@ -198,6 +198,7 @@ def test_non_object_blocks_exit_two(tmp_path, capsys):
     ("gmc-mass", {"t_min": 0.5, "t_max": 0.25}),
     ("vertex", {"alpha": "x"}),
     ("vertex", {"n_list": [4, 8], "method": "bogus"}),
+    ("vertex", {"alpha": 0.5, "n_list": [4, 8], "method": "girsanov"}),
     ("lz", {"alpha": "x"}),
     ("lz", {"tol": "1e-3"}),
     ("lz", {"tol": 0}),
@@ -248,7 +249,7 @@ def test_non_object_blocks_exit_two(tmp_path, capsys):
         "two-point-null-separation", "partition-scalar-T_list",
         "gmc-mass-string-sigma", "gmc-mass-sigma-two", "gmc-mass-fractional-sigma", "gmc-mass-bool-sigma",
         "gmc-mass-string-t_max", "gmc-mass-reversed-region", "vertex-string-alpha",
-        "vertex-unknown-method-with-n_list", "lz-string-alpha", "lz-string-tol", "lz-zero-tol",
+        "vertex-unknown-method-with-n_list", "vertex-girsanov-with-n_list", "lz-string-alpha", "lz-string-tol", "lz-zero-tol",
         "moments-string-p", "mc-vs-lz-string-estimate", "mc-vs-lz-scalar-estimates",
         "mc-vs-lz-string-R_values", "mc-vs-lz-estimates-short",
         "gap-fit-string-separations", "gap-fit-unequal-lengths", "gap-fit-missing-csv",

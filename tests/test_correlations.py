@@ -141,7 +141,11 @@ def _plain_direct(params, t, reg):
     (lambda p: smc_flow(p, [0.5], 1 / 16, 16, 16, SmcSettings(16, 2), 0,
                         register_groups=[((0.5, 0.0, 0.0),)]), WindowOutsideCylinder,
      "insertion time 0.0 outside the open cylinder"),
-], ids=["fourier-cut-above-path-modes", "circle-leaves-window", "register-at-s-zero"])
+    (lambda p: smc_flow(p, [0.5], 1 / 16, 8, 16, SmcSettings(64, 2), 1,
+                        register_groups=[((0.5, 1.0, 0.0),)]), WindowOutsideCylinder,
+     "insertion time 1.0 outside the open cylinder"),
+], ids=["fourier-cut-above-path-modes", "circle-leaves-window", "register-at-s-zero",
+        "register-at-the-top-row"])
 def test_vertex_reads_raise_typed_errors(unit_params, call, error, match):
     # both backends build their gmc.VertexReads, and so make its checks, before drawing
     with pytest.raises(error, match=match):

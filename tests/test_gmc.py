@@ -82,8 +82,7 @@ def test_sign_symmetry_per_sample(unit_params):
     # the minus mass of (x, y, b) is the plus mass of the negated slice
     rng = np.random.default_rng(31)
     x, y, b = rng.standard_normal((5, 16)), rng.standard_normal((5, 16)), rng.standard_normal(5)
-    nodes, dtheta = theta_nodes(64)
-    kernel = SliceMass(unit_params.gamma, sg.harmonic_number(16), dtheta, nodes, 16)
+    kernel = SliceMass(unit_params.gamma, fourier_spec(+1, 16), 64)
     minus = kernel(x, y, b)[1]
     np.testing.assert_allclose(minus, kernel(-x, -y, -b)[0], rtol=1e-12, atol=0.0)
 
@@ -111,9 +110,9 @@ def test_slice_mass_load_is_the_full_synthesis(cells):
     # the field synthesized from half the nodes and mirrored is the full-basis
     # field on every node, the middle node at pi of an odd count included
     rng = np.random.default_rng(cells)
-    nodes, dtheta = theta_nodes(cells)
+    nodes, _ = theta_nodes(cells)
     x, y = rng.standard_normal((33, 20)), rng.standard_normal((33, 20))
-    kernel = SliceMass(1.0, sg.harmonic_number(16), dtheta, nodes, 16).load(x, y)
+    kernel = SliceMass(1.0, fourier_spec(+1, 16), cells).load(x, y)
     field = fluctuation_grid(x, y, nodes, 16)
     np.testing.assert_allclose(kernel.e, np.exp(field), rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(kernel.inv, np.exp(-field), rtol=1e-12, atol=0.0)
@@ -124,19 +123,12 @@ def test_slice_mass_load_is_the_full_synthesis(cells):
                                rtol=1e-12, atol=0.0)
 
 
-def test_slice_mass_needs_a_mirror_symmetric_grid():
-    nodes, dtheta = theta_nodes(16)
-    with pytest.raises(ValueError, match="mirror-symmetric"):
-        SliceMass(1.0, 1.0, dtheta, nodes + 0.1, 8)
-
-
 # ---------------------------------------------------------------------------
 # Circle potential: the slice-mass kernel on single slices
 # ---------------------------------------------------------------------------
 
 def _slice_potential(gamma, n_modes, x, y, sign=+1):
-    nodes, dtheta = theta_nodes(64)
-    plus, minus = SliceMass(gamma, sg.harmonic_number(n_modes), dtheta, nodes, n_modes)(x, y)
+    plus, minus = SliceMass(gamma, fourier_spec(+1, n_modes), 64)(x, y)
     return plus if sign > 0 else minus
 
 

@@ -255,6 +255,13 @@ def test_vertex_insertions_have_one_reader():
                                                ("runner", "_exp_validate")}
 
 
+def test_slice_discretization_has_one_home():
+    # every slice mass takes its theta nodes, cell width and renormalization
+    # from the GmcSpec and cell count handed to gmc.SliceMass
+    assert src_callers("theta_nodes") == {("gmc", "SliceMass")}
+    assert src_callers("harmonic_number") == {("gmc", "GmcSpec")}
+
+
 def test_generator_is_sfc64_of_the_seed_sequence():
     seq = np.random.SeedSequence(17, spawn_key=(3,))
     rng = generator(seq)

@@ -73,7 +73,7 @@ def test_fused_kernel_matches_two_exp_formula():
     nodes, dth = theta_nodes(32)
     x, y, b = rng.standard_normal((6, 10)), rng.standard_normal((6, 10)), rng.standard_normal(6)
     s = rng.standard_normal(32)
-    kernel = SliceMass(1.3, harmonic_number(8), dth, nodes, 8)
+    kernel = SliceMass(1.3, fourier_spec(+1, 8), 32)
     f = fluctuation_grid(x, y, nodes, 8)
     for got, want in zip(kernel(x, y, b), two_exp_pair(b, f, 1.3, harmonic_number(8), dth)):
         close(got, want)
@@ -320,9 +320,9 @@ def test_sample_region_masses_matches_reference(unit_params, spec):
 class TwoExpMass(SliceMass):
     """Slice masses from the stored field with two exps per cell."""
 
-    def __init__(self, gamma, renorm, dtheta, thetas=None, n_modes=None):
-        super().__init__(gamma, renorm, dtheta, thetas, n_modes)
-        self.renorm, self.dtheta = renorm, dtheta
+    def __init__(self, gamma, spec, theta_cells):
+        super().__init__(gamma, spec, theta_cells)
+        self.renorm, self.dtheta = spec.renorm_constant, theta_nodes(theta_cells)[1]
 
     def _exponentiate(self):
         self.field = self.e.copy()
