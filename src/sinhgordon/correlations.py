@@ -196,6 +196,7 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
                 b, x, y, sp, sm = -b, -x, -y, sm, sp
             mass.add(sp, sm)
             reads.add(k, b, x, y, log_v)
+        del b, x, y   # the stream's slice and noise buffer, before the (R, C) weights
         w = fk_weights(*mass.integral(), cs, mu, gamma)
         out = {"den": w @ cw}   # and one numerator column per task, keyed by its index
         for g, i in enumerate(vertex):

@@ -156,25 +156,25 @@ def sample_circle_field(n_modes: int, mode="stationary", seed=None) -> CircleFie
     return CircleField(0.0, xs, ys)
 
 
-# Row-block budget of the stepper, in float64 elements (1 MB): a block of x or
-# y and its noise stay in cache while they are updated.
+# Row-block budget of the stepper, in float64 elements (1 MB): a block of the
+# modes and its noise stay in cache while they are updated.
 _BLOCK_ELEMENTS = 1 << 17
 
 
-def ou_step(rng: np.random.Generator, b: np.ndarray, x: np.ndarray, y: np.ndarray,
+def ou_step(rng: np.random.Generator, b: np.ndarray, modes: np.ndarray,
             decay: np.ndarray, std: np.ndarray, sqrt_dt: float, noise: np.ndarray) -> None:
-    """One exact step of a batch, in place: b (R,) Brownian, x and y (R, N) modes.
+    """One exact step of a batch, in place: b (R,) Brownian, ``modes`` the (2R, N)
+    rows of x then y.
 
     ``decay, std`` come from :func:`ou_step_coeffs`.  ``noise`` is a
     caller-owned C-contiguous (rows, N) scratch buffer the normals are drawn
     into, with 1 <= rows; the modes are stepped in blocks of that many rows,
-    so the scratch need not be as large as the batch, and nothing is
-    allocated.  The draw order is fixed: the Brownian increments, then the x
-    noise block by block, then the y noise block by block.  A C-order fill
-    split into consecutive pieces draws the same normals as one fill, so the
-    paths do not depend on the block size, and every caller that steps from
-    the same generator state reproduces them bit for bit, equal to
-    ``x * decay + std * z``.
+    one fill and three in-place updates each, and nothing is allocated.  The
+    draw order is fixed: the Brownian increments, then the x rows, then the y
+    rows.  A C-order fill split into consecutive pieces draws the same normals
+    as one fill, so the paths do not depend on the block size, and every
+    caller that steps from the same generator state reproduces them bit for
+    bit, equal to ``x * decay + std * z``.
     """
     flat = noise.reshape(-1)
     for s in range(0, b.size, flat.size):
@@ -183,15 +183,14 @@ def ou_step(rng: np.random.Generator, b: np.ndarray, x: np.ndarray, y: np.ndarra
         nb *= sqrt_dt
         np.add(b[s:s + nb.size], nb, out=b[s:s + nb.size])
     rows = noise.shape[0]
-    for modes in (x, y):
-        for s in range(0, len(modes), rows):
-            # one view per block: ``modes[s:s + rows] += z`` would copy back through __setitem__
-            blk = modes[s:s + rows]
-            z = noise[:len(blk)]
-            rng.standard_normal(out=z)
-            z *= std
-            blk *= decay
-            blk += z
+    for s in range(0, len(modes), rows):
+        # one view per block: ``modes[s:s + rows] += z`` would copy back through __setitem__
+        blk = modes[s:s + rows]
+        z = noise[:len(blk)]
+        rng.standard_normal(out=z)
+        z *= std
+        blk *= decay
+        blk += z
 
 
 def stream_paths(rng: np.random.Generator, n_paths: int, n_modes: int, grid: TimeGrid,
@@ -201,28 +200,29 @@ def stream_paths(rng: np.random.Generator, n_paths: int, n_modes: int, grid: Tim
     Draws the start (stationary x0 then y0, or the fixed slice ``initial``),
     then B, x and y at every step, and yields ``(k, b, x, y)`` with b (R,) and
     x, y (R, N) for k = 0..K; with ``initial`` its mode count replaces
-    ``n_modes``.  The buffers are reused from slice to slice, so memory does
-    not grow with K, and a consumer that keeps a slice copies it.  Each step
-    goes through :func:`ou_step` in row blocks of about 2^17 elements (2048
-    rows at N = 64): B, then x block by block, then y block by block, which
-    draws the normals in the same order as an unblocked step.  The noise
-    scratch is one block, never larger than the batch, so it stays within
-    1 MB whatever R.
+    ``n_modes``.  x and y are the two halves of one (2, R, N) array, stepped
+    together by :func:`ou_step` in row blocks of at most 2^17 elements (2048
+    rows at N = 64), in the order of an unblocked step.  The modes and the
+    noise block are one allocation, reused from slice to slice, so memory
+    does not grow with K and the noise stays within 1 MB whatever R; a
+    consumer that keeps a slice copies it.
     """
+    n_modes = n_modes if initial is None else initial.n_modes
+    rows = max(1, min(2 * n_paths, _BLOCK_ELEMENTS // n_modes))
+    buf = np.empty((2 * n_paths + rows, n_modes))
+    modes, noise = buf[:2 * n_paths], buf[2 * n_paths:]
+    xy = modes.reshape(2, n_paths, n_modes)
     if initial is None:
-        x = rng.standard_normal((n_paths, n_modes))
-        y = rng.standard_normal((n_paths, n_modes))
+        rng.standard_normal(out=modes)
     else:
-        x = np.broadcast_to(initial.xs, (n_paths, initial.n_modes)).copy()
-        y = np.broadcast_to(initial.ys, (n_paths, initial.n_modes)).copy()
-    n_modes = x.shape[1]
+        xy[0], xy[1] = initial.xs, initial.ys
     decay, std = ou_step_coeffs(np.arange(1, n_modes + 1), grid.dt)
     sqrt_dt = np.sqrt(grid.dt)
     b = np.zeros(n_paths)
-    noise = np.empty((max(1, min(n_paths, _BLOCK_ELEMENTS // n_modes)), n_modes))
+    x, y = xy
     yield 0, b, x, y
     for k in range(1, grid.n_steps + 1):
-        ou_step(rng, b, x, y, decay, std, sqrt_dt, noise)
+        ou_step(rng, b, modes, decay, std, sqrt_dt, noise)
         yield k, b, x, y
 
 

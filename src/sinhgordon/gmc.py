@@ -10,6 +10,7 @@ path's grid nodes.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -115,80 +116,89 @@ class SliceMass:
 
     S+-[k] = e^{-gamma^2 renorm/2} * dtheta * e^{+-gamma B_k} * sum_theta e^{+-gamma phi_k}
     over the ``theta_cells`` :func:`theta_nodes`; ``spec`` gives renorm and phi's modes.
-    The field is synthesized into a reused buffer and exponentiated in place
-    once; the minus sign takes the reciprocal into a second buffer.  The
-    midpoint grid is mirror-symmetric, theta_{T-1-j} = 2 pi - theta_j, by
-    construction: the cosine sum C is even and the sine sum S odd
-    under the mirror, so :meth:`load` synthesizes the first half of the nodes
-    only and writes the field as C + S on the first half and C - S, reversed,
-    on the second (a middle node, for an odd count, sits at pi, where S
-    vanishes), all inside the two buffers.
-    ``basis`` is the full basis, shared by every kernel of the same modes and
-    cells.  Both theta sums are one matrix-vector product with a weight
-    vector: ones, or for a shifted field phi + s the precomputed
-    ``(e^{gamma s}, e^{-gamma s})``, with no further exp.
+    The midpoint grid pairs node j < h = T // 2 with its mirror m = T - 1 - j,
+    theta_m = 2 pi - theta_j, so :meth:`load` synthesizes C = gamma x cos on
+    the first T - h nodes and S = gamma y sin on the first h only (gamma
+    folded into the two half bases): the pair carries gamma phi = C_j +- S_j,
+    and an odd count's middle node, at pi, C_h.  With a = e^C a pair's
+    e^{+-gamma phi} sum to 2 a^{+-1}_j cosh S_j, so a slice costs T/2 each of
+    exp, reciprocal and cosh per row, and the products a^{+-1}_j cosh S_j,
+    written over a^{+-1}_j, give both theta sums in one matrix-vector product.
+    A shifted field phi + s, ``shift`` = (w+, w-) = (e^{gamma s}, e^{-gamma s}),
+    sums to sum_j a_j [cosh S_j (w+_j + w+_m) + sinh S_j (w+_j - w+_m)] (+ a_h w+_h),
+    and the minus sign likewise with 1/a, w- and -sinh S_j; a^{+-1}_j sinh S_j
+    is taken once per slice, from tanh S, over S and cosh S.  ``basis`` is the
+    full basis, shared by every kernel of the same modes and cells.  A loaded
+    kernel holds two (R, T) buffers, shift or not.
     """
 
     def __init__(self, gamma: float, spec: GmcSpec, theta_cells: int):
         thetas, dtheta = theta_nodes(theta_cells)
-        self.gamma, self.n_modes = gamma, spec.path_modes
+        self.gamma, self.n_modes, self.half = gamma, spec.path_modes, theta_cells // 2
         self.scale = math.exp(-0.5 * gamma * gamma * spec.renorm_constant) * dtheta
         self.basis = theta_basis(self.n_modes, thetas)
-        self.e = self.inv = self.ones = None
+        self.cos, self.sin = _half_bases(gamma, self.n_modes, thetas.tobytes())
+        self.ones = self._mirror(np.ones(theta_cells))[0]
+        self.ai = self.sc = None
+        self.sinh = False
 
     def load(self, x: np.ndarray, y: np.ndarray) -> "SliceMass":
         """Load a slice from (R, N) mode coefficients; the first ``n_modes`` are used."""
-        n = self.n_modes
-        cb, sb = self.basis
-        cells = cb.shape[1]
-        half = cells // 2
-        lead = x.shape[:-1]
-        if self.e is None or self.e.shape != (*lead, cells):
-            self._buffers((*lead, cells))
-        # C and S into contiguous blocks of the second buffer, C + S, C - S and
-        # C's middle column into blocks of the first, then the field in node
-        # order into the second, which becomes the first: every elementwise
-        # step runs on contiguous blocks, so numpy takes no iteration buffer
-        c, s = _blocks(self.inv, lead, (cells - half, half))
-        np.matmul(x[..., :n], cb[:, :cells - half], out=c)
-        np.matmul(y[..., :n], sb[:, :half], out=s)
-        plus, minus, middle = _blocks(self.e, lead, (half, half, cells - 2 * half))
-        np.add(c[..., :half], s, out=plus)
-        np.subtract(c[..., :half], s, out=minus)
-        middle[...] = c[..., half:]
-        field = self.inv
-        field[..., :half] = plus
-        field[..., half:cells - half] = middle
-        field[..., cells - half:] = minus[..., ::-1]
-        self.e, self.inv = field, self.e
-        return self._exponentiate()
-
-    def _buffers(self, shape) -> None:
-        self.e, self.inv, self.ones = np.empty(shape), np.empty(shape), np.ones(shape[-1])
-
-    def _exponentiate(self) -> "SliceMass":
-        self.e *= self.gamma
-        np.exp(self.e, out=self.e)
-        np.reciprocal(self.e, out=self.inv)
+        n, h, lead = self.n_modes, self.half, x.shape[:-1]
+        if self.ai is None or self.ai.shape[1:-1] != lead:
+            self.ai = np.empty((2, *lead, self.cos.shape[1]))   # a, then 1/a
+            self.sc = np.empty((2, *lead, h))                    # S, then cosh S
+        a, s = self.ai[0], self.sc[0]
+        np.matmul(x[..., :n], self.cos, out=a)
+        np.matmul(y[..., :n], self.sin, out=s)
+        np.exp(a, out=a)
+        np.reciprocal(a, out=self.ai[1])
+        ch = np.cosh(s, out=self.sc[1])
+        self.ai[..., :h] *= ch
+        self.sinh = False
         return self
 
     def pair(self, brownian=0.0, shift=None):
         """(S+, S-) of the loaded slice; of the field phi + s for ``shift`` = (e^{gs}, e^{-gs})."""
-        plus_w, minus_w = (self.ones, self.ones) if shift is None else shift
         zero = np.exp(self.gamma * brownian)
-        return self.scale * zero * (self.e @ plus_w), self.scale / zero * (self.inv @ minus_w)
+        if shift is None:
+            plus, minus = self.ai @ self.ones
+            return zero * plus, minus / zero
+        if not self.sinh:
+            # a sinh S = (a cosh S) tanh S and 1/a sinh S into the spent S and cosh S
+            s, th = self.sc
+            np.tanh(s, out=th)
+            np.multiply(self.ai[0, ..., :self.half], th, out=s)
+            np.multiply(self.ai[1, ..., :self.half], th, out=th)
+            self.sinh = True
+        (p_even, p_odd), (m_even, m_odd) = (self._mirror(w) for w in shift)
+        plus = self.ai[0] @ p_even + self.sc[0] @ p_odd
+        minus = self.ai[1] @ m_even - self.sc[1] @ m_odd
+        return zero * plus, minus / zero
+
+    def _mirror(self, w: np.ndarray):
+        """Node weights, scaled, of the pairs j < h: the sum of the weights of j and
+        T - 1 - j (then the middle node's own), and their difference."""
+        h = self.half
+        first, mirrored = w[:h], w[::-1][:h]
+        even = np.empty(w.size - h)
+        even[:h], even[h:] = first + mirrored, w[h:w.size - h]
+        return self.scale * even, self.scale * (first - mirrored)
 
     def __call__(self, x: np.ndarray, y: np.ndarray, brownian=0.0):
         return self.load(x, y).pair(brownian)
 
 
-def _blocks(buffer: np.ndarray, lead: tuple, widths) -> list:
-    """Consecutive contiguous (*lead, width) blocks of ``buffer``'s memory."""
-    flat, rows, out, at = buffer.reshape(-1), math.prod(lead), [], 0
-    for width in widths:
-        out.append(flat[at:at + rows * width].reshape(*lead, width))
-        at += rows * width
-    return out
+@functools.lru_cache(maxsize=64)
+def _half_bases(gamma: float, n_modes: int, thetas: bytes):
+    """gamma cos(n theta)/sqrt(n) on the first T - T // 2 nodes and gamma sin(n theta)/sqrt(n)
+    on the first T // 2, read-only, shared by every kernel of the same coupling and nodes."""
+    cb, sb = theta_basis(n_modes, np.frombuffer(thetas))
+    half = cb.shape[1] // 2
+    pair = gamma * cb[:, :cb.shape[1] - half], gamma * sb[:, :half]
+    for m in pair:
+        m.flags.writeable = False
+    return pair
 
 
 class Trapezoid:

@@ -63,8 +63,9 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
 
     Each particle starts at a zero mode c drawn uniformly on the window of
     ``quad`` (:func:`propagator.default_c_quadrature` if None).  A step takes
-    mu (e^{gamma c} dM+ + e^{-gamma c} dM-) from a particle's log weight,
-    dM+- the step's increments of its masses (a :class:`gmc.Trapezoid`).
+    the increment of int mu (e^{gamma c} S+ + e^{-gamma c} S-) dt from a
+    particle's log weight, S+- its slice masses: one potential column in a
+    :class:`gmc.Trapezoid`.
     ``register_groups`` is a sequence of insertion tuples ((alpha, s, theta),
     ...) in process coordinates; each particle accumulates the log vertex
     factors of a group along its genealogy, read with zero mode c + B by one
@@ -94,22 +95,24 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
         log_z = log_width
         log_w = np.zeros(n)
         regs = np.zeros((len(groups), n))
-        exp_cp, exp_cm = capped_exp(gamma * c), capped_exp(-gamma * c)
+        # mu e^{+-gamma c}: a step's potential is V = mu (e^{gamma c} S+ + e^{-gamma c} S-)
+        exp_cp, exp_cm = mu * capped_exp(gamma * c), mu * capped_exp(-gamma * c)
         kernel = SliceMass(gamma, spec, theta_cells)
-        mass = Trapezoid(grid.dt)
+        potential = Trapezoid(grid.dt)
         log_z_rows = np.full(len(t_half_values), np.nan)
         means = np.full(len(groups), np.nan)
         # the particles' paths are the stream's buffers, so resampling writes into them
         for k, b, x, y in stream_paths(rng, n, n_modes, grid):
-            inc_p, inc_m = mass.add(*kernel(x, y, b)).step()
-            log_w = log_w - mu * (exp_cp * inc_p + exp_cm * inc_m)
-            reads.add(k, c + b, x, y, regs)
+            plus, minus = kernel(x, y, b)
+            log_w -= potential.add(exp_cp * plus + exp_cm * minus).step()[0]
+            if k in reads.rows:
+                reads.add(k, c + b, x, y, regs)
             hi = log_w.max()
             w = np.exp(log_w - hi)
+            w_sum = w.sum()
             if k in marks:
-                log_z_rows[marks[k]] = log_z + hi + math.log(w.mean())
+                log_z_rows[marks[k]] = log_z + hi + math.log(w_sum / n)
             if k == k_total:
-                w_sum = w.sum()
                 for gi, reg in enumerate(regs):
                     rhi = reg.max() if reg.size else 0.0
                     if rhi > _LOG_MAX:
@@ -118,19 +121,17 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
                             f"the float range: at gamma {gamma} the zero-mode window "
                             f"[{quad.c_min:.4g}, {quad.c_max:.4g}] is too wide for its weights")
                     means[gi] = (w * np.exp(reg - rhi)).sum() / w_sum * math.exp(rhi)
-            else:
-                ess = w.sum() ** 2 / (w ** 2).sum()
-                if ess < _RESAMPLE_THRESHOLD * n:
-                    log_z += hi + math.log(w.mean())
-                    idx = _systematic_resample(w / w.sum(), rng.uniform())
-                    c = c[idx]
-                    for path in (b, x, y):
-                        path[:] = path[idx]
-                    exp_cp, exp_cm = exp_cp[idx], exp_cm[idx]
-                    mass.take(idx)
-                    for g in np.flatnonzero(reads.first <= k):  # 0 before its first row
-                        regs[g] = regs[g][idx]
-                    log_w = np.zeros(n)
+            elif w_sum * w_sum / (w @ w) < _RESAMPLE_THRESHOLD * n:   # the ESS
+                log_z += hi + math.log(w_sum / n)
+                idx = _systematic_resample(w / w_sum, rng.uniform())
+                c = c[idx]
+                for path in (b, x, y):
+                    path[:] = path[idx]
+                exp_cp, exp_cm = exp_cp[idx], exp_cm[idx]
+                potential.take(idx)
+                for g in np.flatnonzero(reads.first <= k):  # 0 before its first row
+                    regs[g] = regs[g][idx]
+                log_w[:] = 0.0
         return {"log_z": log_z_rows[None], "group_means": means[None]}
 
     # one run per chunk: run r draws from the r-th child of ``seed``

@@ -70,10 +70,10 @@ def test_ou_step_is_the_exact_update_bit_for_bit(rng):
     want = (b0 + sqrt_dt * ref.standard_normal(7),
             x0 * dec + std * ref.standard_normal((7, 5)),
             y0 * dec + std * ref.standard_normal((7, 5)))
-    noise = np.empty((7, 5))
-    b, x, y = b0.copy(), x0.copy(), y0.copy()
-    ou_step(np.random.default_rng(44), b, x, y, dec, std, sqrt_dt, noise)
-    for g, w in zip((b, x, y), want):
+    noise = np.empty((14, 5))
+    b, modes = b0.copy(), np.concatenate([x0, y0])
+    ou_step(np.random.default_rng(44), b, modes, dec, std, sqrt_dt, noise)
+    for g, w in zip((b, *np.split(modes, 2)), want):
         assert np.array_equal(g, w)
 
 
@@ -84,20 +84,21 @@ def _unblocked_step(ref, b0, x0, y0, dec, std, sqrt_dt):
             y0 * dec + std * ref.standard_normal(y0.shape))
 
 
-@pytest.mark.parametrize("n_paths, n_modes, rows", [(10, 5, 4), (1, 5, 1), (17, 3, 2)],
+@pytest.mark.parametrize("n_paths, n_modes, rows", [(10, 5, 3), (1, 5, 1), (17, 3, 2)],
                          ids=["partial-last-block", "one-row", "brownian-in-pieces"])
 def test_blocked_ou_step_is_the_unblocked_update_bit_for_bit(rng, n_paths, n_modes, rows):
-    # a noise scratch of ``rows`` rows steps the batch block by block: 2.5
-    # blocks, a single row, and a Brownian part (17) longer than the scratch (6)
+    # a noise scratch of ``rows`` rows steps the 2R rows of x then y block by
+    # block: 6.7 blocks, one of them across the x/y boundary, a single row,
+    # and a Brownian part (17) longer than the scratch (6)
     dec, std = ou_step_coeffs(np.arange(1, n_modes + 1), 0.1)
     sqrt_dt = math.sqrt(0.1)
     b0 = rng.standard_normal(n_paths)
     x0, y0 = rng.standard_normal((2, n_paths, n_modes))
     want = _unblocked_step(np.random.default_rng(45), b0, x0, y0, dec, std, sqrt_dt)
     noise = np.empty((rows, n_modes))
-    b, x, y = b0.copy(), x0.copy(), y0.copy()
-    ou_step(np.random.default_rng(45), b, x, y, dec, std, sqrt_dt, noise)
-    for g, w in zip((b, x, y), want):
+    b, modes = b0.copy(), np.concatenate([x0, y0])
+    ou_step(np.random.default_rng(45), b, modes, dec, std, sqrt_dt, noise)
+    for g, w in zip((b, *np.split(modes, 2)), want):
         assert np.array_equal(g, w)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -102,25 +103,69 @@ def test_weighted_mass_circle_outside_span_raises(unit_params):
 
 
 # ---------------------------------------------------------------------------
-# The slice-mass kernel: mirror-halved synthesis, one reduction
+# The slice-mass kernel: mirror pairs, one reduction
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("cells", [16, 17, 96, 128])
 def test_slice_mass_load_is_the_full_synthesis(cells):
-    # the field synthesized from half the nodes and mirrored is the full-basis
-    # field on every node, the middle node at pi of an odd count included
+    # the masses of a slice synthesized on half the nodes and summed over
+    # mirror pairs are the sums of the full-basis field over every node, the
+    # middle node at pi of an odd count included
     rng = np.random.default_rng(cells)
-    nodes, _ = theta_nodes(cells)
+    nodes, width = theta_nodes(cells)
     x, y = rng.standard_normal((33, 20)), rng.standard_normal((33, 20))
-    kernel = SliceMass(1.0, fourier_spec(+1, 16), cells).load(x, y)
+    plus, minus = SliceMass(1.0, fourier_spec(+1, 16), cells).load(x, y).pair()
     field = fluctuation_grid(x, y, nodes, 16)
-    np.testing.assert_allclose(kernel.e, np.exp(field), rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(kernel.inv, np.exp(-field), rtol=1e-12, atol=0.0)
-    plus, minus = kernel.pair()
-    np.testing.assert_allclose(plus, kernel.scale * np.exp(field).sum(axis=1),
-                               rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(minus, kernel.scale * np.exp(-field).sum(axis=1),
-                               rtol=1e-12, atol=0.0)
+    scale = math.exp(-0.5 * sg.harmonic_number(16)) * width
+    np.testing.assert_allclose(plus, scale * np.exp(field).sum(axis=1), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(minus, scale * np.exp(-field).sum(axis=1), rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("cells", [17, 33])
+def test_slice_mass_cosh_pairs_match_two_exp_sums_at_odd_counts(cells):
+    # gamma 1.3 and independent random positive weights (w+, w-): every
+    # pair, plain or shifted, in any order and with the sinh S of a slice
+    # reused by a second shift, is the node-by-node two-exp sum
+    gamma, rng = 1.3, np.random.default_rng(cells)
+    nodes, width = theta_nodes(cells)
+    x, y, b = rng.standard_normal((9, 12)), rng.standard_normal((9, 12)), rng.standard_normal(9)
+    field = gamma * fluctuation_grid(x, y, nodes, 8)
+    scale = math.exp(-0.5 * gamma * gamma * sg.harmonic_number(8)) * width
+
+    def two_exp(w_plus, w_minus):
+        return (scale * np.exp(gamma * b) * (np.exp(field) @ w_plus),
+                scale * np.exp(-gamma * b) * (np.exp(-field) @ w_minus))
+
+    kernel = SliceMass(gamma, fourier_spec(+1, 8), cells).load(x, y)
+    weights = [rng.exponential(size=(2, cells)) for _ in range(2)]
+    got = [kernel.pair(b, tuple(weights[0])), kernel.pair(b), kernel.pair(b, tuple(weights[1]))]
+    want = [two_exp(*weights[0]), two_exp(np.ones(cells), np.ones(cells)), two_exp(*weights[1])]
+    for g, w in zip(got, want):
+        np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("cells", [33, 128])
+def test_loaded_slice_mass_holds_two_slice_buffers(cells):
+    # a loaded kernel holds at most two (R, T) float buffers (and their
+    # headers), before and after a shifted pair, and no step makes an (R, T/2)
+    # temporary, so a particle population's working set does not grow; the
+    # rows leave room for numpy's fixed-size iteration buffers
+    rows, rng = 4096, np.random.default_rng(0)
+    x, y, b = rng.standard_normal((rows, 64)), rng.standard_normal((rows, 64)), np.zeros(rows)
+    shift = tuple(rng.exponential(size=(2, cells)))
+    kernel = SliceMass(1.0, fourier_spec(+1, 64), cells)
+    data = 2 * rows * cells * 8
+    tracemalloc.start()
+    try:
+        kernel.load(x, y).pair(b)
+        held, peak = tracemalloc.get_traced_memory()
+        assert held <= data + 1024 and peak <= held + data // 8
+        tracemalloc.reset_peak()
+        kernel.pair(b, shift)
+        held, peak = tracemalloc.get_traced_memory()
+        assert held <= data + 1024 and peak <= held + data // 8
+    finally:
+        tracemalloc.stop()
 
 
 # ---------------------------------------------------------------------------

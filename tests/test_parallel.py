@@ -262,6 +262,12 @@ def test_slice_discretization_has_one_home():
     assert src_callers("harmonic_number") == {("gmc", "GmcSpec")}
 
 
+def test_time_stepping_has_one_kernel():
+    # every sampled path is stepped by gff.ou_step inside the one stepper,
+    # gff.stream_paths; a second stepping loop would call it from elsewhere
+    assert src_callers("ou_step") == {("gff", "stream_paths")}
+
+
 def test_generator_is_sfc64_of_the_seed_sequence():
     seq = np.random.SeedSequence(17, spawn_key=(3,))
     rng = generator(seq)

@@ -322,10 +322,11 @@ class TwoExpMass(SliceMass):
 
     def __init__(self, gamma, spec, theta_cells):
         super().__init__(gamma, spec, theta_cells)
-        self.renorm, self.dtheta = spec.renorm_constant, theta_nodes(theta_cells)[1]
+        self.renorm = spec.renorm_constant
+        self.nodes, self.dtheta = theta_nodes(theta_cells)
 
-    def _exponentiate(self):
-        self.field = self.e.copy()
+    def load(self, x, y):
+        self.field = fluctuation_grid(x, y, self.nodes, self.n_modes)
         return self
 
     def pair(self, brownian=0.0):
