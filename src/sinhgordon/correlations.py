@@ -76,6 +76,8 @@ class ShiftData:
     ``insertions`` hold process-time coordinates (alpha, s_i, theta_i).  The
     covariance kernel is the sum over the ``kernel`` modes actually sampled,
     which makes the change of measure exact in law for the simulated process.
+    The slice kernel takes the shift in modes (:meth:`row`); :meth:`bulk` and
+    :meth:`total_grid` give it on a theta grid.
     """
 
     insertions: tuple[tuple[float, float, float], ...]
@@ -110,17 +112,16 @@ class ShiftData:
         return n, [(s_i, a * np.cos(n * th_i) / np.sqrt(n), a * np.sin(n * th_i) / np.sqrt(n))
                    for a, s_i, th_i in self.insertions]
 
-    def row(self, s: float, basis) -> np.ndarray:
-        """drift(s) + bulk(s, theta) at one s from the mode offsets sum_i
-        e^{-n|s - s_i|} pattern_i (:attr:`_patterns`) on a ``theta_basis``."""
+    def row(self, s: float):
+        """The shift at one s in modes, (drift(s), dx, dy): the offsets
+        sum_i e^{-n|s - s_i|} pattern_i (:attr:`_patterns`) of the cos and sin modes."""
         n, patterns = self._patterns
         dx, dy = np.zeros(self.kernel), np.zeros(self.kernel)
         for s_i, px, py in patterns:
             decay = np.exp(-n * abs(s - s_i))
             dx += decay * px
             dy += decay * py
-        drift = sum(a * min(s, s_i) for a, s_i, _ in self.insertions)
-        return drift + dx @ basis[0][:self.kernel] + dy @ basis[1][:self.kernel]
+        return sum(a * min(s, s_i) for a, s_i, _ in self.insertions), dx, dy
 
     def scalar_log(self) -> float:
         """Log of the constant produced by the change of measure.
@@ -156,8 +157,8 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
     weights alpha -> -alpha).
 
     A chunk integrates its masses in one :class:`gmc.Trapezoid`, and a girsanov
-    task its shifted masses in its own, with row k's shift built as the stream
-    reaches it (:meth:`ShiftData.row`).  The vertex tasks copy no slice: one
+    task its shifted masses in its own, with row k's shift built in modes as
+    the stream reaches it (:meth:`ShiftData.row`).  The vertex tasks copy no slice: one
     :class:`gmc.VertexReads` adds each task's log factor, with zero mode B,
     into a (tasks, R) array as the rows pass; the c-integral stays in the
     task's zero-mode factor.  So a chunk holds the stepper's slice and noise
@@ -190,8 +191,7 @@ def _cylinder_engine(params: ModelParams, t_half: float, dt: float, n_modes: int
         for k, b, x, y in stream_paths(rng, size, n_modes, grid):
             sp, sm = kernel(x, y, b)
             for i, acc in shifted.items():
-                s = tasks[i]["shift"].row(k * grid.dt, kernel.basis)
-                acc.add(*kernel.pair(b, (np.exp(gamma * s), np.exp(-gamma * s))))
+                acc.add(*kernel.pair(b, tasks[i]["shift"].row(k * grid.dt)))
             if mirror:  # the negated field swaps the two masses exactly
                 b, x, y, sp, sm = -b, -x, -y, sm, sp
             mass.add(sp, sm)

@@ -124,21 +124,20 @@ class SliceMass:
     e^{+-gamma phi} sum to 2 a^{+-1}_j cosh S_j, so a slice costs T/2 each of
     exp, reciprocal and cosh per row, and the products a^{+-1}_j cosh S_j,
     written over a^{+-1}_j, give both theta sums in one matrix-vector product.
-    A shifted field phi + s, ``shift`` = (w+, w-) = (e^{gamma s}, e^{-gamma s}),
-    sums to sum_j a_j [cosh S_j (w+_j + w+_m) + sinh S_j (w+_j - w+_m)] (+ a_h w+_h),
-    and the minus sign likewise with 1/a, w- and -sinh S_j; a^{+-1}_j sinh S_j
-    is taken once per slice, from tanh S, over S and cosh S.  ``basis`` is the
-    full basis, shared by every kernel of the same modes and cells.  A loaded
-    kernel holds two (R, T) buffers, shift or not.
+    A shift of the field comes in modes, ``shift`` = (d, dx, dy): its zero mode and
+    (N,) cos and sin coefficients.  With c = gamma dx cos and s = gamma dy sin on the
+    same half bases, a pair's e^{+-gamma(phi + shift)} sum to 2 a^{+-1}_j e^{+-c_j}
+    (cosh S_j cosh s_j + sinh S_j sinh s_j), e^{+-gamma d} joins the zero mode, and
+    a^{+-1}_j sinh S_j is taken once per slice, from tanh S, over S and cosh S.  A
+    loaded kernel holds two (R, T) buffers, shift or not.
     """
 
     def __init__(self, gamma: float, spec: GmcSpec, theta_cells: int):
         thetas, dtheta = theta_nodes(theta_cells)
         self.gamma, self.n_modes, self.half = gamma, spec.path_modes, theta_cells // 2
         self.scale = math.exp(-0.5 * gamma * gamma * spec.renorm_constant) * dtheta
-        self.basis = theta_basis(self.n_modes, thetas)
         self.cos, self.sin = _half_bases(gamma, self.n_modes, thetas.tobytes())
-        self.ones = self._mirror(np.ones(theta_cells))[0]
+        self.ones = self.scale * np.r_[np.full(self.half, 2.0), np.ones(theta_cells % 2)]
         self.ai = self.sc = None
         self.sinh = False
 
@@ -159,9 +158,10 @@ class SliceMass:
         return self
 
     def pair(self, brownian=0.0, shift=None):
-        """(S+, S-) of the loaded slice; of the field phi + s for ``shift`` = (e^{gs}, e^{-gs})."""
-        zero = np.exp(self.gamma * brownian)
+        """(S+, S-) of the loaded slice; of the field phi + s for ``shift`` = (d, dx, dy),
+        s's zero mode and its (N,) cos and sin mode coefficients."""
         if shift is None:
+            zero = np.exp(self.gamma * brownian)
             plus, minus = self.ai @ self.ones
             return zero * plus, minus / zero
         if not self.sinh:
@@ -171,19 +171,14 @@ class SliceMass:
             np.multiply(self.ai[0, ..., :self.half], th, out=s)
             np.multiply(self.ai[1, ..., :self.half], th, out=th)
             self.sinh = True
-        (p_even, p_odd), (m_even, m_odd) = (self._mirror(w) for w in shift)
-        plus = self.ai[0] @ p_even + self.sc[0] @ p_odd
-        minus = self.ai[1] @ m_even - self.sc[1] @ m_odd
+        d, dx, dy = shift
+        s, h = dy @ self.sin, self.half
+        w = self.scale * np.exp(np.multiply.outer((1.0, -1.0), dx @ self.cos))   # e^{+-c}
+        odd = w[:, :h] * (2.0 * np.sinh(s))
+        w[:, :h] *= 2.0 * np.cosh(s)
+        plus, minus = (a @ we + sh @ wo for a, sh, we, wo in zip(self.ai, self.sc, w, odd))
+        zero = np.exp(self.gamma * (brownian + d))
         return zero * plus, minus / zero
-
-    def _mirror(self, w: np.ndarray):
-        """Node weights, scaled, of the pairs j < h: the sum of the weights of j and
-        T - 1 - j (then the middle node's own), and their difference."""
-        h = self.half
-        first, mirrored = w[:h], w[::-1][:h]
-        even = np.empty(w.size - h)
-        even[:h], even[h:] = first + mirrored, w[h:w.size - h]
-        return self.scale * even, self.scale * (first - mirrored)
 
     def __call__(self, x: np.ndarray, y: np.ndarray, brownian=0.0):
         return self.load(x, y).pair(brownian)

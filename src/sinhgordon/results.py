@@ -31,14 +31,15 @@ def mean_and_se(values: np.ndarray) -> tuple[float, float]:
 
 
 def jackknife_func(columns: list[np.ndarray], func) -> tuple[float, float]:
-    """Delete-one jackknife of func(col_sums...) for per-replica columns."""
+    """Delete-one jackknife of func(column means...) for per-replica columns; the
+    leave-one-out means (S - x_i)/(n - 1) go to ``func`` as (n,) arrays at once."""
     cols = [np.asarray(c, dtype=float) for c in columns]
     n = cols[0].size
     totals = [c.sum() for c in cols]
-    est = func(*totals)
+    est = func(*[t / n for t in totals])
     if n < 2:
         return est, float("inf")
-    loo = func(*[(t - c) for t, c in zip(totals, cols)])
+    loo = func(*[(t - c) / (n - 1) for t, c in zip(totals, cols)])
     loo = np.asarray(loo, dtype=float)
     return float(est), math.sqrt((n - 1) / n * ((loo - loo.mean()) ** 2).sum())
 

@@ -60,6 +60,7 @@ class OutputWriter:
         self.envelope = {"fingerprint": params_fingerprint(cfg.raw()),
                          "seed": cfg.estimator.seed, "n_samples": cfg.estimator.n_samples}
         self.n_records = 0
+        self.stage_seconds = {}   # stage -> perf_counter seconds, for the manifest
 
     def path(self, name: str) -> Path:
         self.dir.mkdir(parents=True, exist_ok=True)
@@ -88,6 +89,7 @@ class OutputWriter:
             "config": self.cfg.raw(),
             "fingerprint": self.envelope["fingerprint"],
             "wall_seconds": round(wall_s, 3),
+            "stage_seconds": {k: round(v, 3) for k, v in self.stage_seconds.items()},
             "n_records": self.n_records,
             "workers": workers,
             "cores": _usable_cores(),
@@ -472,6 +474,7 @@ _FAULTS = (ArithmeticError, AssertionError, AttributeError, EOFError, ImportErro
 def run(config_path: str, seed: int | None = None, workers: int | None = None,
         fast: bool = False, out_dir: str = "runs") -> int:
     """Execute one experiment; returns the process exit code."""
+    t0 = time.perf_counter()
     try:
         workers = resolve_workers(workers)
         cfg = with_overrides(load_config(config_path), seed=seed, fast=fast)
@@ -479,6 +482,7 @@ def run(config_path: str, seed: int | None = None, workers: int | None = None,
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out = OutputWriter(Path(out_dir) / cfg.experiment, cfg)
+    out.stage_seconds["config"] = time.perf_counter() - t0
     # One BLAS thread for the whole run at every worker count: on the serial
     # path a second thread costs more CPU than it saves on the small per-slice
     # matmuls, and the pool pins it anyway.  The manifest is written inside,
@@ -489,7 +493,7 @@ def run(config_path: str, seed: int | None = None, workers: int | None = None,
 
 def _execute(cfg: RunConfig, out: OutputWriter, workers: int) -> int:
     t0 = time.perf_counter()
-    tb = None
+    error = tb = None
     try:
         _DISPATCH[cfg.experiment](cfg, out, workers)
     except ConfigError as exc:
@@ -501,7 +505,8 @@ def _execute(cfg: RunConfig, out: OutputWriter, workers: int) -> int:
         error = f"{type(exc).__name__}: {exc}"
         import traceback
         tb = "".join(traceback.format_exception(exc))
-    else:
+    out.stage_seconds["experiment"] = time.perf_counter() - t0
+    if error is None:
         out.flush(time.perf_counter() - t0, workers)
         print(f"{cfg.experiment}: ok ({out.n_records} records in {out.dir})")
         return 0

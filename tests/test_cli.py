@@ -924,6 +924,19 @@ def test_manifest_records_versions_and_peak_rss(tmp_path):
     assert all("cores" not in rec for rec in read_records(out, "lz"))
 
 
+def test_manifest_times_the_config_and_experiment_stages(tmp_path):
+    # perf_counter seconds of config parsing and of the experiment go to the
+    # manifest alone; the experiment stage lies inside the run's wall_seconds
+    out = tmp_path / "out"
+    assert run(write_config(tmp_path, base_config("lz")), out_dir=str(out)) == 0
+    manifest = json.loads((out / "lz" / "manifest.json").read_text())
+    stages = manifest["stage_seconds"]
+    assert set(stages) == {"config", "experiment"}
+    assert stages["config"] >= 0.0
+    assert 0.0 <= stages["experiment"] <= manifest["wall_seconds"]
+    assert all("stage_seconds" not in rec for rec in read_records(out, "lz"))
+
+
 def test_worker_env_override(monkeypatch):
     from sinhgordon.parallel import resolve_workers
     monkeypatch.setenv("SINHGORDON_WORKERS", "3")

@@ -123,23 +123,25 @@ def test_slice_mass_load_is_the_full_synthesis(cells):
 
 @pytest.mark.parametrize("cells", [17, 33])
 def test_slice_mass_cosh_pairs_match_two_exp_sums_at_odd_counts(cells):
-    # gamma 1.3 and independent random positive weights (w+, w-): every
-    # pair, plain or shifted, in any order and with the sinh S of a slice
-    # reused by a second shift, is the node-by-node two-exp sum
+    # gamma 1.3 and independent random mode shifts (d, dx, dy): every pair,
+    # plain or shifted, in any order and with the sinh S of a slice reused by a
+    # second shift, is the node-by-node two-exp sum of the shifted field
     gamma, rng = 1.3, np.random.default_rng(cells)
     nodes, width = theta_nodes(cells)
     x, y, b = rng.standard_normal((9, 12)), rng.standard_normal((9, 12)), rng.standard_normal(9)
-    field = gamma * fluctuation_grid(x, y, nodes, 8)
+    field = fluctuation_grid(x, y, nodes, 8)
     scale = math.exp(-0.5 * gamma * gamma * sg.harmonic_number(8)) * width
 
-    def two_exp(w_plus, w_minus):
-        return (scale * np.exp(gamma * b) * (np.exp(field) @ w_plus),
-                scale * np.exp(-gamma * b) * (np.exp(-field) @ w_minus))
+    def two_exp(shift=(0.0, np.zeros(8), np.zeros(8))):
+        d, dx, dy = shift
+        f = gamma * (field + d + fluctuation_grid(dx, dy, nodes))
+        return (scale * np.exp(gamma * b) * np.exp(f).sum(axis=1),
+                scale * np.exp(-gamma * b) * np.exp(-f).sum(axis=1))
 
     kernel = SliceMass(gamma, fourier_spec(+1, 8), cells).load(x, y)
-    weights = [rng.exponential(size=(2, cells)) for _ in range(2)]
-    got = [kernel.pair(b, tuple(weights[0])), kernel.pair(b), kernel.pair(b, tuple(weights[1]))]
-    want = [two_exp(*weights[0]), two_exp(np.ones(cells), np.ones(cells)), two_exp(*weights[1])]
+    shifts = [(rng.standard_normal(), *rng.standard_normal((2, 8))) for _ in range(2)]
+    got = [kernel.pair(b, shifts[0]), kernel.pair(b), kernel.pair(b, shifts[1])]
+    want = [two_exp(shifts[0]), two_exp(), two_exp(shifts[1])]
     for g, w in zip(got, want):
         np.testing.assert_allclose(g, w, rtol=1e-12, atol=0.0)
 
@@ -152,7 +154,7 @@ def test_loaded_slice_mass_holds_two_slice_buffers(cells):
     # rows leave room for numpy's fixed-size iteration buffers
     rows, rng = 4096, np.random.default_rng(0)
     x, y, b = rng.standard_normal((rows, 64)), rng.standard_normal((rows, 64)), np.zeros(rows)
-    shift = tuple(rng.exponential(size=(2, cells)))
+    shift = (rng.standard_normal(), *rng.standard_normal((2, 64)))
     kernel = SliceMass(1.0, fourier_spec(+1, 64), cells)
     data = 2 * rows * cells * 8
     tracemalloc.start()

@@ -14,6 +14,7 @@ import pytest
 
 from sinhgordon import runner
 from sinhgordon.errors import ConfigError, SinhGordonError
+from sinhgordon.gmc import SliceMass, fourier_spec
 from sinhgordon.parallel import (_BLAS, blas_threads, generator, map_chunks, map_replicas,
                                  seed_chunks)
 
@@ -260,6 +261,13 @@ def test_slice_discretization_has_one_home():
     # from the GmcSpec and cell count handed to gmc.SliceMass
     assert src_callers("theta_nodes") == {("gmc", "SliceMass")}
     assert src_callers("harmonic_number") == {("gmc", "GmcSpec")}
+
+
+def test_slice_node_layout_stays_in_the_kernel():
+    # the kernel synthesizes slices and their shifts, given in modes, on its
+    # own half bases, so no caller reads a full-node basis or node weights
+    assert src_callers("theta_basis") == {("gff", "fluctuation_grid"), ("gmc", "_half_bases")}
+    assert not hasattr(SliceMass(1.0, fourier_spec(+1, 8), 17), "basis")
 
 
 def test_time_stepping_has_one_kernel():

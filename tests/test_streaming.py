@@ -70,15 +70,16 @@ def test_stream_is_the_stored_batch_bit_for_bit():
 
 def test_fused_kernel_matches_two_exp_formula():
     rng = np.random.default_rng(4)
-    nodes, dth = theta_nodes(32)
+    nodes, dth = theta_nodes(33)
     x, y, b = rng.standard_normal((6, 10)), rng.standard_normal((6, 10)), rng.standard_normal(6)
-    s = rng.standard_normal(32)
-    kernel = SliceMass(1.3, fourier_spec(+1, 8), 32)
+    d, dx, dy = rng.standard_normal(), rng.standard_normal(8), rng.standard_normal(8)
+    kernel = SliceMass(1.3, fourier_spec(+1, 8), 33)
     f = fluctuation_grid(x, y, nodes, 8)
     for got, want in zip(kernel(x, y, b), two_exp_pair(b, f, 1.3, harmonic_number(8), dth)):
         close(got, want)
-    shifted = kernel.pair(b, (np.exp(1.3 * s), np.exp(-1.3 * s)))
-    for got, want in zip(shifted, two_exp_pair(b, f + s, 1.3, harmonic_number(8), dth)):
+    shifted = kernel.pair(b, (d, dx, dy))
+    for got, want in zip(shifted, two_exp_pair(b, f + d + fluctuation_grid(dx, dy, nodes),
+                                               1.3, harmonic_number(8), dth)):
         close(got, want)
 
 
