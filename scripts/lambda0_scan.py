@@ -13,13 +13,15 @@ import json
 import sinhgordon as sg
 from sinhgordon.parallel import stateless_children
 from sinhgordon.smc import SmcSettings, smc_log_partition
+from sinhgordon.spectral import log_z_curve
 
 
 def lambda0_at(params, t_list, dt, n_modes, theta_cells, particles, runs, seed):
+    """lambda0 and its run-jackknife error, and the per-T (log Z, s.e.) curve."""
     settings = SmcSettings(n_particles=particles, n_runs=runs)
-    pairs = smc_log_partition(params, t_list, dt, n_modes, theta_cells, settings, seed)
-    fit = sg.lambda0_fit(t_list, pairs)
-    return fit.value, fit.std_error, pairs
+    table = smc_log_partition(params, t_list, dt, n_modes, theta_cells, settings, seed)
+    fit = sg.lambda0_fit(t_list, table)
+    return fit.value, fit.std_error, log_z_curve(table)
 
 
 def main():
@@ -41,13 +43,13 @@ def main():
     # radius i draws from the i-th child of the seed, so no two scans share a stream
     for radius, child in zip(args.radii, stateless_children(args.seed, len(args.radii))):
         p = sg.validate_params(args.gamma, args.mu, radius)
-        lam, se, pairs = lambda0_at(p, args.t_list, args.dt, args.n_modes,
+        lam, se, curve = lambda0_at(p, args.t_list, args.dt, args.n_modes,
                                     args.theta_cells, args.particles, args.runs, child)
         print(f"R={radius}: mu_R={p.mu_scaled:.4f}  lambda0={lam:.4f} +- {se:.4f}")
         rows.append({"radius": radius, "mu_scaled": p.mu_scaled, "lambda0": lam,
                      "std_error": se,
                      "log_z_curve": [{"t_half": t, "log_z": v, "se": s}
-                                     for t, (v, s) in zip(args.t_list, pairs)]})
+                                     for t, (v, s) in zip(args.t_list, curve)]})
 
     payload = {"rows": rows}
     if len(args.radii) >= 3:

@@ -158,19 +158,17 @@ def mc_vs_lz_report(alpha: float, r_values, estimates, params: ModelParams) -> d
     """Directional comparison of a Monte Carlo sequence against the reference.
 
     ``estimates`` are (value, std_error) pairs of the rescaled one-point
-    function at each radius.  The report flags whether the sequence is
-    approaching the reference value; no pass/fail is attached, the limit is a
-    large-R asymptotic out of reach at desk scale.
+    function at each radius.  The flag reads "approaching" when the distance
+    to the reference value falls at every step by more than the hypot of the
+    two standard errors; no pass/fail is attached, the limit is a large-R
+    asymptotic out of reach at desk scale.
     """
     ref = lz_one_point(params, alpha)
-    rows = []
-    dists = []
-    for r, (v, se) in zip(r_values, estimates):
-        dist = abs(v - ref.value)
-        dists.append(dist)
-        rows.append({"radius": float(r), "estimate": float(v), "std_error": float(se),
-                     "abs_distance": dist})
-    approaching = len(dists) >= 2 and all(d2 < d1 for d1, d2 in zip(dists, dists[1:]))
+    rows = [{"radius": float(r), "estimate": float(v), "std_error": float(se),
+             "abs_distance": abs(v - ref.value)} for r, (v, se) in zip(r_values, estimates)]
+    approaching = len(rows) >= 2 and all(
+        a["abs_distance"] - b["abs_distance"] > math.hypot(a["std_error"], b["std_error"])
+        for a, b in zip(rows, rows[1:]))
     return {
         "alpha": alpha,
         "reference_value": ref.value,

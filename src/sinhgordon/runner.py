@@ -280,21 +280,22 @@ def _exp_partition(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
 
 def _exp_lambda0(cfg: RunConfig, out: OutputWriter, workers: int) -> None:
     from .smc import SmcSettings, smc_log_partition
-    from .spectral import lambda0_fit
+    from .spectral import lambda0_fit, log_z_curve
     t0 = time.perf_counter()
     t_list = cfg.opts["T_list"]
     TimeGrid.of_half_heights(t_list, cfg.sampler.dt)  # an off-grid T is reported first
     if len(t_list) < 3:
         raise ConfigError(f"lambda0 option T_list needs at least 3 entries for the fit, "
                           f"got {t_list!r}")
-    pairs = smc_log_partition(cfg.params, t_list, cfg.sampler.dt, cfg.sampler.n_modes,
+    table = smc_log_partition(cfg.params, t_list, cfg.sampler.dt, cfg.sampler.n_modes,
                               cfg.gmc.theta_cells,
                               SmcSettings.for_samples(cfg.estimator.n_samples, 12),
                               cfg.estimator.seed, workers=workers, quad=_quad(cfg))
-    curve = [{"t_half": t, "log_z": p[0], "log_z_se": p[1]} for t, p in zip(t_list, pairs)]
+    curve = [{"t_half": t, "log_z": m, "log_z_se": se}
+             for t, (m, se) in zip(t_list, log_z_curve(table))]
     # T_list strictly increases (config.OPTIONS), so the smallest T comes first
     skip = 1 if cfg.opts["drop_smallest"] and len(t_list) > 3 else 0
-    fit = lambda0_fit(t_list[skip:], pairs[skip:])
+    fit = lambda0_fit(t_list[skip:], table[skip:])
     out.record({"experiment": "lambda0", "estimate": fit.value, "std_error": fit.std_error,
                 "fit_window": fit.fit_window, "r_squared": fit.r_squared, "curve": curve,
                 "wall_ms": round(1e3 * (time.perf_counter() - t0), 3)})

@@ -34,7 +34,6 @@ from .gmc import SliceMass, Trapezoid, VertexReads, fourier_spec
 from .params import ModelParams
 from .parallel import map_replicas
 from .propagator import CQuadrature, capped_exp, default_c_quadrature
-from .results import jackknife_func
 
 _RESAMPLE_THRESHOLD = 0.5  # resample when the ESS falls below this fraction of the particles
 _LOG_MAX = math.log(sys.float_info.max)  # a register mean above e^_LOG_MAX is not a float
@@ -141,8 +140,8 @@ def smc_flow(params: ModelParams, t_half_values, dt: float, n_modes: int,
 
 def smc_log_partition(params: ModelParams, t_half_values, dt: float, n_modes: int,
                       theta_cells: int, settings: SmcSettings, seed,
-                      workers: int = 1, quad: CQuadrature | None = None):
-    """Per-height log-normalizer estimates: jackknife mean and s.e. across runs."""
-    flow = smc_flow(params, t_half_values, dt, n_modes, theta_cells, settings, seed,
-                    workers=workers, quad=quad)
-    return [jackknife_func([col], lambda m: m) for col in flow["log_z"].T]
+                      workers: int = 1, quad: CQuadrature | None = None) -> np.ndarray:
+    """The (T, runs) table of per-run log Z estimates: :func:`spectral.lambda0_fit`
+    takes lambda0's error from the run jackknife of the whole fit."""
+    return smc_flow(params, t_half_values, dt, n_modes, theta_cells, settings, seed,
+                    workers=workers, quad=quad)["log_z"].T

@@ -20,12 +20,12 @@ from .gmc import SliceMass, Trapezoid, fourier_spec
 from .params import ModelParams
 from .parallel import CHUNK, map_replicas
 from .propagator import CQuadrature, default_c_quadrature, fk_damping
-from .results import mean_and_se
+from .results import jackknife_func, mean_and_se
 
 
 @dataclass
 class SpectralEstimate:
-    """A fitted rate with its propagated error and fit diagnostics."""
+    """A fitted rate with its error and fit diagnostics."""
 
     value: float
     std_error: float
@@ -34,14 +34,12 @@ class SpectralEstimate:
 
 
 def _weighted_line_fit(x, y, y_se):
-    """Weighted least squares y = a + b x; returns (b, se_b, r2).
+    """Weighted least squares y = a + b x; returns (b, se_b, r2, c), b = c @ y.
 
-    Zero input errors mean an exact fit request: uniform weights and exact
-    error propagation (se_b = 0).
+    se_b propagates the input errors as if the points were independent, and
+    zero input errors mean an exact fit request: uniform weights, se_b = 0.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    y_se = np.asarray(y_se, dtype=float)
+    x, y, y_se = (np.asarray(v, dtype=float) for v in (x, y, y_se))
     if x.size < 3:
         raise DegenerateFit("need at least 3 points")
     if np.ptp(x) == 0:
@@ -61,21 +59,28 @@ def _weighted_line_fit(x, y, y_se):
     resid = y - (a + b * x)
     ss_tot = (w * (y - ybar) ** 2).sum()
     r2 = 1.0 - (w * resid ** 2).sum() / ss_tot if ss_tot > 0 else 1.0
-    return b, se_b, r2
+    return b, se_b, r2, w * (x - xbar) / sxx
+
+
+def log_z_curve(log_z) -> list:
+    """Per-T (mean, s.e.) of a (T, runs) table: the delete-one jackknife over runs."""
+    return [jackknife_func([row], lambda m: m) for row in log_z]
 
 
 def lambda0_fit(t_values, log_z) -> SpectralEstimate:
     """Lowest eigenvalue from log Z against 2T: the slope is -lambda0.
 
-    ``log_z`` is a list of (estimate, standard error).  Adding a constant to
-    all estimates leaves the result unchanged.
+    ``log_z`` is the (T, runs) table of :func:`smc.smc_log_partition`, fit at
+    the weights 1/se^2 of :func:`log_z_curve`.  Every T shares every run, so
+    the error is the run jackknife of the whole fit at those weights.  Adding
+    a constant to all estimates leaves the result unchanged.
     """
     t_values = [float(t) for t in t_values]
     if sorted(t_values) != t_values or len(set(t_values)) != len(t_values):
         raise DegenerateFit("T values must be strictly increasing")
-    y = [v for v, _ in log_z]
-    se = [s for _, s in log_z]
-    b, se_b, r2 = _weighted_line_fit([2.0 * t for t in t_values], y, se)
+    y, se = np.reshape(log_z_curve(log_z), (-1, 2)).T
+    b, _, r2, c = _weighted_line_fit([2.0 * t for t in t_values], y, se)
+    se_b = jackknife_func(list(log_z), lambda *means: c @ np.array(means))[1]
     return SpectralEstimate(value=-b, std_error=se_b, fit_window=t_values, r_squared=r2)
 
 
@@ -97,9 +102,7 @@ def spectral_gap_fit(separations, covariances) -> SpectralEstimate:
         raise DegenerateFit(f"standard errors must be positive and finite, got {bad[0]}")
     if np.any(np.abs(vals) <= 3.0 * ses):
         raise SignalLost("covariance consistent with zero at some separation")
-    y = np.log(np.abs(vals))
-    y_se = ses / np.abs(vals)
-    b, se_b, r2 = _weighted_line_fit(separations, y, y_se)
+    b, se_b, r2, _ = _weighted_line_fit(separations, np.log(np.abs(vals)), ses / np.abs(vals))
     return SpectralEstimate(value=-b, std_error=se_b, fit_window=separations, r_squared=r2)
 
 
@@ -114,9 +117,7 @@ def lambda0_scaling_probe(r_values, lambda0_estimates) -> SpectralEstimate:
     ses = np.array([s for _, s in lambda0_estimates], dtype=float)
     if np.any(vals <= 0):
         raise DegenerateFit("lambda0 estimates must be positive for a log-log fit")
-    y = np.log(vals)
-    y_se = ses / vals
-    b, se_b, r2 = _weighted_line_fit(np.log(r_values), y, y_se)
+    b, se_b, r2, _ = _weighted_line_fit(np.log(r_values), np.log(vals), ses / vals)
     return SpectralEstimate(value=b, std_error=se_b, fit_window=r_values, r_squared=r2)
 
 

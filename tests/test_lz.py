@@ -88,3 +88,14 @@ def test_mc_vs_lz_report_flags(unit_params):
     assert r1["flag"] == "approaching"
     assert r2["flag"] == "not-approaching"
     assert len(r1["rows"]) == 3
+
+
+def test_mc_vs_lz_fall_inside_the_noise_is_not_approaching(unit_params):
+    # every distance falls, but the middle step (0.02) is inside the hypot of
+    # its two standard errors (0.05), so the sequence is not seen to approach
+    ref = sg.lz_one_point(unit_params, 0.5).value
+    est = [(ref + 0.3, 0.03), (ref + 0.28, 0.04), (ref + 0.02, 0.02)]
+    rep = sg.mc_vs_lz_report(0.5, [1, 2, 4], est, unit_params)
+    dists = [row["abs_distance"] for row in rep["rows"]]
+    assert dists == sorted(dists, reverse=True)
+    assert rep["flag"] == "not-approaching"

@@ -13,8 +13,9 @@ from sinhgordon.errors import DegenerateFit, SignalLost
 # ---------------------------------------------------------------------------
 
 def test_lambda0_exact_linear_recovery():
+    # identical runs: every per-T error is 0, so the fit is exact
     ts = [1.0, 1.5, 2.0, 3.0]
-    logz = [(-2 * 0.7 * t + 1.3, 0.0) for t in ts]
+    logz = [[-2 * 0.7 * t + 1.3] * 8 for t in ts]
     fit = sg.lambda0_fit(ts, logz)
     assert fit.value == pytest.approx(0.7, abs=1e-12)
     assert fit.std_error == 0.0
@@ -23,8 +24,8 @@ def test_lambda0_exact_linear_recovery():
 def test_lambda0_constant_shift_invariance():
     ts = [1.0, 2.0, 3.0]
     rng = np.random.default_rng(1)
-    base = [(-1.1 * 2 * t + rng.normal(0, 0.01), 0.01) for t in ts]
-    shifted = [(v + 5.0, s) for v, s in base]
+    base = np.array([[-1.1 * 2 * t + rng.normal(0, 0.01) for _ in range(8)] for t in ts])
+    shifted = base + 5.0
     a = sg.lambda0_fit(ts, base)
     b = sg.lambda0_fit(ts, shifted)
     assert a.value == pytest.approx(b.value, rel=1e-12)
@@ -33,9 +34,33 @@ def test_lambda0_constant_shift_invariance():
 
 def test_lambda0_degenerate_inputs():
     with pytest.raises(DegenerateFit):
-        sg.lambda0_fit([1.0, 2.0], [(-1.0, 0.1), (-2.0, 0.1)])
+        sg.lambda0_fit([1.0, 2.0], [[-1.0, -1.1], [-2.0, -2.1]])
     with pytest.raises(DegenerateFit):
-        sg.lambda0_fit([2.0, 1.0, 3.0], [(-1.0, 0.1)] * 3)
+        sg.lambda0_fit([2.0, 1.0, 3.0], [[-1.0, -1.1]] * 3)
+
+
+def test_lambda0_error_is_the_run_jackknife_of_the_whole_fit():
+    # every run shares every T: the error is the s.e. of the per-run slopes at
+    # the fit's full-sample weights, not the propagation of independent points
+    from sinhgordon.results import jackknife_func
+    rng = np.random.default_rng(7)
+    ts = np.array([1.0, 1.5, 2.0, 3.0])
+    n = 16
+    slopes = -2.0 + 0.05 * rng.standard_normal(n)
+    offsets = 0.5 * rng.standard_normal(n)              # a run's offset is common to every T
+    table = offsets + np.outer(2.0 * ts, slopes) + 0.02 * rng.standard_normal((ts.size, n))
+    fit = sg.lambda0_fit(ts, table)
+    means, ses = np.array([jackknife_func([row], lambda m: m) for row in table]).T
+    w = 1.0 / ses ** 2
+    x = 2.0 * ts
+    c = w * (x - (w * x).sum() / w.sum())
+    c /= c @ x                                       # slope = c @ (log Z at each T)
+    assert fit.value == pytest.approx(-(c @ means), rel=1e-12)
+    per_run = c @ table
+    assert fit.std_error == pytest.approx(per_run.std(ddof=1) / math.sqrt(n), rel=1e-12)
+    # the shared offsets widen every point but leave the slopes alone, which the
+    # propagated error of independent points misses
+    assert fit.std_error < 0.5 * math.sqrt(((c * ses) ** 2).sum())
 
 
 def test_gap_exact_recovery():
